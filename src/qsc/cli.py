@@ -37,7 +37,6 @@ from .qsym import (
 from .rw import rw_dual, rw_forward, tree_to_dot, tree_to_json
 from .tableaux import (
     from_json_obj,
-    make_rows,
     parse_rows,
     render,
     semistandard_tableaux,
@@ -46,7 +45,7 @@ from .tableaux import (
 from .verify import DEFAULT_MAX_N, SUITES, run_suite
 
 VERIFY_GUARD = 9
-CONJECTURE_GUARD = 8
+CONJECTURE_GUARD = 9
 
 TABLEAU_HELP = (
     "tableau as JSON ('{\"shape\": [1,3,2], \"rows\": [[2],[3,4,7],[6,8]]}'"
@@ -80,9 +79,7 @@ def _read_tableau(text: str):
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
         obj = json.loads(stripped)
-        if isinstance(obj, dict):
-            return from_json_obj(obj)
-        return make_rows(obj)
+        return from_json_obj(obj if isinstance(obj, dict) else {"rows": obj})
     return parse_rows(stripped)
 
 

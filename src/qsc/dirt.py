@@ -3,10 +3,11 @@
 The recording tableau of a word traces which cell each insertion created.
 Row strips cut a standard filling into maximal runs of consecutive values
 whose cells occupy pairwise distinct columns, reading greedily upward from
-1.  A recording tableau is characterized by: rows increase left to right,
-every row strip starts in column 1 and moves strictly right as its values
-grow, the leftmost column increases top to bottom, and a triple condition
-ties every pair of rows (see is_dirt).
+1.  The recording tableau of an immaculate reading word (a DIRT) is
+characterized by: rows increase left to right, every row strip starts in
+column 1 and moves strictly right as its values grow, the leftmost column
+increases top to bottom, and a triple condition ties every pair of rows
+(see is_dirt).
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ def row_strip_shape(rows: Rows) -> Composition:
 
 
 def is_dirt(rows: Rows) -> bool:
-    """True when rows is the recording tableau of some insertion.
+    """True when rows is the recording tableau of the insertion of some
+    immaculate reading word (a DIRT).  Recording tableaux of other words
+    need not pass.
 
     Checks: standard, rows increase, every row strip starts in column 1 and
     its columns strictly increase with its values, the leftmost column

@@ -215,16 +215,14 @@ def insert_word(word) -> tuple[Rows, Rows]:
 
 
 def uninsert(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
-    """Invert insert_word: peel insertions off in reverse recording order."""
-    from .dirt import is_dirt  # local import; dirt builds on tableaux only
+    """Invert insert_word: peel insertions off in reverse recording order.
 
+    Raises ValueError unless the pair is the output of insert_word for the
+    recovered word.
+    """
     p_rows, q_rows = make_rows(p_rows), make_rows(q_rows)
     if shape_of(p_rows) != shape_of(q_rows):
         raise ValueError("tableau and recording tableau shapes differ")
-    if not is_ssyct(p_rows):
-        raise ValueError("uninsert requires a Young composition tableau")
-    if not is_dirt(q_rows):
-        raise ValueError("recording tableau is not a valid insertion record")
     p = [list(r) for r in p_rows]
     q = [list(r) for r in q_rows]
     reversed_word: list[int] = []
@@ -233,9 +231,12 @@ def uninsert(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
         col = len(q[row - 1])
         output, _ = _rapture_from(p, (col, row))
         if output is INF:
-            raise RuntimeError("insertion record did not unwind to a finite letter")
+            raise ValueError("insertion record did not unwind to a finite letter")
         reversed_word.append(output)
         q[row - 1].pop()
         if not q[row - 1]:
             del q[row - 1]
-    return tuple(reversed(reversed_word))
+    word = tuple(reversed(reversed_word))
+    if insert_word(word) != (p_rows, q_rows):
+        raise ValueError("tableau pair is not the output of any word insertion")
+    return word

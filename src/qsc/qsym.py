@@ -3,15 +3,16 @@
 Everything reduces to the monomial basis: an MExpr maps compositions of a
 fixed degree to integer coefficients.  Fundamental expansions come from
 descent sets of standard fillings, products from the quasi-shuffle rule, and
-changes of basis from an exact rational solve.  Bases dual to these live in
-the noncommutative world and are handled purely as coefficient tables.
+changes of basis from integer leading-term peeling: both Schur-like bases are
+unitriangular in monomial coordinates under lexicographic order, which is
+checked on every element used rather than assumed.  Bases dual to these live
+in the noncommutative world and are handled purely as coefficient tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from math import comb
 
@@ -183,60 +184,65 @@ def m_to_f(f: MExpr) -> BasisExpansion:
     return BasisExpansion(FUNDAMENTAL, f.degree, out)
 
 
-def yqs_f_expansion(alpha: Composition) -> BasisExpansion:
-    """Fundamental expansion of a Young quasisymmetric Schur element, by
-    bucketing standard tableaux of the shape over their descent sets."""
+# The filling kind whose standard tableaux give each Schur-like basis its
+# fundamental expansion, and the descent set read off each such tableau.
+_FILLINGS = {
+    YOUNG_QS: ("ssyct", young_descent_set),
+    DUAL_IMMACULATE: ("immaculate", immaculate_descent_set),
+}
+
+
+def _f_expansion(basis: str, alpha: Composition) -> BasisExpansion:
+    kind, descents = _FILLINGS[basis]
     alpha = check_composition(alpha)
     n = sum(alpha)
     out: dict[Composition, int] = {}
-    for t in standard_tableaux(alpha, "ssyct"):
-        beta = subset_to_composition(young_descent_set(t), n)
+    for t in standard_tableaux(alpha, kind):
+        beta = subset_to_composition(descents(t), n)
         out[beta] = out.get(beta, 0) + 1
     return BasisExpansion(FUNDAMENTAL, n, out)
+
+
+def _mexpr(basis: str, alpha: Composition) -> MExpr:
+    expansion = _f_expansion(basis, alpha)
+    out: dict[Composition, int] = {}
+    for beta, c in expansion.coeffs.items():
+        for gamma in refinements(beta):
+            out[gamma] = out.get(gamma, 0) + c
+    return MExpr(expansion.degree, out)
+
+
+def yqs_f_expansion(alpha: Composition) -> BasisExpansion:
+    """Fundamental expansion of a Young quasisymmetric Schur element, by
+    bucketing standard tableaux of the shape over their descent sets."""
+    return _f_expansion(YOUNG_QS, alpha)
 
 
 def dimm_f_expansion(alpha: Composition) -> BasisExpansion:
     """Fundamental expansion of a dual immaculate element."""
-    alpha = check_composition(alpha)
-    n = sum(alpha)
-    out: dict[Composition, int] = {}
-    for u in standard_tableaux(alpha, "immaculate"):
-        beta = subset_to_composition(immaculate_descent_set(u), n)
-        out[beta] = out.get(beta, 0) + 1
-    return BasisExpansion(FUNDAMENTAL, n, out)
+    return _f_expansion(DUAL_IMMACULATE, alpha)
 
 
 @cache
 def young_qs_mexpr(alpha: Composition) -> MExpr:
-    expansion = yqs_f_expansion(alpha)
-    total = MExpr(expansion.degree)
-    for beta, c in expansion.coeffs.items():
-        total = total + c * f_to_m(beta)
-    return total
+    return _mexpr(YOUNG_QS, alpha)
 
 
 @cache
 def dual_immaculate_mexpr(alpha: Composition) -> MExpr:
-    expansion = dimm_f_expansion(alpha)
-    total = MExpr(expansion.degree)
-    for beta, c in expansion.coeffs.items():
-        total = total + c * f_to_m(beta)
-    return total
-
-
-_ORACLE_KINDS = {YOUNG_QS: "ssyct", DUAL_IMMACULATE: "immaculate"}
+    return _mexpr(DUAL_IMMACULATE, alpha)
 
 
 def monomial_coefficient_oracle(basis: str, alpha: Composition, gamma: Composition) -> int:
     """Monomial coefficient at gamma computed by direct filling counts,
     independent of any descent-set bookkeeping."""
-    if basis not in _ORACLE_KINDS:
+    if basis not in _FILLINGS:
         raise ValueError(f"no filling model for basis {basis!r}")
     alpha = check_composition(alpha)
     gamma = check_composition(gamma)
     if sum(alpha) != sum(gamma):
         raise ValueError("degree mismatch between shape and weight")
-    return len(weighted_tableaux(alpha, _ORACLE_KINDS[basis], gamma))
+    return len(weighted_tableaux(alpha, _FILLINGS[basis][0], gamma))
 
 
 def schur_m_expansion(lam: Composition) -> MExpr:
@@ -281,57 +287,40 @@ def quasi_shuffle(f: MExpr, g: MExpr) -> MExpr:
     return MExpr(f.degree + g.degree, out)
 
 
-_EXPANDABLE = {FUNDAMENTAL, YOUNG_QS, DUAL_IMMACULATE}
-
-
-@cache
-def _basis_matrix_inverse(n: int, basis: str) -> tuple[tuple[Fraction, ...], ...]:
-    comps = compositions(n)
-    gen = young_qs_mexpr if basis == YOUNG_QS else dual_immaculate_mexpr
-    k = len(comps)
-    rows = [
-        [Fraction(gen(b).coefficient(g)) for b in comps] + [Fraction(0)] * k
-        for g in comps
-    ]
-    for i in range(k):
-        rows[i][k + i] = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col]), None)
-        if pivot is None:
-            raise RuntimeError("basis matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(k):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[k:]) for row in rows)
-
-
 def expand_in(f: MExpr, basis: str) -> BasisExpansion:
-    """Exact coefficients of f against the named basis of its degree.
+    """Exact integer coefficients of f against the named basis of its degree.
 
-    The fundamental case has a closed-form inverse; the two Schur-like bases
-    go through one cached exact matrix inverse per degree.  All the target
-    bases are integral, so a fractional coefficient raises.
+    The fundamental case has a closed-form inverse.  The two Schur-like bases
+    are unitriangular in monomial coordinates under lexicographic order, so f
+    is peeled: the lex-largest remaining term alpha, with coefficient c, gives
+    coefficient c at alpha, and c times the basis element at alpha is
+    subtracted, until nothing is left.  Each element is checked before use;
+    one whose lex-largest term is not alpha with coefficient 1 raises
+    RuntimeError.
     """
     if basis == MONOMIAL:
         return BasisExpansion(MONOMIAL, f.degree, dict(f.coeffs))
-    if basis not in _EXPANDABLE:
-        raise ValueError(f"cannot expand in basis {basis!r}")
     if basis == FUNDAMENTAL:
         return m_to_f(f)
-    comps = compositions(f.degree)
-    inverse = _basis_matrix_inverse(f.degree, basis)
-    vec = [f.coefficient(g) for g in comps]
+    if basis not in _FILLINGS:
+        raise ValueError(f"cannot expand in basis {basis!r}")
+    element = young_qs_mexpr if basis == YOUNG_QS else dual_immaculate_mexpr
+    rest = dict(f.coeffs)
     out: dict[Composition, int] = {}
-    for i, alpha in enumerate(comps):
-        x = sum(inverse[i][j] * vec[j] for j in range(len(comps)))
-        if x.denominator != 1:
-            raise RuntimeError(f"non-integer coefficient {x} at {alpha}")
-        if x:
-            out[alpha] = int(x)
+    while rest:
+        alpha = max(rest)
+        c = out[alpha] = rest[alpha]
+        terms = element(alpha).coeffs
+        lead = max(terms, default=None)
+        if lead != alpha or terms[lead] != 1:
+            raise RuntimeError(
+                f"{basis} element at {to_string(alpha)} is not unitriangular")
+        for gamma, x in terms.items():
+            left = rest.get(gamma, 0) - c * x
+            if left:
+                rest[gamma] = left
+            else:
+                rest.pop(gamma, None)
     return BasisExpansion(basis, f.degree, out)
 
 

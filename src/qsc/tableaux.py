@@ -268,8 +268,14 @@ def to_json_obj(rows: Rows) -> dict:
 def from_json_obj(obj) -> Rows:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError("expected an object with a 'rows' field")
-    rows = make_rows(obj["rows"])
-    if "shape" in obj and tuple(obj["shape"]) != shape_of(rows):
+    rows = obj["rows"]
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
+        raise ValueError("rows must be a list of lists of entries")
+    rows = make_rows(rows)
+    shape = obj.get("shape", shape_of(rows))
+    if not isinstance(shape, (list, tuple)) or tuple(shape) != shape_of(rows):
         raise ValueError("declared shape does not match rows")
     return rows
 

@@ -86,6 +86,20 @@ def test_demo_insert_accepts_json_tableau(capsys):
     assert json.loads(out)["new_cell"] == [2, 1]
 
 
+@pytest.mark.parametrize("tableau", [
+    '{"rows": 5}',
+    '{"rows": [[1]], "shape": 5}',
+    '[5]',
+])
+def test_demo_insert_rejects_malformed_json_tableau(capsys, tableau):
+    code, out, err = run(capsys, "demo", "insert", "--tableau", tableau,
+                         "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_demo_rapture_trace(capsys):
     code, out, _ = run(capsys, "demo", "rapture",
                        "--tableau", "2,8/3,4,5/6,7", "--cell", "2,1")
@@ -201,7 +215,7 @@ def test_conjectures_json(capsys):
 
 
 def test_conjectures_guard(capsys):
-    code, _, err = run(capsys, "conjectures", "--n", "9")
+    code, _, err = run(capsys, "conjectures", "--n", "10")
     assert code == 2
     assert "exceeds the guard" in err
 

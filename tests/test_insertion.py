@@ -1,7 +1,8 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from qsc.compositions import compositions
 from qsc.insertion import (
     insert,
     insert_word,
@@ -11,11 +12,9 @@ from qsc.insertion import (
 )
 from qsc.tableaux import (
     INF,
-    immaculate_reading_word,
     is_ssyct,
     is_standard,
     shape_of,
-    standard_tableaux,
 )
 
 # Inserting 5 into this shape-(1,3,2) tableau bumps twice and settles next
@@ -118,6 +117,12 @@ def test_uninsert_smallest_pair():
     assert uninsert(((1,), (2,)), ((2,), (1,))) == (2, 1)
 
 
+def test_uninsert_rejects_mismatched_pair():
+    # Unwinding gives the word (1, 2), whose recording tableau is ((1, 2),).
+    with pytest.raises(ValueError):
+        uninsert(((1,), (2,)), ((1,), (2,)))
+
+
 @given(st.permutations(list(range(1, 8))))
 def test_insert_word_shapes_agree(word):
     p, q = insert_word(tuple(word))
@@ -140,9 +145,7 @@ def test_increasing_insertions_move_right(values):
 
 
 def test_word_round_trip_exhaustive():
-    for n in range(1, 6):
-        for alpha in compositions(n):
-            for u in standard_tableaux(alpha, "immaculate"):
-                word = immaculate_reading_word(u)
-                p, q = insert_word(word)
-                assert uninsert(p, q) == word
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            p, q = insert_word(word)
+            assert uninsert(p, q) == word

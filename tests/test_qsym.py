@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qsc import qsym
 from qsc.compositions import compositions, partitions, to_string
 from qsc.qsym import (
     BASES,
@@ -144,7 +145,7 @@ def test_expand_in_goldens():
 
 
 def test_expand_in_round_trips():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for alpha in compositions(n):
             f = young_qs_mexpr(alpha)
             table = expand_in(f, DUAL_IMMACULATE)
@@ -152,6 +153,16 @@ def test_expand_in_round_trips():
             for beta, c in table.coeffs.items():
                 back = back + c * dual_immaculate_mexpr(beta)
             assert back == f
+
+
+@pytest.mark.parametrize("element", [
+    MExpr(3, {(2, 1): 1, (1, 2): 1}),  # leading term M(2,1), not M(1,2)
+    MExpr(3, {(1, 2): 2, (1, 1, 1): 1}),  # leading coefficient 2
+])
+def test_expand_in_checks_unitriangularity(monkeypatch, element):
+    monkeypatch.setattr(qsym, "young_qs_mexpr", lambda alpha: element)
+    with pytest.raises(RuntimeError, match="not unitriangular"):
+        expand_in(monomial((1, 2)), YOUNG_QS)
 
 
 def test_coefficient_maps():
@@ -170,7 +181,7 @@ def test_coefficient_maps():
 
 
 def test_coefficient_maps_match_linear_algebra():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for alpha in compositions(n):
             assert dimm_to_yqs(alpha) == expand_in(
                 dual_immaculate_mexpr(alpha), YOUNG_QS)
