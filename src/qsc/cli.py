@@ -163,19 +163,8 @@ def cmd_demo_rapture(args) -> int:
 
 def cmd_demo_word(args) -> int:
     word = from_string(args.word)
-    insertions = []
-    current: tuple = ()
-    for letter in word:
-        events: list[dict] = []
-        result = insert(current, letter, events)
-        insertions.append({
-            "letter": letter,
-            "steps": events,
-            "new_cell": list(result.new_cell),
-            "path": [list(cell) for cell in result.path],
-        })
-        current = result.rows
-    p_rows, q_rows = insert_word(word)
+    insertions: list[dict] = []
+    p_rows, q_rows = insert_word(word, insertions)
     _emit({
         "word": list(word),
         "insertions": insertions,

@@ -7,27 +7,20 @@ whose cells occupy pairwise distinct columns, reading greedily upward from
 characterized by: rows increase left to right, every row strip starts in
 column 1 and moves strictly right as its values grow, the leftmost column
 increases top to bottom, and a triple condition ties every pair of rows
-(see is_dirt).
+(see is_dirt).  Public functions validate their inputs; the `_`-prefixed
+core _strips works on a positions map and checks nothing.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .compositions import Composition, check_composition
-from .tableaux import Rows, entry_or_inf, is_standard, make_rows, positions
+from .tableaux import Rows, entry_or_inf, make_rows, positions
 
 
-def row_strips(rows: Rows) -> tuple[tuple[int, ...], ...]:
-    """Greedy decomposition of a standard filling into row strips."""
-    rows = make_rows(rows)
-    if not is_standard(rows):
-        raise ValueError("row strips are defined for standard fillings")
-    pos = positions(rows)
-    n = len(pos)
+def _strips(pos: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     strips: list[list[int]] = []
     used_cols: set[int] = set()
-    for v in range(1, n + 1):
+    for v in range(1, len(pos) + 1):
         col = pos[v][0]
         if v == 1 or col in used_cols:
             strips.append([v])
@@ -36,6 +29,12 @@ def row_strips(rows: Rows) -> tuple[tuple[int, ...], ...]:
             strips[-1].append(v)
             used_cols.add(col)
     return tuple(tuple(s) for s in strips)
+
+
+def row_strips(rows: Rows) -> tuple[tuple[int, ...], ...]:
+    """Greedy decomposition of a standard filling into row strips; raises
+    ValueError for a filling that is not standard."""
+    return _strips(positions(make_rows(rows)))
 
 
 def row_strip_shape(rows: Rows) -> Composition:
@@ -54,7 +53,9 @@ def is_dirt(rows: Rows) -> bool:
     that lower one (absent cells reading as infinity).
     """
     rows = make_rows(rows)
-    if not is_standard(rows):
+    try:
+        pos = positions(rows)
+    except ValueError:
         return False
     for row in rows:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
@@ -62,8 +63,7 @@ def is_dirt(rows: Rows) -> bool:
     firsts = [row[0] for row in rows]
     if any(firsts[i] <= firsts[i + 1] for i in range(len(firsts) - 1)):
         return False
-    pos = positions(rows)
-    for strip in row_strips(rows):
+    for strip in _strips(pos):
         cols = [pos[v][0] for v in strip]
         if cols[0] != 1:
             return False
@@ -80,7 +80,6 @@ def is_dirt(rows: Rows) -> bool:
     return True
 
 
-@cache
 def enumerate_dirts(shape: Composition, strip_shape: Composition) -> tuple[Rows, ...]:
     """All recording tableaux of the given shape whose row strip shape is
     strip_shape, in lexicographic order of the row sequence visited.

@@ -16,6 +16,10 @@ if the carried value comes to rest on a sentinel instead, the output is INF
 and the tableau keeps its size.
 
 Leftmost-column cells are never bump or evict targets; the scans skip them.
+
+Public functions validate their inputs.  The `_`-prefixed cores work on
+mutable row lists and check nothing; insert_word, uninsert and the verify
+suites drive them directly.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .tableaux import (
     INF,
     Rows,
     augmented_cells,
+    entry_or_inf,
     is_ssyct,
     make_rows,
     shape_of,
@@ -52,11 +57,6 @@ def _freeze(work: list[list[int]]) -> Rows:
     return tuple(tuple(row) for row in work)
 
 
-def _aug(work: list[list[int]], col: int, row: int) -> int | float:
-    r = work[row - 1]
-    return r[col - 1] if col <= len(r) else INF
-
-
 def _record(events, **kwargs):
     if events is not None:
         events.append(kwargs)
@@ -70,22 +70,19 @@ def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tupl
         if col == 1:
             continue
         left = work[row - 1][col - 2]
-        occupant = _aug(work, col, row)
-        if left <= carry < occupant:
-            if occupant is INF:
-                work[row - 1].append(carry)
-                path.append((col, row))
-                _record(events, event="scan", cell=[col, row], left=left,
-                        occupant=occupant, carry=carry, outcome="place")
-                return (col, row), tuple(path)
-            work[row - 1][col - 1] = carry
-            path.append((col, row))
-            _record(events, event="scan", cell=[col, row], left=left,
-                    occupant=occupant, carry=carry, outcome="bump")
-            carry = occupant
-        else:
-            _record(events, event="scan", cell=[col, row], left=left,
-                    occupant=occupant, carry=carry, outcome="skip")
+        occupant = entry_or_inf(work, col, row)
+        fits = left <= carry < occupant
+        outcome = "skip" if not fits else "place" if occupant is INF else "bump"
+        _record(events, event="scan", cell=[col, row], left=left,
+                occupant=occupant, carry=carry, outcome=outcome)
+        if not fits:
+            continue
+        path.append((col, row))
+        if occupant is INF:
+            work[row - 1].append(carry)
+            return (col, row), tuple(path)
+        work[row - 1][col - 1] = carry
+        carry = occupant
     # Nothing fit: open a new single-cell row, as high as possible subject to
     # every leftmost entry below it being smaller.
     pos = 0
@@ -115,6 +112,21 @@ def insert(rows: Rows, k: int, events=None) -> InsertionResult:
     return InsertionResult(_freeze(work), new_cell, path)
 
 
+def _is_virtuous(rows, cell: Cell) -> bool:
+    col, row = cell
+    if col != len(rows[row - 1]):
+        return False
+    v = rows[row - 1][col - 1]
+    return not any(len(below) >= col and (len(below) == col or below[col - 1] >= v)
+                   for below in rows[:row - 1])
+
+
+def _check_cell(rows: Rows, cell: Cell) -> None:
+    col, row = cell
+    if not (1 <= row <= len(rows) and 1 <= col <= len(rows[row - 1])):
+        raise ValueError(f"cell {cell} is not in the diagram")
+
+
 def is_virtuous(rows: Rows, cell: Cell) -> bool:
     """True when the entry at cell can be raptured.
 
@@ -123,19 +135,8 @@ def is_virtuous(rows: Rows, cell: Cell) -> bool:
     strictly above it.
     """
     rows = make_rows(rows)
-    col, row = cell
-    if not (1 <= row <= len(rows) and 1 <= col <= len(rows[row - 1])):
-        raise ValueError(f"cell {cell} is not in the diagram")
-    if col != len(rows[row - 1]):
-        return False
-    v = rows[row - 1][col - 1]
-    for r in range(1, row):
-        below = rows[r - 1]
-        if len(below) >= col and below[col - 1] >= v:
-            return False
-        if len(below) == col:
-            return False
-    return True
+    _check_cell(rows, cell)
+    return _is_virtuous(rows, cell)
 
 
 def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int | float, tuple[Cell, ...]]:
@@ -144,35 +145,31 @@ def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int |
     route: list[Cell] = [cell]
     if col == 1:
         del work[row - 1]
-        _record(events, event="remove", cell=[col, row], entry=carry, row_removed=True)
     else:
         work[row - 1].pop()
-        _record(events, event="remove", cell=[col, row], entry=carry, row_removed=False)
+    _record(events, event="remove", cell=[col, row], entry=carry, row_removed=col == 1)
     # Scan the remaining reading order backwards from the removal point.
     domain = [(c, r) for c, r in augmented_cells(tuple(len(r) for r in work))
               if c >= 2 and (c > col or (c == col and r > row))]
     for c, r in reversed(domain):
         left = work[r - 1][c - 2]
-        occupant = _aug(work, c, r)
-        right = _aug(work, c + 1, r)
+        occupant = entry_or_inf(work, c, r)
+        right = entry_or_inf(work, c + 1, r)
         if not left <= carry <= right:
-            _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
-                    right=right, carry=carry, outcome="skip")
-            continue
-        if occupant is INF:
-            work[r - 1].append(carry)
-            _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
-                    right=right, carry=carry, outcome="settle")
-            return INF, tuple(route)
-        if occupant >= carry:
-            _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
-                    right=right, carry=carry, outcome="pass")
-            continue
-        work[r - 1][c - 1] = carry
-        route.append((c, r))
+            outcome = "skip"
+        elif occupant is INF:
+            outcome = "settle"
+        else:
+            outcome = "pass" if occupant >= carry else "evict"
         _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
-                right=right, carry=carry, outcome="evict")
-        carry = occupant
+                right=right, carry=carry, outcome=outcome)
+        if outcome == "settle":
+            work[r - 1].append(carry)
+            return INF, tuple(route)
+        if outcome == "evict":
+            work[r - 1][c - 1] = carry
+            route.append((c, r))
+            carry = occupant
     _record(events, event="output", value=carry)
     return carry, tuple(route)
 
@@ -186,17 +183,22 @@ def rapture(rows: Rows, cell: Cell, events=None) -> RaptureResult:
     rows = make_rows(rows)
     if not is_ssyct(rows):
         raise ValueError("rapture requires a Young composition tableau")
-    if not is_virtuous(rows, cell):
+    _check_cell(rows, cell)
+    if not _is_virtuous(rows, cell):
         raise ValueError(f"cell {cell} is not virtuous")
     work = [list(r) for r in rows]
     output, route = _rapture_from(work, tuple(cell), events)
     return RaptureResult(_freeze(work), output, route)
 
 
-def insert_word(word) -> tuple[Rows, Rows]:
+def insert_word(word, events=None) -> tuple[Rows, Rows]:
     """Insert the letters of a duplicate-free word left to right into the
     empty tableau.  Returns the resulting tableau and the recording tableau
-    whose entry j marks the cell created by the j-th insertion."""
+    whose entry j marks the cell created by the j-th insertion.
+
+    With events a list, appends one dict per letter holding that
+    insertion's scan steps, new cell and bumping path.
+    """
     word = tuple(word)
     for x in word:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
@@ -206,7 +208,11 @@ def insert_word(word) -> tuple[Rows, Rows]:
     p: list[list[int]] = []
     q: list[list[int]] = []
     for j, k in enumerate(word, start=1):
-        (col, row), _ = _insert_into(p, k)
+        steps = None if events is None else []
+        (col, row), path = _insert_into(p, k, steps)
+        if events is not None:
+            events.append({"letter": k, "steps": steps, "new_cell": [col, row],
+                           "path": [list(cell) for cell in path]})
         if col == 1:
             q.insert(row - 1, [j])
         else:

@@ -338,18 +338,29 @@ def is_symmetric(f: MExpr) -> bool:
     return True
 
 
+@cache
+def _dirt_counts(n: int, ell: int) -> dict[tuple[Composition, Composition], int]:
+    # Nonzero recording-tableau counts keyed by (shape, row strip shape),
+    # over compositions of n with ell parts.  dimm_to_yqs reads this table
+    # by strip shape and yns_to_imm by shape.
+    table = {}
+    for shape in compositions(n, ell):
+        for strips in compositions(n, ell):
+            count = len(enumerate_dirts(shape, strips))
+            if count:
+                table[shape, strips] = count
+    return table
+
+
 def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     """Young quasisymmetric Schur expansion of a dual immaculate element:
     the coefficient at beta counts recording tableaux of shape beta whose row
     strip shape is the reverse of alpha."""
     alpha = check_composition(alpha)
     n = sum(alpha)
+    table = _dirt_counts(n, len(alpha))
     strips = reverse(alpha)
-    out: dict[Composition, int] = {}
-    for beta in compositions(n, len(alpha)):
-        count = len(enumerate_dirts(beta, strips))
-        if count:
-            out[beta] = count
+    out = {beta: table.get((beta, strips), 0) for beta in compositions(n, len(alpha))}
     return BasisExpansion(YOUNG_QS, n, out)
 
 
@@ -358,11 +369,9 @@ def yns_to_imm(alpha: Composition) -> BasisExpansion:
     transpose of the dual immaculate coefficient table."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    out: dict[Composition, int] = {}
-    for beta in compositions(n, len(alpha)):
-        count = len(enumerate_dirts(alpha, reverse(beta)))
-        if count:
-            out[beta] = count
+    table = _dirt_counts(n, len(alpha))
+    out = {beta: table.get((alpha, reverse(beta)), 0)
+           for beta in compositions(n, len(alpha))}
     return BasisExpansion(IMMACULATE, n, out)
 
 

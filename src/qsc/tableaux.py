@@ -9,12 +9,15 @@ weakly increase, the leftmost column strictly increases upward, and a
 triple condition couples every pair of rows) and immaculate tableaux (the
 triple condition dropped).  The sentinel used when a comparison looks past
 the end of a row is math.inf, which compares greater than every entry.
+
+Enumerators and parsers validate their inputs, and predicates such as
+is_ssyct take well-formed Rows; `_`-prefixed helpers such as _triple_ok
+check nothing.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from .compositions import Composition, check_composition
 
@@ -46,14 +49,6 @@ def entry_or_inf(rows: Rows, col: int, row: int) -> int | float:
     if 1 <= row <= len(rows) and 1 <= col <= len(rows[row - 1]):
         return rows[row - 1][col - 1]
     return INF
-
-
-def augmented_entry(rows: Rows, col: int, row: int) -> int | float:
-    """Entry of the filling extended by one sentinel cell per row."""
-    width = len(rows[row - 1])
-    if col == width + 1:
-        return INF
-    return rows[row - 1][col - 1]
 
 
 def augmented_cells(shape: Composition) -> tuple[tuple[int, int], ...]:
@@ -130,7 +125,7 @@ def positions(rows: Rows) -> dict[int, tuple[int, int]]:
 def young_reading_word(rows: Rows) -> tuple[int | float, ...]:
     """Entries of the sentinel-extended filling, columns right to left and
     top to bottom within each column."""
-    return tuple(augmented_entry(rows, c, r) for c, r in augmented_cells(shape_of(rows)))
+    return tuple(entry_or_inf(rows, c, r) for c, r in augmented_cells(shape_of(rows)))
 
 
 def immaculate_reading_word(rows: Rows) -> tuple[int, ...]:
@@ -155,22 +150,19 @@ def immaculate_descent_set(rows: Rows) -> frozenset[int]:
     return frozenset(i for i in range(1, n) if pos[i + 1][1] > pos[i][1])
 
 
-def _fill_order(shape: Composition) -> list[tuple[int, int]]:
-    # Cells in the row-word order: top row first, left to right.
-    return [(i, j) for j in range(len(shape), 0, -1) for i in range(1, shape[j - 1] + 1)]
-
-
 def _search(shape, kind, candidates_for):
     """Backtracking core shared by the enumerators.
 
     Cells are filled in row-word order (top row first), so results come out
-    sorted lexicographically by that word.  candidates_for(cell, grid) yields
-    values in increasing order; structural checks happen here.
+    sorted lexicographically by that word.  candidates_for(left) yields, in
+    increasing order, values no smaller than the cell's left neighbour (0 in
+    the leftmost column), so rows weakly increase by construction; the
+    column and triple conditions are checked here.
     """
     if kind not in ("ssyct", "immaculate"):
         raise ValueError(f"unknown tableau kind {kind!r}")
     ell = len(shape)
-    order = _fill_order(shape)
+    order = [(i, j) for j in range(ell, 0, -1) for i in range(1, shape[j - 1] + 1)]
     grid = [[0] * shape[j] for j in range(ell)]
     results: list[Rows] = []
 
@@ -178,8 +170,6 @@ def _search(shape, kind, candidates_for):
         # Leftmost column: strictly above-strictly smaller, checked against
         # the already filled row above (rows are filled top-down).
         if i == 1 and j < ell and not v < grid[j][0]:
-            return False
-        if i > 1 and grid[j - 1][i - 2] > v:
             return False
         if kind == "ssyct" and i > 1:
             # Triple condition instances are decided exactly when the cell in
@@ -196,7 +186,7 @@ def _search(shape, kind, candidates_for):
             results.append(tuple(tuple(row) for row in grid))
             return
         i, j = order[idx]
-        for v in candidates_for((i, j), grid):
+        for v in candidates_for(grid[j - 1][i - 2] if i > 1 else 0):
             if cell_ok(i, j, v):
                 grid[j - 1][i - 1] = v
                 rec(idx + 1)
@@ -207,7 +197,6 @@ def _search(shape, kind, candidates_for):
     return tuple(results)
 
 
-@cache
 def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
     """All standard fillings of the given kind ("ssyct" or "immaculate"),
     sorted by their row word."""
@@ -215,10 +204,8 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
     n = sum(shape)
     used = [False] * (n + 1)
 
-    def candidates(cell, grid):
-        i, j = cell
-        prev = grid[j - 1][i - 2] if i > 1 else 0
-        for v in range(prev + 1, n + 1):
+    def candidates(left):
+        for v in range(left + 1, n + 1):
             if not used[v]:
                 used[v] = True
                 yield v
@@ -227,19 +214,13 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
     return _search(shape, kind, candidates)
 
 
-@cache
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
     if max_entry < 1:
         return () if shape else ((),)
 
-    def candidates(cell, grid):
-        i, j = cell
-        prev = grid[j - 1][i - 2] if i > 1 else 1
-        yield from range(prev, max_entry + 1)
-
-    return _search(shape, kind, candidates)
+    return _search(shape, kind, lambda left: range(max(left, 1), max_entry + 1))
 
 
 def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tuple[Rows, ...]:
@@ -249,10 +230,8 @@ def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tupl
         return ()
     budget = list(gamma)
 
-    def candidates(cell, grid):
-        i, j = cell
-        prev = grid[j - 1][i - 2] if i > 1 else 1
-        for v in range(prev, len(budget) + 1):
+    def candidates(left):
+        for v in range(max(left, 1), len(budget) + 1):
             if budget[v - 1] > 0:
                 budget[v - 1] -= 1
                 yield v

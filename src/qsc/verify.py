@@ -7,11 +7,14 @@ nothing is sampled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
 from .dirt import is_dirt, row_strip_shape
-from .insertion import insert, insert_word, is_virtuous, rapture, uninsert
+from .insertion import _freeze, _insert_into, _is_virtuous, _rapture_from
+from .insertion import insert_word, uninsert
 from .qsym import (
     DUAL_IMMACULATE,
     YOUNG_QS,
@@ -28,6 +31,7 @@ from .tableaux import (
     INF,
     immaculate_descent_set,
     immaculate_reading_word,
+    is_ssyct,
     shape_of,
     standard_tableaux,
     young_descent_set,
@@ -52,40 +56,50 @@ class SuiteResult:
 def _check_inverse_pair(result: SuiteResult, rows) -> None:
     """insert after rapture returns the original tableau with the route
     mirrored, for every virtuous cell whose rapture output is finite."""
-    for r in range(1, len(rows) + 1):
-        for c in range(1, len(rows[r - 1]) + 1):
-            if not is_virtuous(rows, (c, r)):
-                continue
-            rap = rapture(rows, (c, r))
-            if rap.output is INF:
-                continue
-            result.cases += 1
-            ins = insert(rap.rows, rap.output)
-            if ins.rows != rows or ins.path != tuple(reversed(rap.route)):
-                result.fail(f"insert(rapture) failed at {rows} cell {(c, r)}")
+    for r, row in enumerate(rows, start=1):
+        cell = (len(row), r)
+        if not _is_virtuous(rows, cell):
+            continue
+        work = [list(x) for x in rows]
+        output, route = _rapture_from(work, cell)
+        if not is_ssyct(_freeze(work)):
+            result.fail(f"rapture of {rows} at {cell} is not a Young composition tableau")
+            continue
+        if output is INF:
+            continue
+        result.cases += 1
+        # Equal to rows, the insert result is a tableau; no separate check.
+        _, path = _insert_into(work, output)
+        if _freeze(work) != rows or path != tuple(reversed(route)):
+            result.fail(f"insert(rapture) failed at {rows} cell {cell}")
 
 
 def verify_inverse(max_n: int) -> SuiteResult:
     """Both compositions of insertion and rapture are identities with
     mirrored bumping paths and escape routes, on every tableau arising
-    while inserting every immaculate reading word."""
+    while inserting every immaculate reading word.  The unchecked cores run
+    here; every tableau they produce is checked once."""
     result = SuiteResult("inverse", max_n)
     for n in range(1, max_n + 1):
         for alpha in compositions(n):
             for u in standard_tableaux(alpha, "immaculate"):
                 rows: tuple = ()
-                _check_inverse_pair(result, rows)
                 for k in immaculate_reading_word(u):
-                    step = insert(rows, k)
-                    rap = rapture(step.rows, step.new_cell)
+                    work = [list(r) for r in rows]
+                    new_cell, path = _insert_into(work, k)
+                    step = _freeze(work)
                     result.cases += 1
+                    if not is_ssyct(step):
+                        result.fail(f"insert of {k} into {rows} is not a Young composition tableau")
+                        break
+                    # Rapture runs only at a virtuous cell, and undoes the step.
                     if (
-                        rap.rows != rows
-                        or rap.output != k
-                        or rap.route != tuple(reversed(step.path))
+                        not _is_virtuous(step, new_cell)
+                        or _rapture_from(work, new_cell) != (k, tuple(reversed(path)))
+                        or _freeze(work) != rows
                     ):
                         result.fail(f"rapture(insert) failed: {rows} + {k}")
-                    rows = step.rows
+                    rows = step
                     _check_inverse_pair(result, rows)
     return result
 
@@ -119,10 +133,7 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
                 if shape_of(p) != shape_of(q):
                     result.fail(f"shape mismatch for {u}")
                 recording.add(q)
-            by_insertion: dict = {}
-            for q in recording:
-                shape = shape_of(q)
-                by_insertion[shape] = by_insertion.get(shape, 0) + 1
+            by_insertion = dict(Counter(shape_of(q) for q in recording))
             counted = dimm_to_yqs(alpha).coeffs
             forward = rw_forward(alpha)[1].coeffs
             result.cases += 1
@@ -206,6 +217,22 @@ def verify_dominance(max_n: int) -> SuiteResult:
     return result
 
 
+def verify_round_trip(max_n: int) -> SuiteResult:
+    """uninsert inverts insert_word on every permutation of 1..n."""
+    result = SuiteResult("round-trip", max_n)
+    for n in range(1, max_n + 1):
+        for word in permutations(range(1, n + 1)):
+            result.cases += 1
+            try:
+                back = uninsert(*insert_word(word))
+            except ValueError as exc:
+                result.fail(f"uninsert rejected the insertion of {word}: {exc}")
+                continue
+            if back != word:
+                result.fail(f"uninsert(insert_word({word})) gave {back}")
+    return result
+
+
 SUITES = {
     "inverse": verify_inverse,
     "descents": verify_descents,
@@ -213,6 +240,7 @@ SUITES = {
     "symmetry": verify_symmetry,
     "positivity": verify_positivity,
     "dominance": verify_dominance,
+    "round-trip": verify_round_trip,
 }
 
 DEFAULT_MAX_N = {
@@ -222,6 +250,7 @@ DEFAULT_MAX_N = {
     "symmetry": 7,
     "positivity": 6,
     "dominance": 7,
+    "round-trip": 7,
 }
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsc.cli import main
+from qsc import insertion
+from qsc.cli import _ROUTES, _jsonable, main
+from qsc.verify import SUITES
 from qsc.qsym import BasisExpansion
 
 
@@ -136,6 +142,43 @@ def test_demo_word(capsys):
     assert len(trace["insertions"]) == 9
 
 
+def test_demo_word_inserts_each_letter_once(capsys, monkeypatch):
+    word = (4, 6, 9, 2, 8, 1, 3, 5, 7)
+    # Reference: each letter through the public insert, then the whole word.
+    insertions, rows = [], ()
+    for letter in word:
+        steps: list = []
+        step = insertion.insert(rows, letter, steps)
+        insertions.append({"letter": letter, "steps": steps,
+                           "new_cell": list(step.new_cell),
+                           "path": [list(cell) for cell in step.path]})
+        rows = step.rows
+    p, q = insertion.insert_word(word)
+    expected = json.dumps(_jsonable({
+        "word": list(word), "insertions": insertions,
+        "p": [list(r) for r in p], "q": [list(r) for r in q]})) + "\n"
+
+    calls = []
+    real = insertion._insert_into
+
+    def counting(work, k, events=None):
+        calls.append(k)
+        return real(work, k, events)
+
+    monkeypatch.setattr(insertion, "_insert_into", counting)
+    code, out, _ = run(capsys, "demo", "word", "--word", "4,6,9,2,8,1,3,5,7")
+    assert code == 0
+    assert out == expected
+    assert calls == list(word)
+
+
+def test_demo_word_rejects_repeated_letters(capsys):
+    code, out, err = run(capsys, "demo", "word", "--word", "1,2,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_enumerate_tableaux(capsys):
     code, out, _ = run(capsys, "enumerate", "tableaux", "--shape", "2,2",
                        "--kind", "immaculate", "--standard")
@@ -226,3 +269,82 @@ def test_repeated_invocations_are_identical(capsys):
     _, second, _ = run(capsys, "tree", "--alpha", "1,2,3",
                        "--direction", "dual")
     assert first == second
+
+
+# Argument pools for the fuzz: every composition of degree at most 4 (so
+# each command finishes quickly) plus malformed values.
+_COMPOSITIONS = ["", "1", "2", "1,1", "3", "2,1", "1,2", "1,1,1", "4", "3,1",
+                 "2,2", "1,3", "2,1,1", "1,2,1", "1,1,2", "1,1,1,1"]
+_JUNK = ["0", "-1", "a", "1,,2", "1.5", " ", "2/1", "1,0"]
+_BASES = ["dual-immaculate", "young-qs", "young-ncschur", "fundamental",
+          "monomial", "immaculate", "schur"]
+_comp = st.sampled_from(_COMPOSITIONS + _JUNK)
+_small_int = st.integers(-2, 4).map(str)
+_row = st.lists(st.integers(0, 6), min_size=0, max_size=3)
+_rows = st.lists(_row, max_size=3)
+_tableau = st.one_of(
+    _rows.map(lambda rows: "/".join(",".join(map(str, r)) for r in rows)),
+    _rows.map(json.dumps),
+    _rows.map(lambda rows: json.dumps({"rows": rows})),
+    st.sampled_from(['{"rows": 5}', '{"rows": [[1]], "shape": 5}', "[5]",
+                     "{", '{"shape": [1]}', '{"rows": [[1]], "shape": [2]}']),
+)
+
+
+def _opt(flag, values):
+    # The flag is left out one time in five.
+    return st.tuples(st.integers(0, 4), values).map(
+        lambda t: [flag, t[1]] if t[0] else [])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+
+_ARGV = st.one_of(
+    _argv(st.just(["expand"]),
+          st.one_of(st.sampled_from(list(_ROUTES)),
+                    st.tuples(st.sampled_from(_BASES), st.sampled_from(_BASES)))
+          .map(lambda route: ["--from", route[0], "--to", route[1]]),
+          _opt("--alpha", _comp),
+          _opt("--format", st.sampled_from(["json", "text", "xml"]))),
+    _argv(st.just(["demo", "insert"]), _opt("--tableau", _tableau),
+          _opt("--k", _small_int)),
+    _argv(st.just(["demo", "rapture"]), _opt("--tableau", _tableau),
+          _opt("--cell", st.sampled_from(["1,1", "2,1", "1,2", "3,3", "0,1", "1", "a"]))),
+    _argv(st.just(["demo", "word"]),
+          _opt("--word", st.sampled_from(_COMPOSITIONS + _JUNK + ["3,1,2", "2,4,1,3"]))),
+    _argv(st.just(["enumerate", "tableaux"]), _opt("--shape", _comp),
+          _opt("--kind", st.sampled_from(["ssyct", "immaculate", "other"])),
+          st.sampled_from([[], ["--standard"]]), _opt("--max-entry", _small_int),
+          _opt("--format", st.sampled_from(["json", "text"]))),
+    _argv(st.just(["enumerate", "dirts"]), _opt("--shape", _comp),
+          _opt("--strips", _comp), _opt("--format", st.sampled_from(["json", "text"]))),
+    _argv(st.just(["tree"]), _opt("--alpha", _comp),
+          _opt("--direction", st.sampled_from(["forward", "dual", "up"])),
+          _opt("--format", st.sampled_from(["dot", "json"]))),
+    _argv(st.just(["verify"]), _opt("--suite", st.sampled_from(sorted(SUITES) + ["nope"])),
+          st.just(["--max-n"]), _small_int.map(lambda v: [v]),
+          st.sampled_from([[], ["--force"]])),
+    _argv(st.just(["conjectures"]), st.just(["--n"]), _small_int.map(lambda v: [v]),
+          st.sampled_from([[], ["--force"]]),
+          _opt("--format", st.sampled_from(["json", "text"]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    # Exit 0 is success, 1 a failed verify suite, 2 a usage or input error;
+    # nothing else escapes main except argparse's own usage exit.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    assert code != 1 or argv[0] == "verify", argv
+    if code == 2:
+        assert err.getvalue().startswith("error:"), argv

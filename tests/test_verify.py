@@ -1,12 +1,13 @@
 import pytest
 
+from qsc import verify
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
 
 def test_registry_is_consistent():
     assert set(SUITES) == {
         "inverse", "descents", "triple-agreement", "symmetry",
-        "positivity", "dominance",
+        "positivity", "dominance", "round-trip",
     }
     assert set(DEFAULT_MAX_N) == set(SUITES)
     assert all(n >= 1 for n in DEFAULT_MAX_N.values())
@@ -32,3 +33,18 @@ def test_every_suite_passes_at_small_degree(name):
     assert result.max_n == 4
     assert result.cases > 0
     assert result.passed, result.failures[:3]
+
+
+def test_inverse_records_a_non_tableau_core_result(monkeypatch):
+    real = verify._insert_into
+
+    def broken(work, k, events=None):
+        result = real(work, k, events)
+        # A top row that starts above all entries no longer increases.
+        work[-1].insert(0, max(x for row in work for x in row) + 1)
+        return result
+
+    monkeypatch.setattr(verify, "_insert_into", broken)
+    result = run_suite("inverse", 3)
+    assert not result.passed
+    assert any("not a Young composition tableau" in f for f in result.failures)
