@@ -44,8 +44,7 @@ from .tableaux import (
 )
 from .verify import DEFAULT_MAX_N, SUITES, run_suite
 
-VERIFY_GUARD = 9
-CONJECTURE_GUARD = 9
+DEGREE_GUARD = 9
 
 TABLEAU_HELP = (
     "tableau as JSON ('{\"shape\": [1,3,2], \"rows\": [[2],[3,4,7],[6,8]]}'"
@@ -54,11 +53,19 @@ TABLEAU_HELP = (
 )
 
 
-def _guard_limit(default: int) -> int:
-    override = os.environ.get("QSC_MAX_N")
-    if override is None or not override.strip():
-        return default
-    return int(override)
+def _check_degree(name: str, n: int, force: bool) -> None:
+    """Refuse a degree below 1, or above the guard unless forced.  The guard
+    is DEGREE_GUARD, or QSC_MAX_N when that is set."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+    override = os.environ.get("QSC_MAX_N", "").strip()
+    try:
+        limit = int(override) if override else DEGREE_GUARD
+    except ValueError:
+        raise ValueError(f"QSC_MAX_N must be an integer, got {override!r}") from None
+    if n > limit and not force:
+        raise ValueError(f"{name} {n} exceeds the guard ({limit});"
+                         " pass --force to run anyway")
 
 
 def _jsonable(value):
@@ -219,7 +226,7 @@ def cmd_tree(args) -> int:
     builder = rw_forward if args.direction == "forward" else rw_dual
     root, expansion = builder(alpha)
     if args.format == "dot":
-        sys.stdout.write(tree_to_dot(root, args.direction))
+        sys.stdout.write(tree_to_dot(root))
     else:
         _emit({
             "alpha": list(alpha),
@@ -232,16 +239,7 @@ def cmd_tree(args) -> int:
 
 def cmd_verify(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N[args.suite]
-    if max_n < 1:
-        raise ValueError(f"max-n must be at least 1, got {max_n}")
-    limit = _guard_limit(VERIFY_GUARD)
-    if max_n > limit and not args.force:
-        print(
-            f"error: max-n {max_n} exceeds the guard ({limit});"
-            " pass --force to run anyway",
-            file=sys.stderr,
-        )
-        return 2
+    _check_degree("max-n", max_n, args.force)
     result = run_suite(args.suite, max_n)
     status = "PASS" if result.passed else "FAIL"
     print(f"suite {result.suite}: {status}"
@@ -270,16 +268,7 @@ def _equation(alpha_key: str, coeffs: dict[str, int]) -> str:
 
 
 def cmd_conjectures(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"n must be at least 1, got {args.n}")
-    limit = _guard_limit(CONJECTURE_GUARD)
-    if args.n > limit and not args.force:
-        print(
-            f"error: n {args.n} exceeds the guard ({limit});"
-            " pass --force to run anyway",
-            file=sys.stderr,
-        )
-        return 2
+    _check_degree("n", args.n, args.force)
     report = check_conjectures(args.n)
     if args.format == "json":
         _emit(report)

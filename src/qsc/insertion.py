@@ -15,7 +15,12 @@ occupants along the way.  The value that falls off the front is the output;
 if the carried value comes to rest on a sentinel instead, the output is INF
 and the tableau keeps its size.
 
-Leftmost-column cells are never bump or evict targets; the scans skip them.
+Both walks visit, in column c, every row at least c - 1 long, so a row's
+sentinel cell just past its end is included.  insert walks columns from the
+widest row's width + 1 down to 2, each column top to bottom; rapture walks
+the same cells backwards, from just after the removed cell up to the widest
+remaining row's width + 1.  The leftmost column is never a bump or evict
+target, so neither walk enters it.
 
 Public functions validate their inputs.  The `_`-prefixed cores work on
 mutable row lists and check nothing; insert_word, uninsert and the verify
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from .tableaux import (
     INF,
     Rows,
-    augmented_cells,
-    entry_or_inf,
     is_ssyct,
     make_rows,
     shape_of,
@@ -66,23 +69,25 @@ def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tupl
     """Insert k into a mutable row list; returns (new_cell, bumping path)."""
     carry = k
     path: list[Cell] = []
-    for col, row in augmented_cells(tuple(len(r) for r in work)):
-        if col == 1:
-            continue
-        left = work[row - 1][col - 2]
-        occupant = entry_or_inf(work, col, row)
-        fits = left <= carry < occupant
-        outcome = "skip" if not fits else "place" if occupant is INF else "bump"
-        _record(events, event="scan", cell=[col, row], left=left,
-                occupant=occupant, carry=carry, outcome=outcome)
-        if not fits:
-            continue
-        path.append((col, row))
-        if occupant is INF:
-            work[row - 1].append(carry)
-            return (col, row), tuple(path)
-        work[row - 1][col - 1] = carry
-        carry = occupant
+    for col in range(max(map(len, work), default=0) + 1, 1, -1):
+        for row in range(len(work), 0, -1):
+            entries = work[row - 1]
+            if col > len(entries) + 1:
+                continue
+            left = entries[col - 2]
+            occupant = entries[col - 1] if col <= len(entries) else INF
+            fits = left <= carry < occupant
+            outcome = "skip" if not fits else "place" if occupant is INF else "bump"
+            _record(events, event="scan", cell=[col, row], left=left,
+                    occupant=occupant, carry=carry, outcome=outcome)
+            if not fits:
+                continue
+            path.append((col, row))
+            if occupant is INF:
+                entries.append(carry)
+                return (col, row), tuple(path)
+            entries[col - 1] = carry
+            carry = occupant
     # Nothing fit: open a new single-cell row, as high as possible subject to
     # every leftmost entry below it being smaller.
     pos = 0
@@ -148,28 +153,30 @@ def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int |
     else:
         work[row - 1].pop()
     _record(events, event="remove", cell=[col, row], entry=carry, row_removed=col == 1)
-    # Scan the remaining reading order backwards from the removal point.
-    domain = [(c, r) for c, r in augmented_cells(tuple(len(r) for r in work))
-              if c >= 2 and (c > col or (c == col and r > row))]
-    for c, r in reversed(domain):
-        left = work[r - 1][c - 2]
-        occupant = entry_or_inf(work, c, r)
-        right = entry_or_inf(work, c + 1, r)
-        if not left <= carry <= right:
-            outcome = "skip"
-        elif occupant is INF:
-            outcome = "settle"
-        else:
-            outcome = "pass" if occupant >= carry else "evict"
-        _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
-                right=right, carry=carry, outcome=outcome)
-        if outcome == "settle":
-            work[r - 1].append(carry)
-            return INF, tuple(route)
-        if outcome == "evict":
-            work[r - 1][c - 1] = carry
-            route.append((c, r))
-            carry = occupant
+    # Walk the reading order backwards from the removal point.
+    for c in range(max(col, 2), max(map(len, work), default=0) + 2):
+        for r in range(row + 1 if c == col else 1, len(work) + 1):
+            entries = work[r - 1]
+            if c > len(entries) + 1:
+                continue
+            left = entries[c - 2]
+            occupant = entries[c - 1] if c <= len(entries) else INF
+            right = entries[c] if c < len(entries) else INF
+            if not left <= carry <= right:
+                outcome = "skip"
+            elif occupant is INF:
+                outcome = "settle"
+            else:
+                outcome = "pass" if occupant >= carry else "evict"
+            _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
+                    right=right, carry=carry, outcome=outcome)
+            if outcome == "settle":
+                entries.append(carry)
+                return INF, tuple(route)
+            if outcome == "evict":
+                entries[c - 1] = carry
+                route.append((c, r))
+                carry = occupant
     _record(events, event="output", value=carry)
     return carry, tuple(route)
 

@@ -180,10 +180,8 @@ def _label(node: Node) -> str:
     return "\\n".join(lines)
 
 
-def tree_to_dot(node: Node, direction: str) -> str:
+def tree_to_dot(node: Node) -> str:
     """DOT rendering with preorder node ids; leaves are double-bordered."""
-    if direction not in ("forward", "dual"):
-        raise ValueError("direction must be 'forward' or 'dual'")
     lines = [
         "digraph tree {",
         '  node [shape=box, fontname="monospace"];',

@@ -51,19 +51,6 @@ def entry_or_inf(rows: Rows, col: int, row: int) -> int | float:
     return INF
 
 
-def augmented_cells(shape: Composition) -> tuple[tuple[int, int], ...]:
-    """Cells of the sentinel-extended diagram in scanning order: columns
-    right to left, each column top to bottom."""
-    if not shape:
-        return ()
-    cells = []
-    for col in range(max(shape) + 1, 0, -1):
-        for row in range(len(shape), 0, -1):
-            if col <= shape[row - 1] + 1:
-                cells.append((col, row))
-    return tuple(cells)
-
-
 def is_immaculate(rows: Rows) -> bool:
     """Rows weakly increase left to right and the leftmost column strictly
     increases bottom to top."""
@@ -125,7 +112,9 @@ def positions(rows: Rows) -> dict[int, tuple[int, int]]:
 def young_reading_word(rows: Rows) -> tuple[int | float, ...]:
     """Entries of the sentinel-extended filling, columns right to left and
     top to bottom within each column."""
-    return tuple(entry_or_inf(rows, c, r) for c, r in augmented_cells(shape_of(rows)))
+    return tuple(row[col - 1] if col <= len(row) else INF
+                 for col in range(max(map(len, rows), default=0) + 1, 0, -1)
+                 for row in reversed(rows) if col <= len(row) + 1)
 
 
 def immaculate_reading_word(rows: Rows) -> tuple[int, ...]:
@@ -217,15 +206,13 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
-    if max_entry < 1:
-        return () if shape else ((),)
-
     return _search(shape, kind, lambda left: range(max(left, 1), max_entry + 1))
 
 
 def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tuple[Rows, ...]:
     """All fillings of the given kind with weight exactly gamma."""
     shape = check_composition(shape)
+    gamma = check_composition(gamma)
     if sum(gamma) != sum(shape):
         return ()
     budget = list(gamma)

@@ -242,6 +242,16 @@ def test_verify_guard_env_override(capsys, monkeypatch):
     assert "PASS" in out
 
 
+def test_guard_env_override_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QSC_MAX_N", "abc")
+    for argv in (("verify", "--suite", "descents", "--max-n", "3"),
+                 ("conjectures", "--n", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: QSC_MAX_N must be an integer, got 'abc'\n"
+
+
 def test_conjectures_report(capsys):
     code, out, _ = run(capsys, "conjectures", "--n", "3")
     assert code == 0

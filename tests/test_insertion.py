@@ -15,6 +15,7 @@ from qsc.tableaux import (
     is_ssyct,
     is_standard,
     shape_of,
+    young_reading_word,
 )
 
 # Inserting 5 into this shape-(1,3,2) tableau bumps twice and settles next
@@ -91,6 +92,26 @@ def test_rapture_can_output_inf():
     assert result.output is INF or isinstance(result.output, int)
 
 
+def _scanned(events):
+    return [e["cell"] for e in events if e["event"] == "scan"]
+
+
+def test_rapture_traces():
+    # The backward walk starts in column 2 after a row removal ...
+    events = []
+    rapture(((1, 2), (3,), (4, 5)), (1, 2), events)
+    assert _scanned(events) == [[2, 1], [2, 2], [3, 1], [3, 2]]
+    assert [e["outcome"] for e in events if e["event"] == "scan"] == [
+        "evict", "skip", "skip", "skip",
+    ]
+    # ... and just above the removed cell otherwise, so removing the end of
+    # the only row leaves nothing to scan and the entry falls out.
+    events = []
+    assert rapture(((1, 2),), (2, 1), events).output == 2
+    assert _scanned(events) == []
+    assert [e["event"] for e in events] == ["remove", "output"]
+
+
 def test_rapture_validation():
     with pytest.raises(ValueError):
         rapture(BUMP_RESULT, (1, 2))
@@ -149,3 +170,23 @@ def test_word_round_trip_exhaustive():
         for word in itertools.permutations(range(1, n + 1)):
             p, q = insert_word(word)
             assert uninsert(p, q) == word
+
+
+def test_insert_scans_in_young_reading_order():
+    # Insertion's scan is the Young reading word with column 1, read last,
+    # left off; opening a new row means every cell was scanned.
+    insertions = full_scans = 0
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            steps = []
+            insert_word(word, steps)
+            for j, step in enumerate(steps):
+                rows = insert_word(word[:j])[0]
+                order = list(young_reading_word(rows)[:-len(rows)])
+                seen = [e["occupant"] for e in step["steps"] if e["event"] == "scan"]
+                assert seen == order[:len(seen)]
+                if step["new_cell"][0] == 1:
+                    assert seen == order
+                    full_scans += 1
+                insertions += 1
+    assert (insertions, full_scans) == (5039, 2670)

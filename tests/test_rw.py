@@ -1,4 +1,3 @@
-import pytest
 
 from qsc.compositions import compositions
 from qsc.dirt import is_dirt
@@ -106,18 +105,15 @@ def _json_leaves(obj):
 
 def test_tree_dot():
     root, _ = rw_forward((2,))
-    text = tree_to_dot(root, "forward")
+    text = tree_to_dot(root)
     assert text.startswith("digraph tree {")
     assert text.endswith("}\n")
     assert "peripheries=2" in text
     assert "n0" in text
-    with pytest.raises(ValueError):
-        tree_to_dot(root, "sideways")
 
 
 def test_trees_are_deterministic():
     first = tree_to_json(rw_forward((2, 2, 1))[0], "forward")
     second = tree_to_json(rw_forward((2, 2, 1))[0], "forward")
     assert first == second
-    assert tree_to_dot(rw_dual((2, 2))[0], "dual") == \
-        tree_to_dot(rw_dual((2, 2))[0], "dual")
+    assert tree_to_dot(rw_dual((2, 2))[0]) == tree_to_dot(rw_dual((2, 2))[0])

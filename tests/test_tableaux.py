@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from qsc.compositions import compositions
 from qsc.tableaux import (
     INF,
-    augmented_cells,
     entry_or_inf,
     from_json_obj,
     immaculate_descent_set,
@@ -52,11 +51,6 @@ def test_shape_weight_positions():
 def test_augmentation():
     assert entry_or_inf(EXAMPLE, 2, 1) is INF
     assert entry_or_inf(EXAMPLE, 2, 2) == 3
-    cells = augmented_cells((1, 3, 2))
-    # Rightmost column first, top to bottom within a column.
-    assert cells[0] == (4, 2)
-    assert cells[-1] == (1, 1)
-    assert len(cells) == 9
 
 
 def test_reading_words():
@@ -124,10 +118,26 @@ def test_semistandard_enumeration():
     assert len(semistandard_tableaux((1, 2), "ssyct", 3)) > len(small)
 
 
+def test_semistandard_enumeration_without_entries():
+    # No entry fits: the empty shape has its one empty filling, every other
+    # shape none, and the kind is still checked.
+    for n in range(5):
+        for shape in compositions(n):
+            for kind in ("ssyct", "immaculate"):
+                for max_entry in (0, -2):
+                    expected = () if shape else ((),)
+                    assert semistandard_tableaux(shape, kind, max_entry) == expected
+    with pytest.raises(ValueError, match="unknown tableau kind"):
+        semistandard_tableaux((2,), "bogus", 0)
+
+
 def test_weighted_fillings():
     assert len(weighted_tableaux((1, 2, 1), "ssyct", (1, 2, 1))) == 1
     for rows in weighted_tableaux((2, 2), "immaculate", (1, 2, 1)):
         assert weight(rows) == (1, 2, 1)
+    # (3, -1) sums to the shape's size but is no weight.
+    with pytest.raises(ValueError, match="composition parts"):
+        weighted_tableaux((2,), "ssyct", (3, -1))
 
 
 def test_parse_and_render():
