@@ -14,7 +14,7 @@ core _strips works on a positions map and checks nothing.
 from __future__ import annotations
 
 from .compositions import Composition, check_composition
-from .tableaux import Rows, entry_or_inf, make_rows, positions
+from .tableaux import Rows, make_rows, positions
 
 
 def _strips(pos: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -69,14 +69,11 @@ def is_dirt(rows: Rows) -> bool:
             return False
         if any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
             return False
-    ell = len(rows)
-    for g in range(1, ell + 1):
-        for j in range(g + 1, ell + 1):
-            width = min(len(rows[g - 1]), len(rows[j - 1]))
-            for i in range(1, width + 1):
-                if rows[j - 1][i - 1] > rows[g - 1][i - 1]:
-                    if not rows[j - 1][i - 1] > entry_or_inf(rows, i + 1, g):
-                        return False
+    for g, lower in enumerate(rows):
+        for upper in rows[g + 1:]:
+            for i in range(min(len(lower), len(upper))):
+                if upper[i] > lower[i] and not (i + 1 < len(lower) and upper[i] > lower[i + 1]):
+                    return False
     return True
 
 

@@ -13,7 +13,11 @@ rapture is the inverse step: it removes an entry (the cell must be
 the removal point, re-homing the carried value and evicting smaller
 occupants along the way.  The value that falls off the front is the output;
 if the carried value comes to rest on a sentinel instead, the output is INF
-and the tableau keeps its size.
+and the tableau keeps its size.  INF arises off a virtuous cell; none of
+the 12,455 virtuous raptures of semistandard tableaux with n <= 6 and
+entries <= n settles (the tests count them).  uninsert runs the core at
+recording cells without asking for virtue and relies on this: a pair that
+unwinds to INF is rejected.
 
 Both walks visit, in column c, every row at least c - 1 long, so a row's
 sentinel cell just past its end is included.  insert walks columns from the

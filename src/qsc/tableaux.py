@@ -10,6 +10,10 @@ triple condition couples every pair of rows) and immaculate tableaux (the
 triple condition dropped).  The sentinel used when a comparison looks past
 the end of a row is math.inf, which compares greater than every entry.
 
+The standard, semistandard and weighted enumerators are one backtracking
+search, _search, given a budget of values: each of 1..n once, each of
+1..max_entry up to n times, or gamma exactly.
+
 Enumerators and parsers validate their inputs, and predicates such as
 is_ssyct take well-formed Rows; `_`-prefixed helpers such as _triple_ok
 check nothing.
@@ -44,13 +48,6 @@ def shape_of(rows: Rows) -> Composition:
     return tuple(len(row) for row in rows)
 
 
-def entry_or_inf(rows: Rows, col: int, row: int) -> int | float:
-    """Entry at (col, row), or inf when the cell is outside the diagram."""
-    if 1 <= row <= len(rows) and 1 <= col <= len(rows[row - 1]):
-        return rows[row - 1][col - 1]
-    return INF
-
-
 def is_immaculate(rows: Rows) -> bool:
     """Rows weakly increase left to right and the leftmost column strictly
     increases bottom to top."""
@@ -62,16 +59,16 @@ def is_immaculate(rows: Rows) -> bool:
 
 
 def _triple_ok(rows: Rows) -> bool:
-    # For rows j < k (j lower) and columns i < max width of the pair:
-    # entry (i, k) <= entry (i+1, j) forces entry (i+1, k) < entry (i+1, j),
-    # with cells outside the diagram read as inf.
-    ell = len(rows)
-    for j in range(1, ell + 1):
-        for k in range(j + 1, ell + 1):
-            top = max(len(rows[j - 1]), len(rows[k - 1]))
-            for i in range(1, top):
-                lower = entry_or_inf(rows, i + 1, j)
-                if entry_or_inf(rows, i, k) <= lower and not entry_or_inf(rows, i + 1, k) < lower:
+    # For a row `lower` and any row `upper` above it, at every index i:
+    # upper[i] <= lower[i+1] forces upper[i+1] < lower[i+1], cells outside
+    # the diagram reading as inf.  The rule can fire only where upper[i] and
+    # lower[i+1] both exist, so upper[i+1] is the one read that can fall off
+    # a row.
+    for j, lower in enumerate(rows):
+        for upper in rows[j + 1:]:
+            for i in range(min(len(upper), len(lower) - 1)):
+                bound = lower[i + 1]
+                if upper[i] <= bound and not (i + 1 < len(upper) and upper[i + 1] < bound):
                     return False
     return True
 
@@ -139,14 +136,15 @@ def immaculate_descent_set(rows: Rows) -> frozenset[int]:
     return frozenset(i for i in range(1, n) if pos[i + 1][1] > pos[i][1])
 
 
-def _search(shape, kind, candidates_for):
+def _search(shape, kind, budget):
     """Backtracking core shared by the enumerators.
 
-    Cells are filled in row-word order (top row first), so results come out
-    sorted lexicographically by that word.  candidates_for(left) yields, in
-    increasing order, values no smaller than the cell's left neighbour (0 in
-    the leftmost column), so rows weakly increase by construction; the
-    column and triple conditions are checked here.
+    budget[v-1] is how many more cells may hold v; the search spends and
+    restores it.  Cells are filled in row-word order (top row first), each
+    trying v from its left neighbour (1 in the leftmost column) up to
+    len(budget), so rows weakly increase by construction and results come out
+    sorted lexicographically by the row word; the column and triple
+    conditions are checked here.
     """
     if kind not in ("ssyct", "immaculate"):
         raise ValueError(f"unknown tableau kind {kind!r}")
@@ -175,12 +173,13 @@ def _search(shape, kind, candidates_for):
             results.append(tuple(tuple(row) for row in grid))
             return
         i, j = order[idx]
-        for v in candidates_for(grid[j - 1][i - 2] if i > 1 else 0):
-            if cell_ok(i, j, v):
-                grid[j - 1][i - 1] = v
+        row = grid[j - 1]
+        for v in range(row[i - 2] if i > 1 else 1, len(budget) + 1):
+            if budget[v - 1] and cell_ok(i, j, v):
+                budget[v - 1] -= 1
+                row[i - 1] = v
                 rec(idx + 1)
-                grid[j - 1][i - 1] = 0
-        grid[j - 1][i - 1] = 0
+                budget[v - 1] += 1
 
     rec(0)
     return tuple(results)
@@ -190,23 +189,14 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
     """All standard fillings of the given kind ("ssyct" or "immaculate"),
     sorted by their row word."""
     shape = check_composition(shape)
-    n = sum(shape)
-    used = [False] * (n + 1)
-
-    def candidates(left):
-        for v in range(left + 1, n + 1):
-            if not used[v]:
-                used[v] = True
-                yield v
-                used[v] = False
-
-    return _search(shape, kind, candidates)
+    return _search(shape, kind, [1] * sum(shape))
 
 
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
-    return _search(shape, kind, lambda left: range(max(left, 1), max_entry + 1))
+    n = sum(shape)
+    return _search(shape, kind, [n] * max_entry if n else [])
 
 
 def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tuple[Rows, ...]:
@@ -215,16 +205,7 @@ def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tupl
     gamma = check_composition(gamma)
     if sum(gamma) != sum(shape):
         return ()
-    budget = list(gamma)
-
-    def candidates(left):
-        for v in range(max(left, 1), len(budget) + 1):
-            if budget[v - 1] > 0:
-                budget[v - 1] -= 1
-                yield v
-                budget[v - 1] += 1
-
-    return _search(shape, kind, candidates)
+    return _search(shape, kind, list(gamma))
 
 
 def to_json_obj(rows: Rows) -> dict:

@@ -25,6 +25,7 @@ from .qsym import (
     quasi_shuffle,
     schur_m_expansion,
     yns_to_imm,
+    young_qs_mexpr,
 )
 from .rw import rw_dual, rw_forward
 from .tableaux import (
@@ -55,7 +56,7 @@ class SuiteResult:
 
 def _check_inverse_pair(result: SuiteResult, rows) -> None:
     """insert after rapture returns the original tableau with the route
-    mirrored, for every virtuous cell whose rapture output is finite."""
+    mirrored, for every virtuous cell."""
     for r, row in enumerate(rows, start=1):
         cell = (len(row), r)
         if not _is_virtuous(rows, cell):
@@ -66,6 +67,7 @@ def _check_inverse_pair(result: SuiteResult, rows) -> None:
             result.fail(f"rapture of {rows} at {cell} is not a Young composition tableau")
             continue
         if output is INF:
+            result.fail(f"rapture of {rows} at {cell} outputs INF")
             continue
         result.cases += 1
         # Equal to rows, the insert result is a tableau; no separate check.
@@ -193,10 +195,14 @@ def verify_dominance(max_n: int) -> SuiteResult:
     of the same length, the diagonal coefficient is one, and a partition
     index is hit only by itself: its coefficient column is a delta, its
     table on the immaculate side is a singleton, and every rearrangement of
-    a partition appears positively in the partition's own table."""
+    a partition appears positively in the partition's own table.  The
+    DIRT-count table times the table that expand_in peels from the Young
+    quasisymmetric Schur elements is exactly the identity."""
     result = SuiteResult("dominance", max_n)
     for n in range(1, max_n + 1):
         tables = {alpha: dimm_to_yqs(alpha).coeffs for alpha in compositions(n)}
+        peeled = {beta: expand_in(young_qs_mexpr(beta), DUAL_IMMACULATE).coeffs
+                  for beta in tables}
         for alpha, table in tables.items():
             result.cases += 1
             for beta, c in table.items():
@@ -204,6 +210,13 @@ def verify_dominance(max_n: int) -> SuiteResult:
                     result.fail(f"support violates dominance: {alpha} -> {beta}")
             if table.get(alpha) != 1:
                 result.fail(f"diagonal coefficient is not 1 at {alpha}")
+            result.cases += 1
+            product = Counter()
+            for beta, c in table.items():
+                for gamma, d in peeled[beta].items():
+                    product[gamma] += c * d
+            if {gamma: v for gamma, v in product.items() if v} != {alpha: 1}:
+                result.fail(f"DIRT counts times the peeled table is not the identity at {alpha}")
         for lam in partitions(n):
             result.cases += 1
             for alpha, table in tables.items():

@@ -3,7 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from qsc.compositions import compositions
 from qsc.insertion import (
+    _is_virtuous,
+    _rapture_from,
     insert,
     insert_word,
     is_virtuous,
@@ -14,6 +17,7 @@ from qsc.tableaux import (
     INF,
     is_ssyct,
     is_standard,
+    semistandard_tableaux,
     shape_of,
     young_reading_word,
 )
@@ -85,11 +89,23 @@ def test_rapture_row_removal_example():
     assert result.route == ((1, 2), (2, 1))
 
 
-def test_rapture_can_output_inf():
-    # Rapturing the largest entry of a one-row tableau expels nothing
-    # finite; the entry settles back into augmented space.
-    result = rapture(((1, 2),), (2, 1))
-    assert result.output is INF or isinstance(result.output, int)
+def test_rapture_outputs_inf_only_off_virtuous_cells():
+    # Run off a virtuous cell, the core can settle: removing the 2 at (1, 2)
+    # of ((1,), (2,)) parks it next to the 1, and nothing falls out.
+    work = [[1], [2]]
+    assert _rapture_from(work, (1, 2)) == (INF, ((1, 2),))
+    assert work == [[1, 2]]
+    # At a virtuous cell, no rapture of a small tableau settles.
+    raptures = 0
+    for n in range(1, 7):
+        for shape in compositions(n):
+            for rows in semistandard_tableaux(shape, "ssyct", n):
+                for r, row in enumerate(rows, start=1):
+                    if _is_virtuous(rows, (len(row), r)):
+                        work = [list(x) for x in rows]
+                        assert _rapture_from(work, (len(row), r))[0] is not INF
+                        raptures += 1
+    assert raptures == 12455
 
 
 def _scanned(events):
@@ -139,9 +155,14 @@ def test_uninsert_smallest_pair():
 
 
 def test_uninsert_rejects_mismatched_pair():
-    # Unwinding gives the word (1, 2), whose recording tableau is ((1, 2),).
-    with pytest.raises(ValueError):
+    # Peeling the 2 off (1, 2) of ((1,), (2,)) settles instead of
+    # expelling a letter.
+    with pytest.raises(ValueError, match="finite letter"):
         uninsert(((1,), (2,)), ((1,), (2,)))
+    # Unwinding gives the word (1, 2), whose recording tableau is ((1, 2),),
+    # so re-insertion rejects the pair.
+    with pytest.raises(ValueError, match="not the output of any word insertion"):
+        uninsert(((1, 2),), ((2, 1),))
 
 
 @given(st.permutations(list(range(1, 8))))

@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qsc.compositions import compositions
 from qsc.tableaux import (
     INF,
-    entry_or_inf,
     from_json_obj,
     immaculate_descent_set,
     immaculate_reading_word,
@@ -46,11 +47,6 @@ def test_shape_weight_positions():
     assert weight(((1, 1), (2,))) == (2, 1)
     assert positions(EXAMPLE)[5] == (3, 2)
     assert positions(EXAMPLE)[4] == (1, 3)
-
-
-def test_augmentation():
-    assert entry_or_inf(EXAMPLE, 2, 1) is INF
-    assert entry_or_inf(EXAMPLE, 2, 2) == 3
 
 
 def test_reading_words():
@@ -109,6 +105,26 @@ def test_standard_enumeration_is_sound(n):
         assert set(ssyct) <= set(standard_tableaux(shape, "immaculate"))
         for rows in ssyct:
             assert is_ssyct(rows)
+
+
+def test_enumerators_are_complete():
+    # Brute force: every filling with entries up to max(n, 3), kept when it
+    # passes the kind's predicate, sorted by row word (top row first).
+    for n in range(6):
+        for shape in compositions(n):
+            fillings = []
+            for entries in itertools.product(range(1, max(n, 3) + 1), repeat=n):
+                it = iter(entries)
+                fillings.append(tuple(tuple(next(it) for _ in range(w)) for w in shape))
+            for kind, test in (("ssyct", is_ssyct), ("immaculate", is_immaculate)):
+                valid = sorted(filter(test, fillings), key=immaculate_reading_word)
+                assert standard_tableaux(shape, kind) == tuple(filter(is_standard, valid))
+                for max_entry in (1, 2, 3):
+                    assert semistandard_tableaux(shape, kind, max_entry) == tuple(
+                        rows for rows in valid if all(x <= max_entry for r in rows for x in r))
+                for gamma in compositions(n):
+                    assert weighted_tableaux(shape, kind, gamma) == tuple(
+                        rows for rows in valid if weight(rows) == gamma)
 
 
 def test_semistandard_enumeration():

@@ -1,6 +1,8 @@
 import pytest
 
 from qsc import verify
+from qsc.qsym import BasisExpansion
+from qsc.tableaux import INF
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
 
@@ -48,3 +50,29 @@ def test_inverse_records_a_non_tableau_core_result(monkeypatch):
     result = run_suite("inverse", 3)
     assert not result.passed
     assert any("not a Young composition tableau" in f for f in result.failures)
+
+
+def test_inverse_records_an_inf_rapture_output(monkeypatch):
+    real = verify._rapture_from
+
+    def settles(work, cell, events=None):
+        return INF, real(work, cell, events)[1]
+
+    monkeypatch.setattr(verify, "_rapture_from", settles)
+    result = run_suite("inverse", 2)
+    assert any("outputs INF" in f for f in result.failures)
+
+
+def test_dominance_records_a_perturbed_peeled_table(monkeypatch):
+    real = verify.expand_in
+
+    def perturbed(f, basis):
+        table = real(f, basis)
+        coeffs = dict(table.coeffs)
+        coeffs[(1,) * f.degree] = coeffs.get((1,) * f.degree, 0) + 1
+        return BasisExpansion(table.basis, table.degree, coeffs)
+
+    monkeypatch.setattr(verify, "expand_in", perturbed)
+    result = run_suite("dominance", 3)
+    assert not result.passed
+    assert all("not the identity" in f for f in result.failures)
