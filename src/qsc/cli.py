@@ -33,6 +33,7 @@ from .qsym import (
     yns_to_imm,
     young_qs_mexpr,
     yqs_f_expansion,
+    yqs_to_dimm,
 )
 from .rw import rw_dual, rw_forward, tree_to_dot, tree_to_json
 from .tableaux import (
@@ -114,8 +115,7 @@ _ROUTES = {
     (YOUNG_QS, FUNDAMENTAL): yqs_f_expansion,
     (YOUNG_QS, MONOMIAL):
         lambda alpha: expand_in(young_qs_mexpr(alpha), MONOMIAL),
-    (YOUNG_QS, DUAL_IMMACULATE):
-        lambda alpha: expand_in(young_qs_mexpr(alpha), DUAL_IMMACULATE),
+    (YOUNG_QS, DUAL_IMMACULATE): yqs_to_dimm,
     (YOUNG_NCSCHUR, IMMACULATE): yns_to_imm,
     (FUNDAMENTAL, MONOMIAL): lambda alpha: expand_in(f_to_m(alpha), MONOMIAL),
 }

@@ -64,11 +64,6 @@ def _freeze(work: list[list[int]]) -> Rows:
     return tuple(tuple(row) for row in work)
 
 
-def _record(events, **kwargs):
-    if events is not None:
-        events.append(kwargs)
-
-
 def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tuple[Cell, ...]]:
     """Insert k into a mutable row list; returns (new_cell, bumping path)."""
     carry = k
@@ -81,9 +76,10 @@ def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tupl
             left = entries[col - 2]
             occupant = entries[col - 1] if col <= len(entries) else INF
             fits = left <= carry < occupant
-            outcome = "skip" if not fits else "place" if occupant is INF else "bump"
-            _record(events, event="scan", cell=[col, row], left=left,
-                    occupant=occupant, carry=carry, outcome=outcome)
+            if events is not None:
+                outcome = "skip" if not fits else "place" if occupant is INF else "bump"
+                events.append({"event": "scan", "cell": [col, row], "left": left,
+                               "occupant": occupant, "carry": carry, "outcome": outcome})
             if not fits:
                 continue
             path.append((col, row))
@@ -101,8 +97,9 @@ def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tupl
     new_cell = (1, pos + 1)
     path = [(c, r if r <= pos else r + 1) for c, r in path]
     path.append(new_cell)
-    _record(events, event="new-row", row=pos + 1, carry=carry,
-            rows_shifted=pos + 1 < len(work))
+    if events is not None:
+        events.append({"event": "new-row", "row": pos + 1, "carry": carry,
+                       "rows_shifted": pos + 1 < len(work)})
     return new_cell, tuple(path)
 
 
@@ -156,7 +153,9 @@ def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int |
         del work[row - 1]
     else:
         work[row - 1].pop()
-    _record(events, event="remove", cell=[col, row], entry=carry, row_removed=col == 1)
+    if events is not None:
+        events.append({"event": "remove", "cell": [col, row], "entry": carry,
+                       "row_removed": col == 1})
     # Walk the reading order backwards from the removal point.
     for c in range(max(col, 2), max(map(len, work), default=0) + 2):
         for r in range(row + 1 if c == col else 1, len(work) + 1):
@@ -172,8 +171,10 @@ def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int |
                 outcome = "settle"
             else:
                 outcome = "pass" if occupant >= carry else "evict"
-            _record(events, event="scan", cell=[c, r], left=left, occupant=occupant,
-                    right=right, carry=carry, outcome=outcome)
+            if events is not None:
+                events.append({"event": "scan", "cell": [c, r], "left": left,
+                               "occupant": occupant, "right": right, "carry": carry,
+                               "outcome": outcome})
             if outcome == "settle":
                 entries.append(carry)
                 return INF, tuple(route)
@@ -181,7 +182,8 @@ def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int |
                 entries[c - 1] = carry
                 route.append((c, r))
                 carry = occupant
-    _record(events, event="output", value=carry)
+    if events is not None:
+        events.append({"event": "output", "value": carry})
     return carry, tuple(route)
 
 

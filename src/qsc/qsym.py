@@ -5,8 +5,10 @@ fixed degree to integer coefficients.  Fundamental expansions come from
 descent sets of standard fillings, products from the quasi-shuffle rule, and
 changes of basis from integer leading-term peeling: both Schur-like bases are
 unitriangular in monomial coordinates under lexicographic order, which is
-checked on every element used rather than assumed.  Bases dual to these live
-in the noncommutative world and are handled purely as coefficient tables.
+checked on every element used rather than assumed.  Between the two
+Schur-like bases the DIRT counts give the table directly, and the same
+checked peel inverts it.  Bases dual to these live in the noncommutative
+world and are handled purely as coefficient tables.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .compositions import (
     subset_to_composition,
     to_string,
 )
-from .dirt import enumerate_dirts
+from .dirt import _dirts
 from .tableaux import (
     immaculate_descent_set,
     standard_tableaux,
@@ -287,30 +289,17 @@ def quasi_shuffle(f: MExpr, g: MExpr) -> MExpr:
     return MExpr(f.degree + g.degree, out)
 
 
-def expand_in(f: MExpr, basis: str) -> BasisExpansion:
-    """Exact integer coefficients of f against the named basis of its degree.
-
-    The fundamental case has a closed-form inverse.  The two Schur-like bases
-    are unitriangular in monomial coordinates under lexicographic order, so f
-    is peeled: the lex-largest remaining term alpha, with coefficient c, gives
-    coefficient c at alpha, and c times the basis element at alpha is
-    subtracted, until nothing is left.  Each element is checked before use;
-    one whose lex-largest term is not alpha with coefficient 1 raises
-    RuntimeError.
-    """
-    if basis == MONOMIAL:
-        return BasisExpansion(MONOMIAL, f.degree, dict(f.coeffs))
-    if basis == FUNDAMENTAL:
-        return m_to_f(f)
-    if basis not in _FILLINGS:
-        raise ValueError(f"cannot expand in basis {basis!r}")
-    element = young_qs_mexpr if basis == YOUNG_QS else dual_immaculate_mexpr
-    rest = dict(f.coeffs)
+def _peel(rest: dict[Composition, int], element, basis: str) -> dict[Composition, int]:
+    # Coefficients of rest, which is used up, against the basis whose element
+    # at alpha has the terms element(alpha).  The lex-largest remaining term
+    # alpha, with coefficient c, gives coefficient c at alpha, and c times
+    # element(alpha) is subtracted, until nothing is left.  An element whose
+    # lex-largest term is not alpha with coefficient 1 raises RuntimeError.
     out: dict[Composition, int] = {}
     while rest:
         alpha = max(rest)
         c = out[alpha] = rest[alpha]
-        terms = element(alpha).coeffs
+        terms = element(alpha)
         lead = max(terms, default=None)
         if lead != alpha or terms[lead] != 1:
             raise RuntimeError(
@@ -321,7 +310,26 @@ def expand_in(f: MExpr, basis: str) -> BasisExpansion:
                 rest[gamma] = left
             else:
                 rest.pop(gamma, None)
-    return BasisExpansion(basis, f.degree, out)
+    return out
+
+
+def expand_in(f: MExpr, basis: str) -> BasisExpansion:
+    """Exact integer coefficients of f against the named basis of its degree.
+
+    The fundamental case has a closed-form inverse.  The two Schur-like bases
+    are unitriangular in monomial coordinates under lexicographic order, so f
+    is peeled against their monomial expansions, each checked (see _peel).
+    yqs_to_dimm peels the DIRT-count table instead, with no monomials.
+    """
+    if basis == MONOMIAL:
+        return BasisExpansion(MONOMIAL, f.degree, dict(f.coeffs))
+    if basis == FUNDAMENTAL:
+        return m_to_f(f)
+    if basis not in _FILLINGS:
+        raise ValueError(f"cannot expand in basis {basis!r}")
+    element = young_qs_mexpr if basis == YOUNG_QS else dual_immaculate_mexpr
+    return BasisExpansion(
+        basis, f.degree, _peel(dict(f.coeffs), lambda alpha: element(alpha).coeffs, basis))
 
 
 def is_symmetric(f: MExpr) -> bool:
@@ -339,16 +347,16 @@ def is_symmetric(f: MExpr) -> bool:
 
 
 @cache
-def _dirt_counts(n: int, ell: int) -> dict[tuple[Composition, Composition], int]:
-    # Nonzero recording-tableau counts keyed by (shape, row strip shape),
-    # over compositions of n with ell parts.  dimm_to_yqs reads this table
-    # by strip shape and yns_to_imm by shape.
+def _dirt_counts(n: int, ell: int) -> dict[Composition, dict[Composition, int]]:
+    # Recording-tableau counts by row strip shape, then by shape, over the
+    # compositions of n with ell parts: one DIRT walk per strip shape.  Row
+    # reverse(alpha) is dual immaculate alpha in Young quasisymmetric Schur terms.
     table = {}
-    for shape in compositions(n, ell):
-        for strips in compositions(n, ell):
-            count = len(enumerate_dirts(shape, strips))
-            if count:
-                table[shape, strips] = count
+    for strips in compositions(n, ell):
+        counts = table[strips] = {}
+        for rows in _dirts(strips):
+            shape = tuple(map(len, rows))
+            counts[shape] = counts.get(shape, 0) + 1
     return table
 
 
@@ -358,10 +366,19 @@ def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     strip shape is the reverse of alpha."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    table = _dirt_counts(n, len(alpha))
-    strips = reverse(alpha)
-    out = {beta: table.get((beta, strips), 0) for beta in compositions(n, len(alpha))}
-    return BasisExpansion(YOUNG_QS, n, out)
+    row = _dirt_counts(n, len(alpha))[reverse(alpha)]
+    return BasisExpansion(YOUNG_QS, n, {beta: row.get(beta, 0)
+                                        for beta in compositions(n, len(alpha))})
+
+
+def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
+    """Dual immaculate expansion of a Young quasisymmetric Schur element:
+    the DIRT-count table of dimm_to_yqs inverted by peeling, which checks
+    that the table is unitriangular (see _peel)."""
+    alpha = check_composition(alpha)
+    table = _dirt_counts(sum(alpha), len(alpha))
+    return BasisExpansion(DUAL_IMMACULATE, sum(alpha), _peel(
+        {alpha: 1}, lambda beta: table[reverse(beta)], DUAL_IMMACULATE))
 
 
 def yns_to_imm(alpha: Composition) -> BasisExpansion:
@@ -370,7 +387,7 @@ def yns_to_imm(alpha: Composition) -> BasisExpansion:
     alpha = check_composition(alpha)
     n = sum(alpha)
     table = _dirt_counts(n, len(alpha))
-    out = {beta: table.get((alpha, reverse(beta)), 0)
+    out = {beta: table[reverse(beta)].get(alpha, 0)
            for beta in compositions(n, len(alpha))}
     return BasisExpansion(IMMACULATE, n, out)
 
@@ -387,74 +404,60 @@ def _is_ones_then_tail(alpha: Composition) -> bool:
     return all(p == 1 for p in alpha[:-1]) if alpha else False
 
 
-def _inversions(perm: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+def _sign(perm: tuple[int, ...]) -> int:
+    n = len(perm)
+    return (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
 
 
 def check_conjectures(n: int) -> dict:
     """Empirical report on the two open expansion conjectures at degree n.
 
     Computes every Young quasisymmetric Schur element in the dual immaculate
-    basis.  Reports whether all coefficients stay in {-1, 0, 1}, whether the
-    coefficient sums are 1 exactly on reversed hooks (all parts 1 except the
-    last) and 0 elsewhere, and whether distinct-part partitions satisfy the
-    signed-permutation formula.  Findings are returned, never raised.
+    basis by inverting the DIRT-count table (yqs_to_dimm), so no monomial
+    expansion is built.  Reports whether all coefficients stay in {-1, 0, 1},
+    whether the coefficient sums are 1 exactly on reversed hooks (all parts 1
+    except the last) and 0 elsewhere, and whether each distinct-part
+    partition's table is the signed sum of its rearrangements; a violation
+    of that rule reports, in monomial coordinates, that signed sum minus the
+    element.  Findings are returned, never raised.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("degree must be a positive integer")
     bounded_violations: list[dict] = []
     sum_violations: list[dict] = []
     expansions: dict[str, dict[str, int]] = {}
-    for alpha in compositions(n):
-        table = expand_in(young_qs_mexpr(alpha), DUAL_IMMACULATE)
+    tables = {alpha: yqs_to_dimm(alpha).coeffs for alpha in compositions(n)}
+    for alpha, table in tables.items():
         expansions[to_string(alpha)] = {
-            to_string(beta): table.coeffs[beta]
-            for beta in compositions(n)
-            if beta in table.coeffs
-        }
-        for beta, b in table.coeffs.items():
+            to_string(beta): table[beta] for beta in compositions(n) if beta in table}
+        for beta, b in table.items():
             if b not in (-1, 0, 1):
                 bounded_violations.append(
-                    {"alpha": to_string(alpha), "beta": to_string(beta), "value": b}
-                )
-        total = sum(table.coeffs.values())
+                    {"alpha": to_string(alpha), "beta": to_string(beta), "value": b})
+        total = sum(table.values())
         want = 1 if _is_ones_then_tail(alpha) else 0
         if total != want:
-            sum_violations.append(
-                {"alpha": to_string(alpha), "sum": total, "expected": want}
-            )
+            sum_violations.append({"alpha": to_string(alpha), "sum": total, "expected": want})
     alternating_violations: list[dict] = []
     checked: list[str] = []
     for lam in partitions(n):
         if len(set(lam)) != len(lam):
             continue
         checked.append(to_string(lam))
-        rhs = MExpr(n)
-        for perm in itertools.permutations(range(len(lam))):
-            sigma = tuple(lam[i] for i in perm)
-            sign = -1 if _inversions(perm) % 2 else 1
-            rhs = rhs + sign * dual_immaculate_mexpr(sigma)
-        if rhs != young_qs_mexpr(lam):
-            alternating_violations.append(
-                {
-                    "lambda": to_string(lam),
-                    "difference": {
-                        to_string(g): c
-                        for g, c in (rhs - young_qs_mexpr(lam)).items()
-                    },
-                }
-            )
+        signs = {tuple(lam[i] for i in perm): _sign(perm)
+                 for perm in itertools.permutations(range(len(lam)))}
+        table = tables[lam]
+        if table != signs:
+            difference = sum(
+                ((signs.get(beta, 0) - table.get(beta, 0)) * dual_immaculate_mexpr(beta)
+                 for beta in sorted(signs.keys() | table.keys(), reverse=True)), MExpr(n))
+            alternating_violations.append({
+                "lambda": to_string(lam),
+                "difference": {to_string(g): c for g, c in difference.items()},
+            })
     return {
         "degree": n,
-        "bounded": {
-            "holds": not bounded_violations,
-            "violations": bounded_violations,
-        },
+        "bounded": {"holds": not bounded_violations, "violations": bounded_violations},
         "sum_rule": {"holds": not sum_violations, "violations": sum_violations},
         "alternating": {
             "holds": not alternating_violations,

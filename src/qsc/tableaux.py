@@ -204,6 +204,7 @@ def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tupl
     shape = check_composition(shape)
     gamma = check_composition(gamma)
     if sum(gamma) != sum(shape):
+        _search((), kind, [])  # rejects an unknown kind; no filling has this weight
         return ()
     return _search(shape, kind, list(gamma))
 

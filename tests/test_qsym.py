@@ -30,6 +30,7 @@ from qsc.qsym import (
     yns_to_imm,
     young_qs_mexpr,
     yqs_f_expansion,
+    yqs_to_dimm,
 )
 
 
@@ -187,6 +188,28 @@ def test_coefficient_maps_match_linear_algebra():
                 dual_immaculate_mexpr(alpha), YOUNG_QS)
 
 
+def test_inverted_dirt_table_matches_peeling():
+    assert yqs_to_dimm((2, 1)) == BasisExpansion(
+        DUAL_IMMACULATE, 3, {(2, 1): 1, (1, 2): -1})
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            assert yqs_to_dimm(alpha) == expand_in(
+                young_qs_mexpr(alpha), DUAL_IMMACULATE)
+
+
+def test_inverted_dirt_table_checks_unitriangularity(monkeypatch):
+    real = qsym._dirt_counts
+
+    def doubled(n, ell):
+        table = {strips: dict(row) for strips, row in real(n, ell).items()}
+        table[(1, 2)][(2, 1)] = 2  # the diagonal entry of dual immaculate (2, 1)
+        return table
+
+    monkeypatch.setattr(qsym, "_dirt_counts", doubled)
+    with pytest.raises(RuntimeError, match="at 2,1 is not unitriangular"):
+        yqs_to_dimm((2, 1))
+
+
 def test_symmetry_characterization():
     assert is_symmetric(dual_immaculate_mexpr((3,)))
     assert is_symmetric(dual_immaculate_mexpr((2, 1)))
@@ -223,3 +246,36 @@ def test_conjecture_report_structure():
 def test_conjecture_pinned_case():
     report = check_conjectures(3)
     assert report["expansions"]["2,1"] == {"2,1": 1, "1,2": -1}
+
+
+def test_conjecture_report_names_the_alternating_difference(monkeypatch):
+    real = qsym.yqs_to_dimm
+
+    def wrong(alpha):
+        # Young qs (2, 1) is dual immaculate (2, 1) - (1, 2); drop the second.
+        if alpha == (2, 1):
+            return BasisExpansion(DUAL_IMMACULATE, 3, {(2, 1): 1})
+        return real(alpha)
+
+    monkeypatch.setattr(qsym, "yqs_to_dimm", wrong)
+    report = check_conjectures(3)
+    alt = report["alternating"]
+    assert not alt["holds"]
+    # The signed sum over the rearrangements minus the reported table.
+    difference = (dual_immaculate_mexpr((2, 1)) - dual_immaculate_mexpr((1, 2))
+                  - dual_immaculate_mexpr((2, 1)))
+    assert alt["violations"] == [{
+        "lambda": "2,1",
+        "difference": {to_string(g): c for g, c in difference.items()},
+    }]
+    assert alt["violations"][0]["difference"] == {"1,2": -1, "1,1,1": -1}
+    assert report["sum_rule"]["violations"] == [
+        {"alpha": "2,1", "sum": 1, "expected": 0}]
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_conjectures_hold_through_degree_11(n):
+    report = check_conjectures(n)
+    assert report["bounded"]["holds"]
+    assert report["sum_rule"]["holds"]
+    assert report["alternating"]["holds"]

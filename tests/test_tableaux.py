@@ -154,6 +154,10 @@ def test_weighted_fillings():
     # (3, -1) sums to the shape's size but is no weight.
     with pytest.raises(ValueError, match="composition parts"):
         weighted_tableaux((2,), "ssyct", (3, -1))
+    # An unknown kind is rejected whether or not the weight fits the shape.
+    for gamma in ((1,), (2,)):
+        with pytest.raises(ValueError, match="unknown tableau kind"):
+            weighted_tableaux((2,), "bogus", gamma)
 
 
 def test_parse_and_render():
