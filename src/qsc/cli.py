@@ -28,7 +28,6 @@ from .qsym import (
     dimm_f_expansion,
     dimm_to_yqs,
     dual_immaculate_mexpr,
-    expand_in,
     f_to_m,
     yns_to_imm,
     young_qs_mexpr,
@@ -110,14 +109,12 @@ def _print_expansion(expansion: BasisExpansion, fmt: str) -> None:
 _ROUTES = {
     (DUAL_IMMACULATE, YOUNG_QS): dimm_to_yqs,
     (DUAL_IMMACULATE, FUNDAMENTAL): dimm_f_expansion,
-    (DUAL_IMMACULATE, MONOMIAL):
-        lambda alpha: expand_in(dual_immaculate_mexpr(alpha), MONOMIAL),
+    (DUAL_IMMACULATE, MONOMIAL): dual_immaculate_mexpr,
     (YOUNG_QS, FUNDAMENTAL): yqs_f_expansion,
-    (YOUNG_QS, MONOMIAL):
-        lambda alpha: expand_in(young_qs_mexpr(alpha), MONOMIAL),
+    (YOUNG_QS, MONOMIAL): young_qs_mexpr,
     (YOUNG_QS, DUAL_IMMACULATE): yqs_to_dimm,
     (YOUNG_NCSCHUR, IMMACULATE): yns_to_imm,
-    (FUNDAMENTAL, MONOMIAL): lambda alpha: expand_in(f_to_m(alpha), MONOMIAL),
+    (FUNDAMENTAL, MONOMIAL): f_to_m,
 }
 
 
@@ -388,10 +385,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered goes to devnull
+        # at exit, and 141 is the shell's code for a writer killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

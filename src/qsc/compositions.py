@@ -182,5 +182,10 @@ def is_rearrangement(alpha: Composition, beta: Composition) -> bool:
 
 
 def rearrangements(alpha: Composition) -> tuple[Composition, ...]:
-    """Distinct orderings of the parts of alpha, lexicographically decreasing."""
-    return tuple(sorted(set(itertools.permutations(alpha)), reverse=True))
+    """Distinct orderings of the parts of alpha, lexicographically decreasing:
+    each distinct part, largest first, followed by the orderings of the rest."""
+    parts = sorted(alpha, reverse=True)
+    if not parts:
+        return ((),)
+    return tuple((p,) + rest for i, p in enumerate(parts) if i == 0 or p != parts[i - 1]
+                 for rest in rearrangements(parts[:i] + parts[i + 1:]))

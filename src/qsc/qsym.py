@@ -1,14 +1,15 @@
 """Exact arithmetic for quasisymmetric functions of one degree.
 
-Everything reduces to the monomial basis: an MExpr maps compositions of a
-fixed degree to integer coefficients.  Fundamental expansions come from
-descent sets of standard fillings, products from the quasi-shuffle rule, and
-changes of basis from integer leading-term peeling: both Schur-like bases are
-unitriangular in monomial coordinates under lexicographic order, which is
-checked on every element used rather than assumed.  Between the two
-Schur-like bases the DIRT counts give the table directly, and the same
-checked peel inverts it.  Bases dual to these live in the noncommutative
-world and are handled purely as coefficient tables.
+Everything reduces to the monomial basis.  One type, BasisExpansion, holds
+every element: integer coefficients on the compositions of one degree,
+tagged with the basis they are taken against.  Fundamental expansions come
+from descent sets of standard fillings, products from the quasi-shuffle
+rule, and changes of basis from integer leading-term peeling: both
+Schur-like bases are unitriangular in monomial coordinates under
+lexicographic order, which is checked on every element used rather than
+assumed.  Between the two Schur-like bases the DIRT counts give the table
+directly, and the same checked peel inverts it.  Bases dual to these live
+in the noncommutative world and are handled purely as coefficient tables.
 """
 
 from __future__ import annotations
@@ -50,87 +51,12 @@ BASES = frozenset(
 )
 
 
-class MExpr:
-    """A quasisymmetric function of fixed degree in monomial coordinates."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: dict[Composition, int] | None = None):
-        if not isinstance(degree, int) or degree < 0:
-            raise ValueError("degree must be a nonnegative integer")
-        clean: dict[Composition, int] = {}
-        for alpha, c in (coeffs or {}).items():
-            alpha = check_composition(alpha)
-            if sum(alpha) != degree:
-                raise ValueError(f"{alpha} is not a composition of {degree}")
-            if not isinstance(c, int):
-                raise ValueError("coefficients must be integers")
-            if c:
-                clean[alpha] = c
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MExpr is immutable")
-
-    def coefficient(self, alpha: Composition) -> int:
-        return self.coeffs.get(tuple(alpha), 0)
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MExpr)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "MExpr") -> "MExpr":
-        if not isinstance(other, MExpr):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("cannot add expressions of different degrees")
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            out[alpha] = out.get(alpha, 0) + c
-        return MExpr(self.degree, out)
-
-    def __neg__(self) -> "MExpr":
-        return MExpr(self.degree, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other: "MExpr") -> "MExpr":
-        if not isinstance(other, MExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MExpr(self.degree, {a: c * other for a, c in self.coeffs.items()})
-        if isinstance(other, MExpr):
-            return quasi_shuffle(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"MExpr({self.degree}, 0)"
-        ordered = sorted(self.coeffs.items(), key=lambda kv: tuple(-p for p in kv[0]))
-        return " + ".join(f"{c}*M({to_string(a)})" for a, c in ordered)
-
-
-def monomial(alpha: Composition) -> MExpr:
-    alpha = check_composition(alpha)
-    return MExpr(sum(alpha), {alpha: 1})
-
-
 @dataclass(frozen=True)
 class BasisExpansion:
-    """Integer coefficients of one element against one named basis."""
+    """Integer coefficients of one element against one named basis of one
+    degree, the package's one coefficient type.  Expansions of a basis and
+    degree add and subtract, any expansion scales by an int, and monomial
+    expansions multiply by the quasi-shuffle."""
 
     basis: str
     degree: int
@@ -139,17 +65,55 @@ class BasisExpansion:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis tag {self.basis!r}")
+        if type(self.degree) is not int or self.degree < 0:
+            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
         clean = {}
         for alpha, c in self.coeffs.items():
             alpha = check_composition(alpha)
             if sum(alpha) != self.degree:
                 raise ValueError(f"{alpha} is not a composition of {self.degree}")
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
             if c:
-                clean[alpha] = int(c)
+                clean[alpha] = c
         object.__setattr__(self, "coeffs", clean)
 
     def coefficient(self, alpha: Composition) -> int:
         return self.coeffs.get(tuple(alpha), 0)
+
+    def items(self):
+        return self.coeffs.items()
+
+    def __hash__(self):
+        return hash((self.basis, self.degree, frozenset(self.coeffs.items())))
+
+    def __add__(self, other: "BasisExpansion") -> "BasisExpansion":
+        if not isinstance(other, BasisExpansion):
+            return NotImplemented
+        if (self.basis, self.degree) != (other.basis, other.degree):
+            raise ValueError("cannot add expansions of different bases or degrees")
+        out = dict(self.coeffs)
+        for alpha, c in other.coeffs.items():
+            out[alpha] = out.get(alpha, 0) + c
+        return BasisExpansion(self.basis, self.degree, out)
+
+    def __neg__(self) -> "BasisExpansion":
+        return self * -1
+
+    def __sub__(self, other: "BasisExpansion") -> "BasisExpansion":
+        if not isinstance(other, BasisExpansion):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return BasisExpansion(
+                self.basis, self.degree, {a: c * other for a, c in self.coeffs.items()})
+        if isinstance(other, BasisExpansion):
+            return quasi_shuffle(self, other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def to_json_obj(self) -> dict:
         ordered = {
@@ -161,23 +125,35 @@ class BasisExpansion:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "BasisExpansion":
-        coeffs = {from_string(k): int(v) for k, v in obj["coeffs"].items()}
-        return BasisExpansion(obj["basis"], int(obj["degree"]), coeffs)
+        coeffs = {from_string(k): v for k, v in obj["coeffs"].items()}
+        return BasisExpansion(obj["basis"], obj["degree"], coeffs)
 
 
-def f_to_m(alpha: Composition) -> MExpr:
+def _monomial_only(*fs: BasisExpansion) -> None:
+    for f in fs:
+        if f.basis != MONOMIAL:
+            raise ValueError(f"expected a monomial expansion, got basis {f.basis!r}")
+
+
+def monomial(alpha: Composition) -> BasisExpansion:
+    alpha = check_composition(alpha)
+    return BasisExpansion(MONOMIAL, sum(alpha), {alpha: 1})
+
+
+def f_to_m(alpha: Composition) -> BasisExpansion:
     """The fundamental element indexed by alpha, in monomial coordinates."""
     alpha = check_composition(alpha)
-    return MExpr(sum(alpha), {beta: 1 for beta in refinements(alpha)})
+    return BasisExpansion(MONOMIAL, sum(alpha), {beta: 1 for beta in refinements(alpha)})
 
 
-def m_to_f(f: MExpr) -> BasisExpansion:
+def m_to_f(f: BasisExpansion) -> BasisExpansion:
     """Rewrite monomial coordinates in the fundamental basis.
 
     Uses the inclusion-exclusion inverse of the refinement sum: a single
     monomial element equals the signed sum of fundamentals over its
     refinements, with sign given by the length difference.
     """
+    _monomial_only(f)
     out: dict[Composition, int] = {}
     for gamma, c in f.items():
         for alpha in refinements(gamma):
@@ -205,13 +181,13 @@ def _f_expansion(basis: str, alpha: Composition) -> BasisExpansion:
     return BasisExpansion(FUNDAMENTAL, n, out)
 
 
-def _mexpr(basis: str, alpha: Composition) -> MExpr:
+def _mexpr(basis: str, alpha: Composition) -> BasisExpansion:
     expansion = _f_expansion(basis, alpha)
     out: dict[Composition, int] = {}
     for beta, c in expansion.coeffs.items():
         for gamma in refinements(beta):
             out[gamma] = out.get(gamma, 0) + c
-    return MExpr(expansion.degree, out)
+    return BasisExpansion(MONOMIAL, expansion.degree, out)
 
 
 def yqs_f_expansion(alpha: Composition) -> BasisExpansion:
@@ -226,12 +202,12 @@ def dimm_f_expansion(alpha: Composition) -> BasisExpansion:
 
 
 @cache
-def young_qs_mexpr(alpha: Composition) -> MExpr:
+def young_qs_mexpr(alpha: Composition) -> BasisExpansion:
     return _mexpr(YOUNG_QS, alpha)
 
 
 @cache
-def dual_immaculate_mexpr(alpha: Composition) -> MExpr:
+def dual_immaculate_mexpr(alpha: Composition) -> BasisExpansion:
     return _mexpr(DUAL_IMMACULATE, alpha)
 
 
@@ -247,13 +223,13 @@ def monomial_coefficient_oracle(basis: str, alpha: Composition, gamma: Compositi
     return len(weighted_tableaux(alpha, _FILLINGS[basis][0], gamma))
 
 
-def schur_m_expansion(lam: Composition) -> MExpr:
+def schur_m_expansion(lam: Composition) -> BasisExpansion:
     """A Schur symmetric function in monomial coordinates: the sum of Young
     quasisymmetric Schur elements over all rearrangements of the partition."""
     lam = check_composition(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError("Schur elements are indexed by partitions")
-    total = MExpr(sum(lam))
+    total = BasisExpansion(MONOMIAL, sum(lam))
     for alpha in rearrangements(lam):
         total = total + young_qs_mexpr(alpha)
     return total
@@ -278,15 +254,16 @@ def _shuffle_pair(u: Composition, v: Composition) -> tuple[tuple[Composition, in
     return tuple(sorted(out.items()))
 
 
-def quasi_shuffle(f: MExpr, g: MExpr) -> MExpr:
-    """Product of two monomial-coordinate expressions: parts of the two index
+def quasi_shuffle(f: BasisExpansion, g: BasisExpansion) -> BasisExpansion:
+    """Product of two monomial expansions: parts of the two index
     compositions interleave in order, with adjacent parts optionally merged."""
+    _monomial_only(f, g)
     out: dict[Composition, int] = {}
     for u, cu in f.items():
         for v, cv in g.items():
             for w, m in _shuffle_pair(u, v):
                 out[w] = out.get(w, 0) + cu * cv * m
-    return MExpr(f.degree + g.degree, out)
+    return BasisExpansion(MONOMIAL, f.degree + g.degree, out)
 
 
 def _peel(rest: dict[Composition, int], element, basis: str) -> dict[Composition, int]:
@@ -313,16 +290,19 @@ def _peel(rest: dict[Composition, int], element, basis: str) -> dict[Composition
     return out
 
 
-def expand_in(f: MExpr, basis: str) -> BasisExpansion:
-    """Exact integer coefficients of f against the named basis of its degree.
+def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
+    """Exact integer coefficients of the monomial expansion f against the
+    named basis of its degree.
 
-    The fundamental case has a closed-form inverse.  The two Schur-like bases
-    are unitriangular in monomial coordinates under lexicographic order, so f
-    is peeled against their monomial expansions, each checked (see _peel).
-    yqs_to_dimm peels the DIRT-count table instead, with no monomials.
+    The monomial case is f itself, and the fundamental case has a
+    closed-form inverse.  The two Schur-like bases are unitriangular in
+    monomial coordinates under lexicographic order, so f is peeled against
+    their monomial expansions, each checked (see _peel).  yqs_to_dimm peels
+    the DIRT-count table instead, with no monomials.
     """
+    _monomial_only(f)
     if basis == MONOMIAL:
-        return BasisExpansion(MONOMIAL, f.degree, dict(f.coeffs))
+        return f
     if basis == FUNDAMENTAL:
         return m_to_f(f)
     if basis not in _FILLINGS:
@@ -332,8 +312,10 @@ def expand_in(f: MExpr, basis: str) -> BasisExpansion:
         basis, f.degree, _peel(dict(f.coeffs), lambda alpha: element(alpha).coeffs, basis))
 
 
-def is_symmetric(f: MExpr) -> bool:
-    """True when coefficients are constant across rearrangement classes."""
+def is_symmetric(f: BasisExpansion) -> bool:
+    """True when the monomial coefficients of f are constant across
+    rearrangement classes."""
+    _monomial_only(f)
     seen: set[Composition] = set()
     for alpha in f.coeffs:
         key = tuple(sorted(alpha, reverse=True))
@@ -392,11 +374,13 @@ def yns_to_imm(alpha: Composition) -> BasisExpansion:
     return BasisExpansion(IMMACULATE, n, out)
 
 
-def principal_specialization(f: MExpr, m: int) -> int:
-    """Value after substituting 1 for the first m variables and 0 beyond:
-    each monomial element contributes a binomial count of support sets."""
+def principal_specialization(f: BasisExpansion, m: int) -> int:
+    """Value of the monomial expansion f after substituting 1 for the first
+    m variables and 0 beyond: each monomial element contributes a binomial
+    count of support sets."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative integer")
+    _monomial_only(f)
     return sum(c * comb(m, len(alpha)) for alpha, c in f.items())
 
 
@@ -450,7 +434,8 @@ def check_conjectures(n: int) -> dict:
         if table != signs:
             difference = sum(
                 ((signs.get(beta, 0) - table.get(beta, 0)) * dual_immaculate_mexpr(beta)
-                 for beta in sorted(signs.keys() | table.keys(), reverse=True)), MExpr(n))
+                 for beta in sorted(signs.keys() | table.keys(), reverse=True)),
+                BasisExpansion(MONOMIAL, n))
             alternating_violations.append({
                 "lambda": to_string(lam),
                 "difference": {to_string(g): c for g, c in difference.items()},

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsc
 from qsc import insertion
 from qsc.cli import _ROUTES, _jsonable, main
 from qsc.verify import SUITES
@@ -358,3 +363,19 @@ def test_cli_fuzz_exit_codes(argv):
     assert code != 1 or argv[0] == "verify", argv
     if code == 2:
         assert err.getvalue().startswith("error:"), argv
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # The report is larger than a pipe buffer, so the writer outlives the reader.
+    src = str(Path(qsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsc.cli", "conjectures", "--n", "10", "--force"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"conjecture report at degree 10\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,3 +124,8 @@ def test_rearrangements():
     assert is_rearrangement((1, 2), (2, 1))
     assert not is_rearrangement((1, 1, 1), (2, 1))
     assert rearrangements((1, 2, 1)) == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+    for n in range(9):
+        for alpha in compositions(n):
+            assert rearrangements(alpha) == tuple(
+                sorted(set(itertools.permutations(alpha)), reverse=True))
+    assert rearrangements((1,) * 12) == ((1,) * 12,)

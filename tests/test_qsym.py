@@ -13,7 +13,6 @@ from qsc.qsym import (
     YOUNG_NCSCHUR,
     YOUNG_QS,
     BasisExpansion,
-    MExpr,
     check_conjectures,
     dimm_f_expansion,
     dimm_to_yqs,
@@ -35,25 +34,57 @@ from qsc.qsym import (
 
 
 def test_mexpr_basics():
-    f = MExpr(2, {(2,): 1, (1, 1): 3})
+    f = BasisExpansion(MONOMIAL, 2, {(2,): 1, (1, 1): 3})
     assert f.coefficient((1, 1)) == 3
     assert f.coefficient((2,)) == 1
     g = f - monomial((2,))
     assert g == 3 * monomial((1, 1))
     assert g.coefficient((2,)) == 0
-    assert hash(f) == hash(MExpr(2, {(1, 1): 3, (2,): 1}))
-    assert MExpr(2, {(2,): 0}) == MExpr(2)
+    assert hash(f) == hash(BasisExpansion(MONOMIAL, 2, {(1, 1): 3, (2,): 1}))
+    assert BasisExpansion(MONOMIAL, 2, {(2,): 0}) == BasisExpansion(MONOMIAL, 2)
 
 
 def test_mexpr_validation():
     with pytest.raises(ValueError):
-        MExpr(2, {(1,): 1})
+        BasisExpansion(MONOMIAL, 2, {(1,): 1})
     with pytest.raises(ValueError):
-        MExpr(2, {(2,): 1.5})
+        BasisExpansion(MONOMIAL, 2, {(2,): 1.5})
     with pytest.raises(ValueError):
         monomial((2,)) + monomial((3,))
     with pytest.raises(AttributeError):
         monomial((2,)).degree = 5
+
+
+@pytest.mark.parametrize("degree, coeffs", [
+    (2, {(2,): 1.0}),
+    (2, {(2,): "3"}),
+    (2, {(2,): True}),
+    (-1, {}),
+    (2.0, {}),
+    ("2", {}),
+    (True, {}),
+])
+def test_one_validation_rule_for_every_construction(degree, coeffs):
+    with pytest.raises(ValueError):
+        BasisExpansion(MONOMIAL, degree, coeffs)
+    obj = {"basis": MONOMIAL, "degree": degree,
+           "coeffs": {to_string(alpha): c for alpha, c in coeffs.items()}}
+    with pytest.raises(ValueError):
+        BasisExpansion.from_json_obj(obj)
+
+
+def test_monomial_only_functions_reject_other_bases():
+    table = dimm_to_yqs((2, 1))
+    f = monomial((2, 1))
+    for call in (lambda: quasi_shuffle(table, f), lambda: quasi_shuffle(f, table),
+                 lambda: table * f, lambda: expand_in(table, MONOMIAL),
+                 lambda: expand_in(table, DUAL_IMMACULATE), lambda: m_to_f(table),
+                 lambda: is_symmetric(table), lambda: principal_specialization(table, 2)):
+        with pytest.raises(ValueError, match="expected a monomial expansion"):
+            call()
+    for other in (m_to_f(f), dimm_to_yqs((1,))):
+        with pytest.raises(ValueError, match="different bases or degrees"):
+            table + other
 
 
 def test_basis_constants():
@@ -76,13 +107,13 @@ def test_basis_expansion_json():
 
 
 def test_fundamental_monomial_change():
-    assert f_to_m((2,)) == MExpr(2, {(2,): 1, (1, 1): 1})
+    assert f_to_m((2,)) == BasisExpansion(MONOMIAL, 2, {(2,): 1, (1, 1): 1})
     assert m_to_f(monomial((2,))) == BasisExpansion(
         FUNDAMENTAL, 2, {(2,): 1, (1, 1): -1})
     for n in range(6):
         for alpha in compositions(n):
             table = m_to_f(monomial(alpha))
-            back = MExpr(n)
+            back = BasisExpansion(MONOMIAL, n)
             for beta, c in table.coeffs.items():
                 back = back + c * f_to_m(beta)
             assert back == monomial(alpha)
@@ -90,10 +121,10 @@ def test_fundamental_monomial_change():
 
 def test_quasi_shuffle_goldens():
     one = monomial((1,))
-    assert one * one == MExpr(2, {(1, 1): 2, (2,): 1})
-    assert one * monomial((2,)) == MExpr(
-        3, {(1, 2): 1, (2, 1): 1, (3,): 1})
-    assert quasi_shuffle(MExpr(2), one) == MExpr(3)
+    assert one * one == BasisExpansion(MONOMIAL, 2, {(1, 1): 2, (2,): 1})
+    assert one * monomial((2,)) == BasisExpansion(
+        MONOMIAL, 3, {(1, 2): 1, (2, 1): 1, (3,): 1})
+    assert quasi_shuffle(BasisExpansion(MONOMIAL, 2), one) == BasisExpansion(MONOMIAL, 3)
 
 
 def test_quasi_shuffle_is_commutative_and_associative():
@@ -127,8 +158,8 @@ def test_oracle_agrees_with_descent_route():
 
 
 def test_schur_expansion():
-    assert schur_m_expansion((2, 1)) == MExpr(
-        3, {(2, 1): 1, (1, 2): 1, (1, 1, 1): 2})
+    assert schur_m_expansion((2, 1)) == BasisExpansion(
+        MONOMIAL, 3, {(2, 1): 1, (1, 2): 1, (1, 1, 1): 2})
     assert schur_m_expansion((1, 1)) == monomial((1, 1))
     with pytest.raises(ValueError):
         schur_m_expansion((1, 2))
@@ -140,7 +171,7 @@ def test_expand_in_goldens():
     assert expand_in(young_qs_mexpr((2, 1)), DUAL_IMMACULATE) == \
         BasisExpansion(DUAL_IMMACULATE, 3, {(2, 1): 1, (1, 2): -1})
     f = f_to_m((2, 1))
-    assert expand_in(f, MONOMIAL).coeffs == f.coeffs
+    assert expand_in(f, MONOMIAL) is f
     assert expand_in(f, FUNDAMENTAL) == BasisExpansion(
         FUNDAMENTAL, 3, {(2, 1): 1})
 
@@ -150,15 +181,15 @@ def test_expand_in_round_trips():
         for alpha in compositions(n):
             f = young_qs_mexpr(alpha)
             table = expand_in(f, DUAL_IMMACULATE)
-            back = MExpr(n)
+            back = BasisExpansion(MONOMIAL, n)
             for beta, c in table.coeffs.items():
                 back = back + c * dual_immaculate_mexpr(beta)
             assert back == f
 
 
 @pytest.mark.parametrize("element", [
-    MExpr(3, {(2, 1): 1, (1, 2): 1}),  # leading term M(2,1), not M(1,2)
-    MExpr(3, {(1, 2): 2, (1, 1, 1): 1}),  # leading coefficient 2
+    BasisExpansion(MONOMIAL, 3, {(2, 1): 1, (1, 2): 1}),  # leading term M(2,1), not M(1,2)
+    BasisExpansion(MONOMIAL, 3, {(1, 2): 2, (1, 1, 1): 1}),  # leading coefficient 2
 ])
 def test_expand_in_checks_unitriangularity(monkeypatch, element):
     monkeypatch.setattr(qsym, "young_qs_mexpr", lambda alpha: element)

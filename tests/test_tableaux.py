@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qsc.compositions import compositions
+from qsc.compositions import compositions, partitions, rearrangements
 from qsc.tableaux import (
     INF,
     from_json_obj,
@@ -176,3 +177,22 @@ def test_json_round_trip():
     assert from_json_obj(obj) == EXAMPLE
     with pytest.raises(ValueError):
         from_json_obj({"shape": [2], "rows": [[1], [2]]})
+
+
+def _hook_length_count(lam):
+    # f^lambda = n! over the product of the hook lengths of the diagram of lam.
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    hooks = math.prod(lam[i] - j + conj[j] - i - 1
+                      for i in range(len(lam)) for j in range(lam[i]))
+    return math.factorial(sum(lam)) // hooks
+
+
+def test_standard_filling_counts_have_closed_forms():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    involutions = [1, 1, 2, 4, 10, 26, 76, 232, 764]
+    for n in range(9):
+        assert sum(len(standard_tableaux(a, "immaculate")) for a in compositions(n)) == bell[n]
+        assert sum(len(standard_tableaux(a, "ssyct")) for a in compositions(n)) == involutions[n]
+        for lam in partitions(n):
+            assert sum(len(standard_tableaux(a, "ssyct"))
+                       for a in rearrangements(lam)) == _hook_length_count(lam)
