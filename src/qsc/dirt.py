@@ -16,7 +16,7 @@ and _dirts check nothing.
 
 from __future__ import annotations
 
-from .compositions import Composition, check_composition
+from .compositions import Composition, check_composition, is_partition
 from .tableaux import Rows, make_rows, positions
 
 
@@ -134,7 +134,7 @@ def superstandard(lam: Composition) -> Rows:
     """The recording tableau of a partition shape that fills whole rows,
     top row first, with consecutive blocks."""
     lam = check_composition(lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if not is_partition(lam):
         raise ValueError("superstandard fillings are indexed by partitions")
     rows: list[tuple[int, ...]] = [()] * len(lam)
     v = 1

@@ -18,12 +18,14 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb
+from types import MappingProxyType
 
 from .compositions import (
     Composition,
     check_composition,
     compositions,
     from_string,
+    is_partition,
     partitions,
     rearrangements,
     refinements,
@@ -56,11 +58,12 @@ class BasisExpansion:
     """Integer coefficients of one element against one named basis of one
     degree, the package's one coefficient type.  Expansions of a basis and
     degree add and subtract, any expansion scales by an int, and monomial
-    expansions multiply by the quasi-shuffle."""
+    expansions multiply by the quasi-shuffle.  coeffs is a read-only view,
+    so the cached expansions can be shared safely."""
 
     basis: str
     degree: int
-    coeffs: dict[Composition, int] = field(default_factory=dict)
+    coeffs: MappingProxyType[Composition, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.basis not in BASES:
@@ -76,7 +79,7 @@ class BasisExpansion:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
             if c:
                 clean[alpha] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def coefficient(self, alpha: Composition) -> int:
         return self.coeffs.get(tuple(alpha), 0)
@@ -227,7 +230,7 @@ def schur_m_expansion(lam: Composition) -> BasisExpansion:
     """A Schur symmetric function in monomial coordinates: the sum of Young
     quasisymmetric Schur elements over all rearrangements of the partition."""
     lam = check_composition(lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if not is_partition(lam):
         raise ValueError("Schur elements are indexed by partitions")
     total = BasisExpansion(MONOMIAL, sum(lam))
     for alpha in rearrangements(lam):

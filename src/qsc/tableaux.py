@@ -10,18 +10,19 @@ triple condition couples every pair of rows) and immaculate tableaux (the
 triple condition dropped).  The sentinel used when a comparison looks past
 the end of a row is math.inf, which compares greater than every entry.
 
-The standard, semistandard and weighted enumerators are one backtracking
-search, _search, given a budget of values: each of 1..n once, each of
-1..max_entry up to n times, or gamma exactly.
+The three enumerators are one search, _search, that places values in
+increasing order, along covers of the composition poset, from a budget:
+each of 1..n once, each of 1..max_entry up to n times, or gamma exactly.
 
 Enumerators and parsers validate their inputs, and predicates such as
-is_ssyct take well-formed Rows; `_`-prefixed helpers such as _triple_ok
-check nothing.
+is_ssyct take well-formed Rows; `_`-prefixed helpers such as _search and
+_triple_ok check nothing.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .compositions import Composition, check_composition
 
@@ -137,74 +138,69 @@ def immaculate_descent_set(rows: Rows) -> frozenset[int]:
 
 
 def _search(shape, kind, budget):
-    """Backtracking core shared by the enumerators.
-
-    budget[v-1] is how many more cells may hold v; the search spends and
-    restores it.  Cells are filled in row-word order (top row first), each
-    trying v from its left neighbour (1 in the leftmost column) up to
-    len(budget), so rows weakly increase by construction and results come out
-    sorted lexicographically by the row word; the column and triple
-    conditions are checked here.
-    """
-    if kind not in ("ssyct", "immaculate"):
-        raise ValueError(f"unknown tableau kind {kind!r}")
-    ell = len(shape)
-    order = [(i, j) for j in range(ell, 0, -1) for i in range(1, shape[j - 1] + 1)]
-    grid = [[0] * shape[j] for j in range(ell)]
+    """Value-order core of the enumerators: the copies of v, at most
+    budget[v-1], go to the ends of rows from the bottom up, and a row opens
+    only directly above an open row whose first entry is smaller than v.  For
+    "ssyct" a cell at 0-based column p also needs no row above it of length
+    exactly p (when p >= 1) and no lower row holding v at column p+1.  Results
+    are sorted by row word, top row first."""
+    rows: list[list[int]] = [[] for _ in shape]
+    reach = list(accumulate(reversed(budget), initial=0))[::-1]  # sum(budget[v:])
     results: list[Rows] = []
 
-    def cell_ok(i, j, v):
-        # Leftmost column: strictly above-strictly smaller, checked against
-        # the already filled row above (rows are filled top-down).
-        if i == 1 and j < ell and not v < grid[j][0]:
+    def fits(r, v):
+        p = len(rows[r])
+        if p == shape[r] or not (p or r == 0 or rows[r - 1] and rows[r - 1][0] < v):
             return False
-        if kind == "ssyct" and i > 1:
-            # Triple condition instances are decided exactly when the cell in
-            # the lower row is placed; rows above are complete by then.
-            for k in range(j + 1, ell + 1):
-                upper_left = grid[k - 1][i - 2] if i - 1 <= shape[k - 1] else INF
-                upper = grid[k - 1][i - 1] if i <= shape[k - 1] else INF
-                if upper_left <= v and not upper < v:
-                    return False
-        return True
+        return kind == "immaculate" or not (
+            p and any(len(upper) == p for upper in rows[r + 1:])
+            or any(len(lower) > p + 1 and lower[p + 1] == v for lower in rows[:r]))
 
-    def rec(idx):
-        if idx == len(order):
-            results.append(tuple(tuple(row) for row in grid))
+    def grow(v, low, spare, empty):
+        # The last cell placed holds v (0: none yet) in row `low`; `spare` more may follow.
+        if not empty:
+            results.append(tuple(map(tuple, rows)))
             return
-        i, j = order[idx]
-        row = grid[j - 1]
-        for v in range(row[i - 2] if i > 1 else 1, len(budget) + 1):
-            if budget[v - 1] and cell_ok(i, j, v):
-                budget[v - 1] -= 1
-                row[i - 1] = v
-                rec(idx + 1)
-                budget[v - 1] += 1
+        for w in range(v, len(budget) + 1):
+            if w > v and empty > reach[w - 1]:
+                break
+            left = spare if w == v else budget[w - 1]
+            for r in range(low if w == v else 0, len(rows)):
+                if left and fits(r, w):
+                    rows[r].append(w)
+                    grow(w, r, left - 1, empty - 1)
+                    rows[r].pop()
 
-    rec(0)
-    return tuple(results)
+    grow(0, 0, 0, sum(shape))
+    return tuple(sorted(results, key=lambda t: t[::-1]))
+
+
+def check_kind(kind: str) -> str:
+    if kind not in ("ssyct", "immaculate"):
+        raise ValueError(f"unknown tableau kind {kind!r}")
+    return kind
 
 
 def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
     """All standard fillings of the given kind ("ssyct" or "immaculate"),
     sorted by their row word."""
     shape = check_composition(shape)
-    return _search(shape, kind, [1] * sum(shape))
+    return _search(shape, check_kind(kind), [1] * sum(shape))
 
 
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
     n = sum(shape)
-    return _search(shape, kind, [n] * max_entry if n else [])
+    return _search(shape, check_kind(kind), [n] * max_entry if n else [])
 
 
 def weighted_tableaux(shape: Composition, kind: str, gamma: Composition) -> tuple[Rows, ...]:
     """All fillings of the given kind with weight exactly gamma."""
     shape = check_composition(shape)
     gamma = check_composition(gamma)
+    check_kind(kind)
     if sum(gamma) != sum(shape):
-        _search((), kind, [])  # rejects an unknown kind; no filling has this weight
         return ()
     return _search(shape, kind, list(gamma))
 

@@ -55,6 +55,12 @@ def test_mexpr_validation():
         monomial((2,)).degree = 5
 
 
+def test_cached_expansions_are_read_only():
+    with pytest.raises(TypeError):
+        young_qs_mexpr((2, 1)).coeffs[(3,)] = 1.5
+    assert expand_in(young_qs_mexpr((2, 1)), YOUNG_QS).coeffs == {(2, 1): 1}
+
+
 @pytest.mark.parametrize("degree, coeffs", [
     (2, {(2,): 1.0}),
     (2, {(2,): "3"}),
@@ -146,7 +152,7 @@ def test_descent_expansions():
 
 
 def test_oracle_agrees_with_descent_route():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for alpha in compositions(n):
             young = young_qs_mexpr(alpha)
             dual = dual_immaculate_mexpr(alpha)

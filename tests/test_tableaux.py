@@ -133,6 +133,8 @@ def test_semistandard_enumeration():
     assert all(is_ssyct(rows) for rows in small)
     assert all(max(max(r) for r in rows) <= 2 for rows in small)
     assert len(semistandard_tableaux((1, 2), "ssyct", 3)) > len(small)
+    # Unused values cost no recursion depth, so a large max_entry is fine.
+    assert len(semistandard_tableaux((1,), "ssyct", 5000)) == 5000
 
 
 def test_semistandard_enumeration_without_entries():
