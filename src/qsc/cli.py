@@ -90,10 +90,6 @@ def _read_tableau(text: str):
     return parse_rows(stripped)
 
 
-def _rows_list(rows) -> list[list[int]]:
-    return [list(r) for r in rows]
-
-
 def _print_expansion(expansion: BasisExpansion, fmt: str) -> None:
     obj = expansion.to_json_obj()
     if fmt == "json":
@@ -137,12 +133,12 @@ def cmd_demo_insert(args) -> int:
     events: list[dict] = []
     result = insert(rows, args.k, events)
     _emit({
-        "input": _rows_list(rows),
+        "input": rows,
         "k": args.k,
         "steps": events,
-        "result": _rows_list(result.rows),
-        "new_cell": list(result.new_cell),
-        "path": [list(cell) for cell in result.path],
+        "result": result.rows,
+        "new_cell": result.new_cell,
+        "path": result.path,
     })
     return 0
 
@@ -155,12 +151,12 @@ def cmd_demo_rapture(args) -> int:
     events: list[dict] = []
     result = rapture(rows, cell, events)
     _emit({
-        "input": _rows_list(rows),
-        "cell": list(cell),
+        "input": rows,
+        "cell": cell,
         "steps": events,
-        "result": _rows_list(result.rows),
+        "result": result.rows,
         "output": result.output,
-        "route": [list(c) for c in result.route],
+        "route": result.route,
     })
     return 0
 
@@ -170,10 +166,10 @@ def cmd_demo_word(args) -> int:
     insertions: list[dict] = []
     p_rows, q_rows = insert_word(word, insertions)
     _emit({
-        "word": list(word),
+        "word": word,
         "insertions": insertions,
-        "p": _rows_list(p_rows),
-        "q": _rows_list(q_rows),
+        "p": p_rows,
+        "q": q_rows,
     })
     return 0
 
@@ -195,10 +191,10 @@ def cmd_enumerate_tableaux(args) -> int:
     else:
         items = semistandard_tableaux(shape, args.kind, args.max_entry)
     payload = {
-        "shape": list(shape),
+        "shape": shape,
         "kind": args.kind,
         "count": len(items),
-        "tableaux": [_rows_list(rows) for rows in items],
+        "tableaux": items,
     }
     _print_fillings(payload, items, args.format)
     return 0
@@ -209,10 +205,10 @@ def cmd_enumerate_dirts(args) -> int:
     strips = from_string(args.strips)
     items = enumerate_dirts(shape, strips)
     payload = {
-        "shape": list(shape),
-        "strips": list(strips),
+        "shape": shape,
+        "strips": strips,
         "count": len(items),
-        "dirts": [_rows_list(rows) for rows in items],
+        "dirts": items,
     }
     _print_fillings(payload, items, args.format)
     return 0
@@ -226,7 +222,7 @@ def cmd_tree(args) -> int:
         sys.stdout.write(tree_to_dot(root))
     else:
         _emit({
-            "alpha": list(alpha),
+            "alpha": alpha,
             "direction": args.direction,
             "expansion": expansion.to_json_obj(),
             "tree": tree_to_json(root, args.direction),

@@ -119,11 +119,9 @@ class BasisExpansion:
     __rmul__ = __mul__
 
     def to_json_obj(self) -> dict:
-        ordered = {
-            to_string(alpha): self.coeffs[alpha]
-            for alpha in compositions(self.degree)
-            if alpha in self.coeffs
-        }
+        # compositions(n) order: lexicographically decreasing.
+        ordered = {to_string(alpha): self.coeffs[alpha]
+                   for alpha in sorted(self.coeffs, reverse=True)}
         return {"basis": self.basis, "degree": self.degree, "coeffs": ordered}
 
     @staticmethod
@@ -173,35 +171,36 @@ _FILLINGS = {
 }
 
 
-def _f_expansion(basis: str, alpha: Composition) -> BasisExpansion:
+def _f_expansion(basis: str, alpha: Composition) -> tuple[int, dict[Composition, int]]:
+    # (degree, fundamental coefficients) at alpha; standard_tableaux checks alpha.
     kind, descents = _FILLINGS[basis]
-    alpha = check_composition(alpha)
+    fillings = standard_tableaux(alpha, kind)
     n = sum(alpha)
     out: dict[Composition, int] = {}
-    for t in standard_tableaux(alpha, kind):
+    for t in fillings:
         beta = subset_to_composition(descents(t), n)
         out[beta] = out.get(beta, 0) + 1
-    return BasisExpansion(FUNDAMENTAL, n, out)
+    return n, out
 
 
 def _mexpr(basis: str, alpha: Composition) -> BasisExpansion:
-    expansion = _f_expansion(basis, alpha)
+    n, counts = _f_expansion(basis, alpha)
     out: dict[Composition, int] = {}
-    for beta, c in expansion.coeffs.items():
+    for beta, c in counts.items():
         for gamma in refinements(beta):
             out[gamma] = out.get(gamma, 0) + c
-    return BasisExpansion(MONOMIAL, expansion.degree, out)
+    return BasisExpansion(MONOMIAL, n, out)
 
 
 def yqs_f_expansion(alpha: Composition) -> BasisExpansion:
     """Fundamental expansion of a Young quasisymmetric Schur element, by
     bucketing standard tableaux of the shape over their descent sets."""
-    return _f_expansion(YOUNG_QS, alpha)
+    return BasisExpansion(FUNDAMENTAL, *_f_expansion(YOUNG_QS, alpha))
 
 
 def dimm_f_expansion(alpha: Composition) -> BasisExpansion:
     """Fundamental expansion of a dual immaculate element."""
-    return _f_expansion(DUAL_IMMACULATE, alpha)
+    return BasisExpansion(FUNDAMENTAL, *_f_expansion(DUAL_IMMACULATE, alpha))
 
 
 @cache
@@ -219,11 +218,10 @@ def monomial_coefficient_oracle(basis: str, alpha: Composition, gamma: Compositi
     independent of any descent-set bookkeeping."""
     if basis not in _FILLINGS:
         raise ValueError(f"no filling model for basis {basis!r}")
-    alpha = check_composition(alpha)
-    gamma = check_composition(gamma)
+    fillings = weighted_tableaux(alpha, _FILLINGS[basis][0], gamma)
     if sum(alpha) != sum(gamma):
         raise ValueError("degree mismatch between shape and weight")
-    return len(weighted_tableaux(alpha, _FILLINGS[basis][0], gamma))
+    return len(fillings)
 
 
 def schur_m_expansion(lam: Composition) -> BasisExpansion:
@@ -381,7 +379,7 @@ def principal_specialization(f: BasisExpansion, m: int) -> int:
     """Value of the monomial expansion f after substituting 1 for the first
     m variables and 0 beyond: each monomial element contributes a binomial
     count of support sets."""
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a nonnegative integer")
     _monomial_only(f)
     return sum(c * comb(m, len(alpha)) for alpha, c in f.items())
@@ -408,7 +406,7 @@ def check_conjectures(n: int) -> dict:
     of that rule reports, in monomial coordinates, that signed sum minus the
     element.  Findings are returned, never raised.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("degree must be a positive integer")
     bounded_violations: list[dict] = []
     sum_violations: list[dict] = []
@@ -416,7 +414,7 @@ def check_conjectures(n: int) -> dict:
     tables = {alpha: yqs_to_dimm(alpha).coeffs for alpha in compositions(n)}
     for alpha, table in tables.items():
         expansions[to_string(alpha)] = {
-            to_string(beta): table[beta] for beta in compositions(n) if beta in table}
+            to_string(beta): table[beta] for beta in sorted(table, reverse=True)}
         for beta, b in table.items():
             if b not in (-1, 0, 1):
                 bounded_violations.append(

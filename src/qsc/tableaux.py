@@ -191,6 +191,8 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
+    if not isinstance(max_entry, int) or isinstance(max_entry, bool):
+        raise ValueError(f"max_entry must be an integer, got {max_entry!r}")
     n = sum(shape)
     return _search(shape, check_kind(kind), [n] * max_entry if n else [])
 

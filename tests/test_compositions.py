@@ -40,6 +40,8 @@ def test_compositions_counts():
     assert compositions(0) == ((),)
     for n in range(1, 9):
         assert len(compositions(n)) == 2 ** (n - 1)
+        # Expansions order their support by sorting, not by this scan.
+        assert compositions(n) == tuple(sorted(compositions(n), reverse=True))
 
 
 def test_compositions_by_length():

@@ -31,6 +31,7 @@ from qsc.qsym import (
     yqs_f_expansion,
     yqs_to_dimm,
 )
+from qsc.tableaux import weighted_tableaux
 
 
 def test_mexpr_basics():
@@ -266,6 +267,17 @@ def test_principal_specialization():
     assert principal_specialization(monomial((2, 1)), 3) == 3
 
 
+@pytest.mark.parametrize("call", [
+    lambda: check_conjectures(True),
+    lambda: check_conjectures(2.0),
+    lambda: principal_specialization(monomial((1,)), True),
+    lambda: principal_specialization(monomial((1,)), "2"),
+])
+def test_scalar_arguments_are_ints_not_bools(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
 def test_conjecture_report_structure():
     trivial = check_conjectures(1)
     assert trivial["bounded"]["holds"]
@@ -316,3 +328,24 @@ def test_conjectures_hold_through_degree_11(n):
     assert report["bounded"]["holds"]
     assert report["sum_rule"]["holds"]
     assert report["alternating"]["holds"]
+
+
+def test_bounded_conjecture_first_fails_at_degree_14():
+    # The DIRT-count rows against an independent monomial count.  A dual
+    # immaculate element at g has no monomial term with fewer parts than g,
+    # and its lex-leading term is M_g with coefficient 1, so the weights gamma
+    # with at most 4 parts fix every coefficient on compositions with at most
+    # 4 parts, which is the whole support of these rows.
+    rows = {
+        (4, 2, 5, 3): {(1, 3, 6, 4): -2, (1, 3, 4, 6): 2, (3, 1, 6, 4): 2, (3, 1, 4, 6): -2},
+        (4, 5, 2, 3): {(1, 4, 3, 6): 2, (1, 3, 4, 6): -2},
+    }
+    weights = [gamma for ell in range(1, 5) for gamma in compositions(14, ell)]
+    assert len(weights) == 378
+    for alpha, large in rows.items():
+        table = yqs_to_dimm(alpha).coeffs
+        assert {beta: c for beta, c in table.items() if abs(c) > 1} == large
+        for gamma in weights:
+            assert len(weighted_tableaux(alpha, "ssyct", gamma)) == sum(
+                c * len(weighted_tableaux(beta, "immaculate", gamma))
+                for beta, c in table.items())

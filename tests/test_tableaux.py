@@ -150,6 +150,12 @@ def test_semistandard_enumeration_without_entries():
         semistandard_tableaux((2,), "bogus", 0)
 
 
+@pytest.mark.parametrize("max_entry", [True, 2.5, "2", None])
+def test_semistandard_max_entry_is_an_int_not_a_bool(max_entry):
+    with pytest.raises(ValueError, match="max_entry must be an integer"):
+        semistandard_tableaux((1,), "ssyct", max_entry)
+
+
 def test_weighted_fillings():
     assert len(weighted_tableaux((1, 2, 1), "ssyct", (1, 2, 1))) == 1
     for rows in weighted_tableaux((2, 2), "immaculate", (1, 2, 1)):

@@ -1,7 +1,8 @@
 import pytest
 
 from qsc import verify
-from qsc.qsym import BasisExpansion
+from qsc.compositions import compositions
+from qsc.qsym import BasisExpansion, dimm_to_yqs
 from qsc.tableaux import INF
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
@@ -61,6 +62,24 @@ def test_inverse_records_an_inf_rapture_output(monkeypatch):
     monkeypatch.setattr(verify, "_rapture_from", settles)
     result = run_suite("inverse", 2)
     assert any("outputs INF" in f for f in result.failures)
+
+
+def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
+    real = verify.insert_word
+
+    def all_ones(word):
+        # Same shapes, but no filling with two or more cells is standard.
+        p, q = real(word)
+        return p, tuple((1,) * len(row) for row in q)
+
+    monkeypatch.setattr(verify, "insert_word", all_ones)
+    result = run_suite("triple-agreement", 4)
+    assert not result.passed
+    assert all(f.startswith("bad recording tableau for ") for f in result.failures)
+    # One report per distinct fake tableau, that is per shape the words of
+    # alpha insert to, not one per word (13 reports against 15 words at n = 4).
+    assert len(result.failures) == sum(
+        len(dimm_to_yqs(alpha).coeffs) for n in (2, 3, 4) for alpha in compositions(n))
 
 
 def test_dominance_records_a_perturbed_peeled_table(monkeypatch):
