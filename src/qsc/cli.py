@@ -54,17 +54,11 @@ TABLEAU_HELP = (
 
 
 def _check_degree(name: str, n: int, force: bool) -> None:
-    """Refuse a degree below 1, or above the guard unless forced.  The guard
-    is DEGREE_GUARD, or QSC_MAX_N when that is set."""
+    """Refuse a degree below 1, or above DEGREE_GUARD unless forced."""
     if n < 1:
         raise ValueError(f"{name} must be at least 1, got {n}")
-    override = os.environ.get("QSC_MAX_N", "").strip()
-    try:
-        limit = int(override) if override else DEGREE_GUARD
-    except ValueError:
-        raise ValueError(f"QSC_MAX_N must be an integer, got {override!r}") from None
-    if n > limit and not force:
-        raise ValueError(f"{name} {n} exceeds the guard ({limit});"
+    if n > DEGREE_GUARD and not force:
+        raise ValueError(f"{name} {n} exceeds the guard ({DEGREE_GUARD});"
                          " pass --force to run anyway")
 
 
@@ -267,34 +261,19 @@ def cmd_conjectures(args) -> int:
         _emit(report)
         return 0
     print(f"conjecture report at degree {report['degree']}")
-    bounded = report["bounded"]
-    if bounded["holds"]:
-        print("coefficients in {-1, 0, 1}: no violations")
-    else:
-        print(f"coefficients in {{-1, 0, 1}}:"
-              f" {len(bounded['violations'])} violations")
-        for item in bounded["violations"]:
-            print(f"  alpha={item['alpha']} beta={item['beta']}"
-                  f" value={item['value']}")
-    sums = report["sum_rule"]
-    if sums["holds"]:
-        print("coefficient sums (1 at reversed hooks, else 0): no violations")
-    else:
-        print(f"coefficient sums (1 at reversed hooks, else 0):"
-              f" {len(sums['violations'])} violations")
-        for item in sums["violations"]:
-            print(f"  alpha={item['alpha']} sum={item['sum']}"
-                  f" expected={item['expected']}")
-    alt = report["alternating"]
-    checked = ", ".join(f"({key})" for key in alt["checked"]) or "none"
-    if alt["holds"]:
-        print(f"signed-permutation formula at distinct-part partitions:"
-              f" no violations (checked: {checked})")
-    else:
-        print(f"signed-permutation formula at distinct-part partitions:"
-              f" {len(alt['violations'])} violations")
-        for item in alt["violations"]:
-            print(f"  lambda={item['lambda']} difference={item['difference']}")
+    checked = ", ".join(f"({lam})" for lam in report["alternating"]["checked"]) or "none"
+    for key, title in (
+            ("bounded", "coefficients in {-1, 0, 1}"),
+            ("sum_rule", "coefficient sums (1 at reversed hooks, else 0)"),
+            ("alternating", "signed-permutation formula at distinct-part partitions")):
+        part = report[key]
+        if part["holds"]:
+            suffix = f" (checked: {checked})" if key == "alternating" else ""
+            print(f"{title}: no violations{suffix}")
+        else:
+            print(f"{title}: {len(part['violations'])} violations")
+        for item in part["violations"]:
+            print("  " + " ".join(f"{k}={v}" for k, v in item.items()))
     print("expansions in the dual immaculate basis:")
     for alpha_key, coeffs in report["expansions"].items():
         print(f"  {_equation(alpha_key, coeffs)}")

@@ -9,7 +9,7 @@ dominance, and deterministic enumeration.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import lru_cache
 
 Composition = tuple[int, ...]
 
@@ -73,12 +73,20 @@ def subset_to_composition(subset, n: int) -> Composition:
     return tuple(parts)
 
 
-@cache
+def _check_count(name: str, value) -> None:
+    # bool is an int subclass: the caches below are typed, so True misses
+    # the entry for 1 and is refused here.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+@lru_cache(maxsize=None, typed=True)
 def compositions(n: int, length: int | None = None) -> tuple[Composition, ...]:
     """All compositions of n, largest-first-part first (lexicographically
     decreasing).  With length given, only those with that many parts."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_count("n", n)
+    if length is not None:
+        _check_count("length", length)
 
     def gen(remaining: int) -> list[Composition]:
         if remaining == 0:
@@ -94,12 +102,11 @@ def compositions(n: int, length: int | None = None) -> tuple[Composition, ...]:
     return tuple(result)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def partitions(n: int) -> tuple[Composition, ...]:
     """All partitions of n (weakly decreasing compositions), lexicographically
     decreasing."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_count("n", n)
 
     def gen(remaining: int, biggest: int) -> list[Composition]:
         if remaining == 0:

@@ -109,7 +109,7 @@ class BasisExpansion:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return BasisExpansion(
                 self.basis, self.degree, {a: c * other for a, c in self.coeffs.items()})
         if isinstance(other, BasisExpansion):
@@ -183,7 +183,9 @@ def _f_expansion(basis: str, alpha: Composition) -> tuple[int, dict[Composition,
     return n, out
 
 
+@cache
 def _mexpr(basis: str, alpha: Composition) -> BasisExpansion:
+    # alpha must be checked first: the cache takes (True, 1) for (1, 1).
     n, counts = _f_expansion(basis, alpha)
     out: dict[Composition, int] = {}
     for beta, c in counts.items():
@@ -203,14 +205,12 @@ def dimm_f_expansion(alpha: Composition) -> BasisExpansion:
     return BasisExpansion(FUNDAMENTAL, *_f_expansion(DUAL_IMMACULATE, alpha))
 
 
-@cache
 def young_qs_mexpr(alpha: Composition) -> BasisExpansion:
-    return _mexpr(YOUNG_QS, alpha)
+    return _mexpr(YOUNG_QS, check_composition(alpha))
 
 
-@cache
 def dual_immaculate_mexpr(alpha: Composition) -> BasisExpansion:
-    return _mexpr(DUAL_IMMACULATE, alpha)
+    return _mexpr(DUAL_IMMACULATE, check_composition(alpha))
 
 
 def monomial_coefficient_oracle(basis: str, alpha: Composition, gamma: Composition) -> int:
@@ -232,7 +232,7 @@ def schur_m_expansion(lam: Composition) -> BasisExpansion:
         raise ValueError("Schur elements are indexed by partitions")
     total = BasisExpansion(MONOMIAL, sum(lam))
     for alpha in rearrangements(lam):
-        total = total + young_qs_mexpr(alpha)
+        total = total + _mexpr(YOUNG_QS, alpha)
     return total
 
 
@@ -308,9 +308,8 @@ def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
         return m_to_f(f)
     if basis not in _FILLINGS:
         raise ValueError(f"cannot expand in basis {basis!r}")
-    element = young_qs_mexpr if basis == YOUNG_QS else dual_immaculate_mexpr
     return BasisExpansion(
-        basis, f.degree, _peel(dict(f.coeffs), lambda alpha: element(alpha).coeffs, basis))
+        basis, f.degree, _peel(dict(f.coeffs), lambda alpha: _mexpr(basis, alpha).coeffs, basis))
 
 
 def is_symmetric(f: BasisExpansion) -> bool:
@@ -411,10 +410,10 @@ def check_conjectures(n: int) -> dict:
     bounded_violations: list[dict] = []
     sum_violations: list[dict] = []
     expansions: dict[str, dict[str, int]] = {}
-    tables = {alpha: yqs_to_dimm(alpha).coeffs for alpha in compositions(n)}
-    for alpha, table in tables.items():
-        expansions[to_string(alpha)] = {
-            to_string(beta): table[beta] for beta in sorted(table, reverse=True)}
+    tables = {alpha: yqs_to_dimm(alpha) for alpha in compositions(n)}
+    for alpha, element in tables.items():
+        expansions[to_string(alpha)] = element.to_json_obj()["coeffs"]
+        table = element.coeffs
         for beta, b in table.items():
             if b not in (-1, 0, 1):
                 bounded_violations.append(
@@ -431,7 +430,7 @@ def check_conjectures(n: int) -> dict:
         checked.append(to_string(lam))
         signs = {tuple(lam[i] for i in perm): _sign(perm)
                  for perm in itertools.permutations(range(len(lam)))}
-        table = tables[lam]
+        table = tables[lam].coeffs
         if table != signs:
             difference = sum(
                 ((signs.get(beta, 0) - table.get(beta, 0)) * dual_immaculate_mexpr(beta)

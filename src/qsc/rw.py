@@ -4,16 +4,18 @@ The forward tree grows recording tableaux strip by strip: leaves enumerate
 the shapes appearing in the Young quasisymmetric Schur expansion of a dual
 immaculate element.  The dual tree fills a fixed diagram level by level with
 repeated values: complete leaves give the immaculate expansion of a Young
-noncommutative Schur element.  Both trees serialize to JSON and DOT.
+noncommutative Schur element.  Both builders walk one mutable row list,
+appending a cell before each recursion and popping it after, and try the
+rows in (next column, row) order, so children come out in the order of the
+cells they fill with no sort.  Both trees serialize to JSON and DOT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Composition, check_composition, reverse
+from .compositions import Composition, check_composition
 from .qsym import IMMACULATE, YOUNG_QS, BasisExpansion
-from .tableaux import shape_of
 
 Cellvalue = int | None
 PartialRows = tuple[tuple[Cellvalue, ...], ...]
@@ -21,13 +23,23 @@ PartialRows = tuple[tuple[Cellvalue, ...], ...]
 
 @dataclass(frozen=True)
 class Node:
-    """One tree node: a filling (bottom row first, None for an empty cell)
-    and its ordered children.  A leaf is a completed filling; a node with no
-    children that is not a leaf is a dead branch."""
+    """One tree node: a filling (bottom row first, None for an empty cell),
+    its ordered children, and for a leaf (a completed filling) its
+    coefficient key: the shape in the forward tree, the value multiplicities
+    from the last level back to the first in the dual tree.  A node with no
+    children and no key is a dead branch."""
 
     filling: PartialRows
     children: tuple["Node", ...]
-    is_leaf: bool
+    key: Composition | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.key is not None
+
+
+def _by_next_column(rows: list[list[int]]) -> list[int]:
+    return sorted(range(len(rows)), key=lambda r: (len(rows[r]), r))
 
 
 def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
@@ -41,44 +53,37 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
     """
     alpha = check_composition(alpha)
     ell = len(alpha)
-    n = sum(alpha)
-    if ell == 0:
-        root = Node((), (), True)
-        return root, BasisExpansion(YOUNG_QS, 0, {(): 1})
     counts: dict[Composition, int] = {}
+    # The root row, or no row for (): that root is then its only leaf.
+    rows = [list(range(1, last + 1)) for last in alpha[-1:]]
 
-    def build(rows: tuple[tuple[int, ...], ...]) -> Node:
+    def build() -> Node:
+        filling = tuple(map(tuple, rows))
         if len(rows) == ell:
-            shape = shape_of(rows)
+            shape = tuple(map(len, rows))
             counts[shape] = counts.get(shape, 0) + 1
-            return Node(rows, (), True)
-        size = alpha[ell - 1 - len(rows)]
-        offset = sum(len(r) for r in rows)
-        start = [list(r) for r in ((offset + 1,),) + rows]
-        batches: list[tuple[tuple[tuple[int, int], ...], PartialRows]] = []
+            return Node(filling, (), shape)
+        children: list[Node] = []
+        start = sum(map(len, rows)) + 1
+        stop = start + alpha[ell - 1 - len(rows)]
 
-        def extend(work: list[list[int]], left: int, last_col: int,
-                   placed: tuple[tuple[int, int], ...]) -> None:
-            if left == 0:
-                batches.append((placed, tuple(tuple(r) for r in work)))
+        def extend(value: int, last_col: int) -> None:
+            if value == stop:
+                children.append(build())
                 return
-            value = offset + size - left + 1
-            for r in range(len(work)):
-                col = len(work[r]) + 1
-                if col <= last_col:
-                    continue
-                if any(len(work[g]) == col for g in range(r)):
-                    continue
-                work[r].append(value)
-                extend(work, left - 1, col, placed + ((col, r + 1),))
-                work[r].pop()
+            for r in _by_next_column(rows):
+                col = len(rows[r]) + 1
+                if col > last_col and all(len(rows[g]) != col for g in range(r)):
+                    rows[r].append(value)
+                    extend(value + 1, col)
+                    rows[r].pop()
 
-        extend(start, size - 1, 1, ((1, 1),))
-        batches.sort(key=lambda item: item[0])
-        return Node(rows, tuple(build(rows2) for _, rows2 in batches), False)
+        rows.insert(0, [start])
+        extend(start + 1, 1)
+        del rows[0]
+        return Node(filling, tuple(children))
 
-    root = build(((tuple(range(1, alpha[ell - 1] + 1))),))
-    return root, BasisExpansion(YOUNG_QS, n, counts)
+    return build(), BasisExpansion(YOUNG_QS, sum(alpha), counts)
 
 
 def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
@@ -94,79 +99,48 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
     """
     alpha = check_composition(alpha)
     ell = len(alpha)
-    n = sum(alpha)
-    if ell == 0:
-        root = Node((), (), True)
-        return root, BasisExpansion(IMMACULATE, 0, {(): 1})
     counts: dict[Composition, int] = {}
+    rows: list[list[int]] = [[] for _ in alpha]
 
-    def snapshot(fills: list[int]) -> PartialRows:
-        return tuple(
-            tuple(level_of[r][c] if c < fills[r] else None for c in range(alpha[r]))
-            for r in range(ell)
-        )
-
-    level_of = [[0] * alpha[r] for r in range(ell)]
-    fills = [0] * ell
-
-    def build(level: int) -> Node:
-        filling = snapshot(fills)
+    def build(level: int, beta: Composition) -> Node:
+        filling = tuple(tuple(row) + (None,) * (size - len(row))
+                        for row, size in zip(rows, alpha))
         if level > ell:
-            complete = all(fills[r] == alpha[r] for r in range(ell))
-            if complete:
-                tallies = [0] * ell
-                for row in level_of:
-                    for v in row:
-                        tallies[v - 1] += 1
-                beta = tuple(reversed(tallies))
-                counts[beta] = counts.get(beta, 0) + 1
-            return Node(filling, (), complete)
-        row0 = ell - level
-        pre = list(fills)
-        children: list[tuple[tuple[tuple[int, int], ...], Node]] = []
+            if any(len(row) < size for row, size in zip(rows, alpha)):
+                return Node(filling, ())
+            counts[beta] = counts.get(beta, 0) + 1
+            return Node(filling, (), beta)
+        ends = [len(row) for row in rows]
+        children: list[Node] = []
 
-        def options(last_col: int, placed: tuple[tuple[int, int], ...]) -> None:
-            children.append((placed, build(level + 1)))
-            for r in range(ell):
-                col = fills[r] + 1
-                if fills[r] == 0 or col > alpha[r] or col <= last_col:
-                    continue
-                if any(pre[g] == col for g in range(r)):
-                    continue
-                level_of[r][fills[r]] = level
-                fills[r] += 1
-                options(col, placed + ((col, r + 1),))
-                fills[r] -= 1
+        def options(last_col: int, count: int) -> None:
+            children.append(build(level + 1, (count,) + beta))
+            for r in _by_next_column(rows):
+                col = len(rows[r]) + 1
+                if rows[r] and last_col < col <= alpha[r] and col not in ends[:r]:
+                    rows[r].append(level)
+                    options(col, count + 1)
+                    rows[r].pop()
 
-        level_of[row0][fills[row0]] = level
-        fills[row0] += 1
-        options(1, ((1, row0 + 1),))
-        fills[row0] -= 1
-        children.sort(key=lambda item: item[0])
-        return Node(filling, tuple(node for _, node in children), False)
+        rows[ell - level].append(level)
+        options(1, 1)
+        rows[ell - level].pop()
+        return Node(filling, tuple(children))
 
-    root = build(1)
-    return root, BasisExpansion(IMMACULATE, n, counts)
+    return build(1, ()), BasisExpansion(IMMACULATE, sum(alpha), counts)
 
 
 def tree_to_json(node: Node, direction: str) -> dict:
-    """Nested JSON form; leaf nodes carry their shape (forward) or their
-    multiplicity composition (dual)."""
+    """Nested JSON form; leaf nodes carry their key, as "shape" (forward) or
+    "beta" (dual)."""
     if direction not in ("forward", "dual"):
         raise ValueError("direction must be 'forward' or 'dual'")
     obj: dict = {
         "rows": [list(row) for row in node.filling],
         "leaf": node.is_leaf,
     }
-    if node.is_leaf and direction == "forward":
-        obj["shape"] = list(shape_of(node.filling))
-    if node.is_leaf and direction == "dual":
-        tallies: dict[int, int] = {}
-        for row in node.filling:
-            for v in row:
-                tallies[v] = tallies.get(v, 0) + 1
-        beta = [tallies[i] for i in sorted(tallies, reverse=True)]
-        obj["beta"] = beta
+    if node.is_leaf:
+        obj["shape" if direction == "forward" else "beta"] = list(node.key)
     obj["children"] = [tree_to_json(child, direction) for child in node.children]
     return obj
 

@@ -236,32 +236,45 @@ def test_verify_guard(capsys):
     assert "exceeds the guard" in err
 
 
-def test_verify_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QSC_MAX_N", "2")
-    code, _, err = run(capsys, "verify", "--suite", "descents", "--max-n", "3")
-    assert code == 2
-    assert "exceeds the guard (2)" in err
-    code, out, _ = run(capsys, "verify", "--suite", "descents", "--max-n", "3",
-                       "--force")
-    assert code == 0
-    assert "PASS" in out
-
-
-def test_guard_env_override_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("QSC_MAX_N", "abc")
-    for argv in (("verify", "--suite", "descents", "--max-n", "3"),
-                 ("conjectures", "--n", "3")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: QSC_MAX_N must be an integer, got 'abc'\n"
-
-
 def test_conjectures_report(capsys):
     code, out, _ = run(capsys, "conjectures", "--n", "3")
     assert code == 0
     assert "no violations" in out
     assert "young-qs[2,1] = dual-immaculate[2,1] - dual-immaculate[1,2]" in out
+
+
+def test_conjectures_report_lists_violations(capsys, monkeypatch):
+    report = {
+        "degree": 3,
+        "bounded": {"holds": False, "violations": [
+            {"alpha": "1,2", "beta": "2,1", "value": 2}]},
+        "sum_rule": {"holds": False, "violations": [
+            {"alpha": "3", "sum": 0, "expected": 1}]},
+        "alternating": {"holds": False, "checked": ["2,1"], "violations": [
+            {"lambda": "2,1", "difference": {"1,1,1": -1}}]},
+        "expansions": {"2,1": {"2,1": 1, "1,2": -1}},
+    }
+    monkeypatch.setattr("qsc.cli.check_conjectures", lambda n: report)
+    code, out, _ = run(capsys, "conjectures", "--n", "3")
+    assert code == 0
+    assert out == (
+        "conjecture report at degree 3\n"
+        "coefficients in {-1, 0, 1}: 1 violations\n"
+        "  alpha=1,2 beta=2,1 value=2\n"
+        "coefficient sums (1 at reversed hooks, else 0): 1 violations\n"
+        "  alpha=3 sum=0 expected=1\n"
+        "signed-permutation formula at distinct-part partitions: 1 violations\n"
+        "  lambda=2,1 difference={'1,1,1': -1}\n"
+        "expansions in the dual immaculate basis:\n"
+        "  young-qs[2,1] = dual-immaculate[2,1] - dual-immaculate[1,2]\n")
+    for key in ("bounded", "sum_rule", "alternating"):
+        report[key] = dict(report[key], holds=True, violations=[])
+    _, out, _ = run(capsys, "conjectures", "--n", "3")
+    assert out.splitlines()[1:4] == [
+        "coefficients in {-1, 0, 1}: no violations",
+        "coefficient sums (1 at reversed hooks, else 0): no violations",
+        "signed-permutation formula at distinct-part partitions:"
+        " no violations (checked: (2,1))"]
 
 
 def test_conjectures_json(capsys):

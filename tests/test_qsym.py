@@ -199,7 +199,7 @@ def test_expand_in_round_trips():
     BasisExpansion(MONOMIAL, 3, {(1, 2): 2, (1, 1, 1): 1}),  # leading coefficient 2
 ])
 def test_expand_in_checks_unitriangularity(monkeypatch, element):
-    monkeypatch.setattr(qsym, "young_qs_mexpr", lambda alpha: element)
+    monkeypatch.setattr(qsym, "_mexpr", lambda basis, alpha: element)
     with pytest.raises(RuntimeError, match="not unitriangular"):
         expand_in(monomial((1, 2)), YOUNG_QS)
 
@@ -272,10 +272,31 @@ def test_principal_specialization():
     lambda: check_conjectures(2.0),
     lambda: principal_specialization(monomial((1,)), True),
     lambda: principal_specialization(monomial((1,)), "2"),
+    lambda: compositions(True),
+    lambda: compositions(2.5),
+    lambda: compositions(2, True),
+    lambda: partitions(True),
 ])
 def test_scalar_arguments_are_ints_not_bools(call):
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+def test_integer_rule_holds_on_cache_hits():
+    # Warm every cache with the int key that compares equal to the bool one.
+    compositions(1, 1)
+    partitions(1)
+    for mexpr in (young_qs_mexpr, dual_immaculate_mexpr):
+        mexpr((1, 1))
+        with pytest.raises(ValueError, match="positive integers"):
+            mexpr((True, 1))
+    with pytest.raises(ValueError, match="integer"):
+        compositions(True, 1)
+    with pytest.raises(ValueError, match="integer"):
+        partitions(True)
+    for scale in (lambda f: f * True, lambda f: True * f, lambda f: f * 2.0):
+        with pytest.raises(TypeError):
+            scale(monomial((2, 1)))
 
 
 def test_conjecture_report_structure():

@@ -1,4 +1,8 @@
 
+import hashlib
+import json
+from pathlib import Path
+
 from qsc.compositions import compositions
 from qsc.dirt import is_dirt
 from qsc.qsym import IMMACULATE, YOUNG_QS, dimm_to_yqs, yns_to_imm
@@ -110,6 +114,46 @@ def test_tree_dot():
     assert text.endswith("}\n")
     assert "peripheries=2" in text
     assert "n0" in text
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "rw_trees.json").read_text())
+
+DOT_SHA256 = {
+    "forward 2,2,1": "c9c1d6bc94d1cd6e960e801498112a4b8fe8616c94840da35e4e0f881165b86d",
+    "forward 1,3,2": "d0fac5c395419e08dbd849e3ce878cda8fcbd808bef8bbfc543ab40d1be0469e",
+    "forward 2,3,1": "b62eda9b877c553140df9b9c919cff45f07b72c2413e956dcb8eb8a62e4fd008",
+    "dual 1,2,3": "214ede72ae12e7395ed7707fa7dc5fe84ce032995d92a5f2c0fafa691ffdfadb",
+    "dual 2,2": "0cbf5b3f080808da3e266f71e797cedb4b93caae87367a0950ba1430b77d6294",
+    "dual 1,4,2": "c134b5749028e67d99f6bec8d8f9aebf7fd9f9a2d94b6cfcc53826e7c008c082",
+}
+
+
+def test_tree_output_goldens():
+    # Pins child order, leaf keys and both serializations byte for byte;
+    # forward 2,3,1 and dual 1,4,2 are the first trees whose child order
+    # differs between (next column, row) and plain row order.
+    for key, digest in DOT_SHA256.items():
+        direction, text = key.split()
+        build = rw_forward if direction == "forward" else rw_dual
+        root, _ = build(tuple(int(p) for p in text.split(",")))
+        assert tree_to_json(root, direction) == GOLDEN[key]
+        assert hashlib.sha256(tree_to_dot(root).encode()).hexdigest() == digest
+
+
+def test_tree_sizes_through_degree_seven():
+    totals = {}
+    for build in (rw_forward, rw_dual):
+        nodes = leaves = 0
+        for n in range(1, 8):
+            for alpha in compositions(n):
+                todo = [build(alpha)[0]]
+                while todo:
+                    node = todo.pop()
+                    nodes += 1
+                    leaves += node.is_leaf
+                    todo.extend(node.children)
+        totals[build.__name__] = (nodes, leaves)
+    assert totals == {"rw_forward": (1005, 499), "rw_dual": (2729, 499)}
 
 
 def test_trees_are_deterministic():
