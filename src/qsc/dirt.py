@@ -7,16 +7,17 @@ whose cells occupy pairwise distinct columns, reading greedily upward from
 characterized by: rows increase left to right, every row strip starts in
 column 1 and moves strictly right as its values grow, the leftmost column
 increases top to bottom, and a triple condition ties every pair of rows
-(see is_dirt).  One walk, _dirts, places the values of every DIRT of a
-given strip shape; enumerate_dirts keeps the DIRTs of one shape from it and
-the counting tables in qsym bucket all of them by shape.  Public functions
-validate their inputs; the `_`-prefixed cores _strips (on a positions map)
-and _dirts check nothing.
+(see is_dirt).  enumerate_dirts lists the DIRTs of one shape and strip
+shape from the leaves of the forward tree (rw.rw_forward); the counting
+tables in qsym count the same tableaux by row lengths without listing them.
+Public functions validate their inputs; the `_`-prefixed core _strips (on a
+positions map) checks nothing.
 """
 
 from __future__ import annotations
 
-from .compositions import Composition, check_composition, is_partition
+from .compositions import Composition, check_composition, is_partition, reverse
+from .rw import rw_forward
 from .tableaux import Rows, make_rows, positions
 
 
@@ -80,54 +81,23 @@ def is_dirt(rows: Rows) -> bool:
     return True
 
 
-def _dirts(strip_shape: Composition):
-    """Every recording tableau whose row strip shape is strip_shape, of any
-    shape, in lexicographic order of the row sequence visited.  Yields the
-    live row lists, which change once the caller resumes; checks nothing.
-
-    Values are placed in increasing order, so each lands at the end of its
-    row.  Strip starts are forced into column 1 of the highest empty row;
-    later members of a strip may extend any started row at a strictly
-    larger column than the previous member, provided no row below ends
-    in that column (which would break the triple condition once the lower
-    row grows or ends).
-    """
-    ell = len(strip_shape)
-    rows: list[list[int]] = [[] for _ in range(ell)]
-
-    def extend(strip_idx: int, members_left: int, v: int, prev_col: int):
-        if members_left == 0:
-            yield from next_strip(strip_idx + 1, v)
-            return
-        for r in range(ell):
-            col = len(rows[r]) + 1  # an unstarted row gives 1 <= prev_col
-            if col <= prev_col or any(len(rows[g]) == col for g in range(r)):
-                continue
-            rows[r].append(v)
-            yield from extend(strip_idx, members_left - 1, v + 1, col)
-            rows[r].pop()
-
-    def next_strip(strip_idx: int, v: int):
-        if strip_idx == ell:
-            yield rows
-            return
-        anchor = rows[ell - strip_idx - 1]
-        anchor.append(v)
-        yield from extend(strip_idx, strip_shape[strip_idx] - 1, v + 1, 1)
-        anchor.pop()
-
-    return next_strip(0, 1)
-
-
 def enumerate_dirts(shape: Composition, strip_shape: Composition) -> tuple[Rows, ...]:
     """All recording tableaux of the given shape whose row strip shape is
-    strip_shape, in the order _dirts visits them."""
+    strip_shape, ordered by the row holding 1, then the row holding 2, and so
+    on, a lower row first."""
     shape = check_composition(shape)
     strip_shape = check_composition(strip_shape)
     if sum(shape) != sum(strip_shape):
         raise ValueError("shape and strip shape must have equal sizes")
-    return tuple(tuple(map(tuple, rows)) for rows in _dirts(strip_shape)
-                 if tuple(map(len, rows)) == shape)
+    found = []
+    stack = [rw_forward(reverse(strip_shape))[0]]
+    while stack:
+        node = stack.pop()
+        if node.key == shape:
+            found.append(node.filling)
+        stack.extend(reversed(node.children))
+    return tuple(sorted(found, key=lambda rows: sorted(
+        (v, r) for r, row in enumerate(rows) for v in row)))
 
 
 def superstandard(lam: Composition) -> Rows:

@@ -33,7 +33,6 @@ from .compositions import (
     subset_to_composition,
     to_string,
 )
-from .dirt import _dirts
 from .tableaux import (
     immaculate_descent_set,
     standard_tableaux,
@@ -66,7 +65,7 @@ class BasisExpansion:
     coeffs: MappingProxyType[Composition, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.basis not in BASES:
+        if type(self.basis) is not str or self.basis not in BASES:
             raise ValueError(f"unknown basis tag {self.basis!r}")
         if type(self.degree) is not int or self.degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
@@ -126,7 +125,13 @@ class BasisExpansion:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "BasisExpansion":
-        coeffs = {from_string(k): v for k, v in obj["coeffs"].items()}
+        """Inverse of to_json_obj; raises ValueError on any malformed object."""
+        if not isinstance(obj, dict) or not {"basis", "degree", "coeffs"} <= obj.keys():
+            raise ValueError("expected an object with 'basis', 'degree' and 'coeffs' fields")
+        coeffs = obj["coeffs"]
+        if not isinstance(coeffs, dict) or not all(isinstance(k, str) for k in coeffs):
+            raise ValueError("coeffs must be an object keyed by composition strings")
+        coeffs = {from_string(k): v for k, v in coeffs.items()}
         return BasisExpansion(obj["basis"], obj["degree"], coeffs)
 
 
@@ -331,14 +336,34 @@ def is_symmetric(f: BasisExpansion) -> bool:
 @cache
 def _dirt_counts(n: int, ell: int) -> dict[Composition, dict[Composition, int]]:
     # Recording-tableau counts by row strip shape, then by shape, over the
-    # compositions of n with ell parts: one DIRT walk per strip shape.  Row
-    # reverse(alpha) is dual immaculate alpha in Young quasisymmetric Schur terms.
+    # compositions of n with ell parts; row reverse(alpha) is dual immaculate
+    # alpha in Young quasisymmetric Schur terms.  The placement rule reads
+    # only row lengths and the previous value's column, so each strip shape
+    # carries {(lengths, last column): count} and lists no DIRT: strip s
+    # opens row ell - s - 1, and each later member ends row r at col =
+    # lengths[r] + 1 when col > last and no row below r ends at col (an
+    # unopened row offers col 1 <= last).  rw_forward enumerates the same
+    # tableaux independently.
     table = {}
     for strips in compositions(n, ell):
-        counts = table[strips] = {}
-        for rows in _dirts(strips):
-            shape = tuple(map(len, rows))
-            counts[shape] = counts.get(shape, 0) + 1
+        states = {(0,) * ell: 1}
+        for s, size in enumerate(strips):
+            anchor = ell - s - 1
+            grown = {(lengths[:anchor] + (1,) + lengths[anchor + 1:], 1): c
+                     for lengths, c in states.items()}
+            for _ in range(size - 1):
+                placed = {}
+                for (lengths, last), c in grown.items():
+                    for r, length in enumerate(lengths):
+                        col = length + 1
+                        if col > last and col not in lengths[:r]:
+                            key = (lengths[:r] + (col,) + lengths[r + 1:], col)
+                            placed[key] = placed.get(key, 0) + c
+                grown = placed
+            states = {}
+            for (lengths, _), c in grown.items():
+                states[lengths] = states.get(lengths, 0) + c
+        table[strips] = states
     return table
 
 

@@ -2,12 +2,13 @@
 
 The forward tree grows recording tableaux strip by strip: leaves enumerate
 the shapes appearing in the Young quasisymmetric Schur expansion of a dual
-immaculate element.  The dual tree fills a fixed diagram level by level with
-repeated values: complete leaves give the immaculate expansion of a Young
-noncommutative Schur element.  Both builders walk one mutable row list,
-appending a cell before each recursion and popping it after, and try the
-rows in (next column, row) order, so children come out in the order of the
-cells they fill with no sort.  Both trees serialize to JSON and DOT.
+immaculate element, and dirt.enumerate_dirts lists the leaves of one shape.
+The dual tree fills a fixed diagram level by level with repeated values:
+complete leaves give the immaculate expansion of a Young noncommutative
+Schur element.  Both builders walk one mutable row list, appending a cell
+before each recursion and popping it after, and try the rows in (next
+column, row) order, so children come out in the order of the cells they
+fill with no sort.  Both trees serialize to JSON and DOT.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -283,6 +284,20 @@ def test_conjectures_json(capsys):
     report = json.loads(out)
     assert report["expansions"]["2,1"] == {"2,1": 1, "1,2": -1}
     assert report["bounded"]["holds"]
+
+
+SURVEY_11_SHA256 = {
+    "text": "99470e3c0e0d1402cf31c7444584c3c7eed37fa088cbc1dc833e4cf71d99bf42",
+    "json": "0c2dae3dc83eacc4a36551fae6bec40dbb92a404aafacc7a549648ed3a0c3d4a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SURVEY_11_SHA256))
+def test_conjectures_output_at_degree_11(capsys, fmt):
+    # Every printed expansion above the degree guard, pinned byte for byte.
+    code, out, _ = run(capsys, "conjectures", "--n", "11", "--force", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_11_SHA256[fmt]
 
 
 def test_conjectures_guard(capsys):

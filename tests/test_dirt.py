@@ -72,6 +72,10 @@ def test_enumerate_dirts_golden():
     assert enumerate_dirts((1, 3, 2), (1, 2, 3)) == (((4,), (2, 5, 6), (1, 3)),)
     assert enumerate_dirts((2, 2), (2, 2)) == (((3, 4), (1, 2)),)
     assert enumerate_dirts((1, 3), (2, 2)) == (((3,), (1, 2, 4)),)
+    # Ordered by the rows holding 1, 2, ...: the forward tree's leaf order
+    # differs here, and nowhere else with n <= 8.
+    assert enumerate_dirts((1, 1, 4, 2), (1, 3, 2, 2)) == (
+        ((7,), (5,), (2, 3, 4, 6), (1, 8)), ((7,), (5,), (2, 3, 4, 8), (1, 6)))
 
 
 def test_enumerate_dirts_contracts():

@@ -80,6 +80,19 @@ def test_one_validation_rule_for_every_construction(degree, coeffs):
         BasisExpansion.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"basis": MONOMIAL, "degree": 2},
+    [MONOMIAL, 2, {"2": 1}],
+    None,
+    {"basis": MONOMIAL, "degree": 2, "coeffs": {2: 1}},
+    {"basis": MONOMIAL, "degree": 2, "coeffs": [["2", 1]]},
+    {"basis": [MONOMIAL], "degree": 2, "coeffs": {}},
+])
+def test_from_json_obj_rejects_malformed_objects(obj):
+    with pytest.raises(ValueError):
+        BasisExpansion.from_json_obj(obj)
+
+
 def test_monomial_only_functions_reject_other_bases():
     table = dimm_to_yqs((2, 1))
     f = monomial((2, 1))

@@ -72,7 +72,7 @@ def test_dual_tree_has_dead_branches():
 
 
 def test_trees_agree_with_coefficient_maps():
-    for n in range(1, 6):
+    for n in range(1, 10):
         for alpha in compositions(n):
             assert rw_forward(alpha)[1] == dimm_to_yqs(alpha)
             assert rw_dual(alpha)[1] == yns_to_imm(alpha)
