@@ -89,26 +89,78 @@ def _check_inverse_pair(result: SuiteResult, rows, new_cell, undone) -> None:
         result.fail(f"rapture(insert) failed: {undone[2]} + {undone[0]}")
 
 
+def _insert_step(rows, k, check: bool):
+    """Insert k into rows with the unchecked core.  Returns (step, ok,
+    cases, failures); with check, the inverse suite's checks of this
+    insertion run and ok says whether step is a tableau."""
+    work = [list(r) for r in rows]
+    new_cell, path = _insert_into(work, k)
+    step = _freeze(work)
+    if not check:
+        return step, True, 0, []
+    record = SuiteResult("inverse", 0, cases=1)
+    if not is_ssyct(step):
+        record.fail(f"insert of {k} into {rows} is not a Young composition tableau")
+        return step, False, record.cases, record.failures
+    _check_inverse_pair(record, step, new_cell, (k, tuple(reversed(path)), rows))
+    return step, True, record.cases, record.failures
+
+
+def _walk_reading_words(n: int, check: bool):
+    """Insert the immaculate reading word of every standard immaculate
+    tableau u of degree n, one letter at a time.  Yields (index, u, p,
+    cases, failures) per word: index is u's place in enumeration order, p
+    the last tableau reached, and cases and failures those of its
+    insertions (see _insert_step).  A step that is not a tableau ends the
+    word.
+
+    The words are walked in buckets by first letter, and each distinct
+    (tableau, letter) insertion runs once per bucket; a repeat replays the
+    recorded step, cases and failures.  No sharing is lost: a letter opens
+    a row only when it is smaller than every row's first entry, and
+    _insert_into writes column 1 only then, so a word's first letter stays
+    on top of column 1 and words with different first letters never reach
+    the same tableau."""
+    buckets: dict[int, list] = {}
+    tableaux = (u for alpha in compositions(n) for u in standard_tableaux(alpha, "immaculate"))
+    for index, u in enumerate(tableaux):
+        word = immaculate_reading_word(u)
+        buckets.setdefault(word[0], []).append((index, u, word))
+    for bucket in buckets.values():
+        memo: dict = {}
+        for index, u, word in bucket:
+            rows: tuple = ()
+            cases, failures = 0, []
+            for k in word:
+                entry = memo.get((rows, k))
+                if entry is None:
+                    entry = memo[rows, k] = _insert_step(rows, k, check)
+                step, ok, step_cases, step_failures = entry
+                cases += step_cases
+                failures += step_failures
+                if not ok:
+                    break
+                rows = step
+            yield index, u, rows, cases, failures
+
+
 def verify_inverse(max_n: int) -> SuiteResult:
     """Both compositions of insertion and rapture are identities with
     mirrored bumping paths and escape routes, on every tableau arising
     while inserting every immaculate reading word.  The unchecked cores run
-    here; every tableau they produce is checked once."""
+    here.  Each distinct (tableau, letter) insertion is checked once per
+    degree and first letter, and its result is replayed for each word that
+    repeats it, so cases count every insertion of every word.  Failures
+    are reported per degree in word order."""
     result = SuiteResult("inverse", max_n)
     for n in range(1, max_n + 1):
-        for alpha in compositions(n):
-            for u in standard_tableaux(alpha, "immaculate"):
-                rows: tuple = ()
-                for k in immaculate_reading_word(u):
-                    work = [list(r) for r in rows]
-                    new_cell, path = _insert_into(work, k)
-                    step = _freeze(work)
-                    result.cases += 1
-                    if not is_ssyct(step):
-                        result.fail(f"insert of {k} into {rows} is not a Young composition tableau")
-                        break
-                    _check_inverse_pair(result, step, new_cell, (k, tuple(reversed(path)), rows))
-                    rows = step
+        failed = []
+        for index, _, _, cases, failures in _walk_reading_words(n, check=True):
+            result.cases += cases
+            if failures:
+                failed.append((index, failures))
+        for _, failures in sorted(failed):
+            result.failures += failures
     return result
 
 
@@ -117,12 +169,12 @@ def verify_descents(max_n: int) -> SuiteResult:
     the Young descent set of the inserted tableau."""
     result = SuiteResult("descents", max_n)
     for n in range(1, max_n + 1):
-        for alpha in compositions(n):
-            for u in standard_tableaux(alpha, "immaculate"):
-                p, _ = insert_word(immaculate_reading_word(u))
-                result.cases += 1
-                if young_descent_set(p) != immaculate_descent_set(u):
-                    result.fail(f"descents differ for {u}")
+        failed = []
+        for index, u, p, _, _ in _walk_reading_words(n, check=False):
+            result.cases += 1
+            if young_descent_set(p) != immaculate_descent_set(u):
+                failed.append((index, f"descents differ for {u}"))
+        result.failures += [message for _, message in sorted(failed)]
     return result
 
 
@@ -261,7 +313,7 @@ SUITES = {
 }
 
 DEFAULT_MAX_N = {
-    "inverse": 7,
+    "inverse": 8,
     "descents": 8,
     "triple-agreement": 8,
     "symmetry": 8,

@@ -3,7 +3,7 @@ import pytest
 from qsc import verify
 from qsc.compositions import compositions
 from qsc.qsym import BasisExpansion, dimm_to_yqs
-from qsc.tableaux import INF
+from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, standard_tableaux
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
 
@@ -38,7 +38,7 @@ def test_every_suite_passes_at_small_degree(name):
     assert result.passed, result.failures[:3]
 
 
-def test_inverse_records_a_non_tableau_core_result(monkeypatch):
+def break_top_rows(monkeypatch):
     real = verify._insert_into
 
     def broken(work, k, events=None):
@@ -48,20 +48,78 @@ def test_inverse_records_a_non_tableau_core_result(monkeypatch):
         return result
 
     monkeypatch.setattr(verify, "_insert_into", broken)
-    result = run_suite("inverse", 3)
-    assert not result.passed
-    assert any("not a Young composition tableau" in f for f in result.failures)
 
 
-def test_inverse_records_an_inf_rapture_output(monkeypatch):
+def settle_raptures(monkeypatch):
     real = verify._rapture_from
 
     def settles(work, cell, events=None):
         return INF, real(work, cell, events)[1]
 
     monkeypatch.setattr(verify, "_rapture_from", settles)
+
+
+def corrupt_paths_into(monkeypatch):
+    # Nine insertions of words with n <= 6 start from this tableau, after
+    # three distinct prefixes, all starting with 3.
+    tableau = ((2,), (3, 4, 5))
+    real = verify._insert_into
+
+    def corrupt(work, k, events=None):
+        before = tuple(map(tuple, work))
+        new_cell, path = real(work, k, events)
+        return new_cell, path + ((0, 0),) if before == tableau else path
+
+    monkeypatch.setattr(verify, "_insert_into", corrupt)
+
+
+def test_inverse_records_a_non_tableau_core_result(monkeypatch):
+    break_top_rows(monkeypatch)
+    result = run_suite("inverse", 3)
+    assert not result.passed
+    assert any("not a Young composition tableau" in f for f in result.failures)
+
+
+def test_inverse_records_an_inf_rapture_output(monkeypatch):
+    settle_raptures(monkeypatch)
     result = run_suite("inverse", 2)
     assert any("outputs INF" in f for f in result.failures)
+
+
+def plain_inverse(max_n):
+    """The inverse sweep word by word: every insertion of every word is
+    checked, with nothing shared between words."""
+    result = SuiteResult("inverse", max_n)
+    for n in range(1, max_n + 1):
+        for alpha in compositions(n):
+            for u in standard_tableaux(alpha, "immaculate"):
+                rows = ()
+                for k in immaculate_reading_word(u):
+                    work = [list(r) for r in rows]
+                    new_cell, path = verify._insert_into(work, k)
+                    step = tuple(map(tuple, work))
+                    result.cases += 1
+                    if not is_ssyct(step):
+                        result.fail(f"insert of {k} into {rows} is not a Young composition tableau")
+                        break
+                    verify._check_inverse_pair(
+                        result, step, new_cell, (k, tuple(reversed(path)), rows))
+                    rows = step
+    return result
+
+
+@pytest.mark.parametrize("fault", [None, break_top_rows, settle_raptures, corrupt_paths_into])
+def test_inverse_replay_matches_a_plain_word_loop(monkeypatch, fault):
+    if fault is not None:
+        fault(monkeypatch)
+    result = verify.verify_inverse(6)
+    plain = plain_inverse(6)
+    assert result.cases == plain.cases
+    assert result.failures == plain.failures
+    assert result.passed == (fault is None)
+    if fault is corrupt_paths_into:
+        # A failure is repeated for each word that reaches the insertion.
+        assert len(set(result.failures)) < len(result.failures)
 
 
 def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
