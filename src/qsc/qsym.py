@@ -34,10 +34,10 @@ from .compositions import (
     to_string,
 )
 from .tableaux import (
-    immaculate_descent_set,
+    _immaculate_descent_set,
+    _young_descent_set,
     standard_tableaux,
     weighted_tableaux,
-    young_descent_set,
 )
 
 MONOMIAL = "monomial"
@@ -169,10 +169,11 @@ def m_to_f(f: BasisExpansion) -> BasisExpansion:
 
 
 # The filling kind whose standard tableaux give each Schur-like basis its
-# fundamental expansion, and the descent set read off each such tableau.
+# fundamental expansion, and the descent set read off each such tableau
+# (unchecked: standard_tableaux built it).
 _FILLINGS = {
-    YOUNG_QS: ("ssyct", young_descent_set),
-    DUAL_IMMACULATE: ("immaculate", immaculate_descent_set),
+    YOUNG_QS: ("ssyct", _young_descent_set),
+    DUAL_IMMACULATE: ("immaculate", _immaculate_descent_set),
 }
 
 

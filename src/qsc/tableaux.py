@@ -96,15 +96,19 @@ def weight(rows: Rows) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def positions(rows: Rows) -> dict[int, tuple[int, int]]:
-    """Map each entry of a standard filling to its (column, row) address."""
+def _positions(rows: Rows) -> dict[int, tuple[int, int]]:
+    return {x: (i, j) for j, row in enumerate(rows, start=1) for i, x in enumerate(row, start=1)}
+
+
+def _check_standard(rows: Rows) -> None:
     if not is_standard(rows):
         raise ValueError("positions requires a standard filling")
-    pos = {}
-    for j, row in enumerate(rows, start=1):
-        for i, x in enumerate(row, start=1):
-            pos[x] = (i, j)
-    return pos
+
+
+def positions(rows: Rows) -> dict[int, tuple[int, int]]:
+    """Map each entry of a standard filling to its (column, row) address."""
+    _check_standard(rows)
+    return _positions(rows)
 
 
 def young_reading_word(rows: Rows) -> tuple[int | float, ...]:
@@ -123,18 +127,26 @@ def immaculate_reading_word(rows: Rows) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _young_descent_set(rows: Rows) -> frozenset[int]:
+    pos = _positions(rows)
+    return frozenset(i for i in range(1, len(pos)) if pos[i + 1][0] <= pos[i][0])
+
+
+def _immaculate_descent_set(rows: Rows) -> frozenset[int]:
+    pos = _positions(rows)
+    return frozenset(i for i in range(1, len(pos)) if pos[i + 1][1] > pos[i][1])
+
+
 def young_descent_set(rows: Rows) -> frozenset[int]:
     """i is a descent when i+1 sits weakly left of i (column-wise)."""
-    pos = positions(rows)
-    n = len(pos)
-    return frozenset(i for i in range(1, n) if pos[i + 1][0] <= pos[i][0])
+    _check_standard(rows)
+    return _young_descent_set(rows)
 
 
 def immaculate_descent_set(rows: Rows) -> frozenset[int]:
     """i is a descent when i+1 sits in a strictly higher row than i."""
-    pos = positions(rows)
-    n = len(pos)
-    return frozenset(i for i in range(1, n) if pos[i + 1][1] > pos[i][1])
+    _check_standard(rows)
+    return _immaculate_descent_set(rows)
 
 
 def _search(shape, kind, budget):

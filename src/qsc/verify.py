@@ -31,7 +31,7 @@ from .qsym import (
 from .rw import rw_dual, rw_forward
 from .tableaux import (
     INF,
-    immaculate_descent_set,
+    _immaculate_descent_set,
     immaculate_reading_word,
     is_ssyct,
     shape_of,
@@ -55,112 +55,162 @@ class SuiteResult:
         self.failures.append(message)
 
 
-def _check_inverse_pair(result: SuiteResult, rows, new_cell, undone) -> None:
-    """insert after rapture returns the original tableau with the route
-    mirrored, for every virtuous cell.  Rapture at new_cell, the cell the
-    last insertion added, must undo that insertion: return undone, the
-    inserted value with the bumping path mirrored and the tableau before.
-    That insertion is then the insert after rapture, and is not rerun."""
-    undoes = False
-    for r, row in enumerate(rows, start=1):
-        cell = (len(row), r)
-        if not _is_virtuous(rows, cell):
-            continue
+# The record of an insertion the walk does not check.
+_UNCHECKED = (True, 0, ())
+
+
+class _Sweep:
+    """The pure-function memos of one bucket of reading words, kept only
+    while the bucket is walked.  Tableaux are interned, so a tableau, the
+    keys that hold it and the raptures that reach it share one object.
+
+    insertions: (rows, k) -> (step, new_cell, path, record), where record
+    is None until the inverse suite checks the insertion (see step).
+    ssyct: rows -> is_ssyct(rows).
+    raptures: rows -> one record (cell, (output, route, after), cases,
+    failures) per virtuous cell, in row order (see _check_rapture)."""
+
+    def __init__(self):
+        self.tableaux: dict = {}
+        self.insertions: dict = {}
+        self.ssyct: dict = {}
+        self.raptures: dict = {}
+
+    def _intern(self, work):
+        rows = _freeze(work)
+        return self.tableaux.setdefault(rows, rows)
+
+    def _is_ssyct(self, rows) -> bool:
+        ok = self.ssyct.get(rows)
+        if ok is None:
+            ok = self.ssyct[rows] = is_ssyct(rows)
+        return ok
+
+    def insert(self, rows, k):
+        """(step, new_cell, path, record) of inserting k into rows with the
+        unchecked core."""
+        entry = self.insertions.get((rows, k))
+        if entry is None:
+            work = [list(r) for r in rows]
+            new_cell, path = _insert_into(work, k)
+            entry = self.insertions[rows, k] = (self._intern(work), new_cell, path, None)
+        return entry
+
+    def step(self, rows, k, check: bool):
+        """(step, (ok, cases, failures)) of inserting k into rows.  With
+        check, the inverse suite's checks of this insertion have run and ok
+        says whether step is a tableau."""
+        step, new_cell, path, record = self.insert(rows, k)
+        if not check:
+            return step, _UNCHECKED
+        if record is None:
+            record = self._check_insertion(rows, k, step, new_cell, path)
+            self.insertions[rows, k] = (step, new_cell, path, record)
+        return step, record
+
+    def _check_insertion(self, rows, k, step, new_cell, path):
+        """The insertion counts as a case, and must give a tableau.  Rapture
+        at new_cell, the cell it added, must undo it: return k, the bumping
+        path mirrored and rows.  That cell then counts one case; every
+        other virtuous cell adds its record's cases and failures."""
+        if not self._is_ssyct(step):
+            return False, 1, (f"insert of {k} into {rows} is not a Young composition tableau",)
+        undone = (k, tuple(reversed(path)), rows)
+        cases, failures, undoes = 1, [], False
+        for cell, undo, cell_cases, cell_failures in self._raptures(step):
+            if cell == new_cell and undo == undone:
+                # The tableau before was checked, and the output is an entry.
+                undoes = True
+                cases += 1
+            else:
+                cases += cell_cases
+                failures += cell_failures
+        if not undoes:
+            failures.append(f"rapture(insert) failed: {rows} + {k}")
+        return True, cases, tuple(failures)
+
+    def _raptures(self, rows):
+        records = self.raptures.get(rows)
+        if records is None:
+            ends = [(len(row), r) for r, row in enumerate(rows, start=1)]
+            records = self.raptures[rows] = tuple(
+                self._check_rapture(rows, cell) for cell in ends if _is_virtuous(rows, cell))
+        return records
+
+    def _check_rapture(self, rows, cell):
+        """insert after rapture at cell returns rows with the route
+        mirrored; the insertion is looked up in the same memo."""
         work = [list(x) for x in rows]
         output, route = _rapture_from(work, cell)
-        after = _freeze(work)
-        if cell == new_cell and (output, route, after) == undone:
-            # The tableau before was checked, and the output is an entry.
-            undoes = True
-            result.cases += 1
-            continue
-        if not is_ssyct(after):
-            result.fail(f"rapture of {rows} at {cell} is not a Young composition tableau")
-            continue
+        after = self._intern(work)
+        undo = (output, route, after)
+        if not self._is_ssyct(after):
+            return cell, undo, 0, (f"rapture of {rows} at {cell} is not a Young composition tableau",)
         if output is INF:
-            result.fail(f"rapture of {rows} at {cell} outputs INF")
-            continue
-        result.cases += 1
+            return cell, undo, 0, (f"rapture of {rows} at {cell} outputs INF",)
         # Equal to rows, the insert result is a tableau; no separate check.
-        _, path = _insert_into(work, output)
-        if _freeze(work) != rows or path != tuple(reversed(route)):
-            result.fail(f"insert(rapture) failed at {rows} cell {cell}")
-    if not undoes:
-        result.fail(f"rapture(insert) failed: {undone[2]} + {undone[0]}")
+        back, _, path, _ = self.insert(after, output)
+        if back != rows or path != tuple(reversed(route)):
+            return cell, undo, 1, (f"insert(rapture) failed at {rows} cell {cell}",)
+        return cell, undo, 1, ()
 
 
-def _insert_step(rows, k, check: bool):
-    """Insert k into rows with the unchecked core.  Returns (step, ok,
-    cases, failures); with check, the inverse suite's checks of this
-    insertion run and ok says whether step is a tableau."""
-    work = [list(r) for r in rows]
-    new_cell, path = _insert_into(work, k)
-    step = _freeze(work)
-    if not check:
-        return step, True, 0, []
-    record = SuiteResult("inverse", 0, cases=1)
-    if not is_ssyct(step):
-        record.fail(f"insert of {k} into {rows} is not a Young composition tableau")
-        return step, False, record.cases, record.failures
-    _check_inverse_pair(record, step, new_cell, (k, tuple(reversed(path)), rows))
-    return step, True, record.cases, record.failures
-
-
-def _walk_reading_words(n: int, check: bool):
+def _walk_reading_words(max_n: int, check: bool):
     """Insert the immaculate reading word of every standard immaculate
-    tableau u of degree n, one letter at a time.  Yields (index, u, p,
-    cases, failures) per word: index is u's place in enumeration order, p
-    the last tableau reached, and cases and failures those of its
-    insertions (see _insert_step).  A step that is not a tableau ends the
-    word.
+    tableau u of degree 1..max_n, one letter at a time.  Yields (n, index,
+    u, p, cases, failures) per word: index is u's place in degree n's
+    enumeration order, p the last tableau reached, and cases and failures
+    those of its insertions (see _Sweep.step).  A step that is not a
+    tableau ends the word.  With check, u is None: the checking walk keeps
+    no filling per word.
 
-    The words are walked in buckets by first letter, and each distinct
-    (tableau, letter) insertion runs once per bucket; a repeat replays the
-    recorded step, cases and failures.  No sharing is lost: a letter opens
-    a row only when it is smaller than every row's first entry, and
-    _insert_into writes column 1 only then, so a word's first letter stays
-    on top of column 1 and words with different first letters never reach
-    the same tableau."""
+    The words of all degrees are walked in buckets by first letter, with
+    one _Sweep per bucket: each insertion runs once per (tableau, letter)
+    and each rapture once per (tableau, virtuous cell), and a repeated
+    insertion replays its recorded cases and failures.  No sharing is lost:
+    a letter opens a row only when it is smaller than every row's first
+    entry, and _insert_into writes column 1 only then, so a word's first
+    letter stays on top of column 1 and words with different first letters
+    never reach the same tableau."""
     buckets: dict[int, list] = {}
-    tableaux = (u for alpha in compositions(n) for u in standard_tableaux(alpha, "immaculate"))
-    for index, u in enumerate(tableaux):
-        word = immaculate_reading_word(u)
-        buckets.setdefault(word[0], []).append((index, u, word))
-    for bucket in buckets.values():
-        memo: dict = {}
-        for index, u, word in bucket:
+    for n in range(1, max_n + 1):
+        tableaux = (u for alpha in compositions(n) for u in standard_tableaux(alpha, "immaculate"))
+        for index, u in enumerate(tableaux):
+            word = immaculate_reading_word(u)
+            buckets.setdefault(word[0], []).append((n, index, None if check else u, word))
+    for first in list(buckets):
+        # Walked buckets are dropped: the later ones build the larger memos.
+        sweep = _Sweep()
+        for n, index, u, word in buckets.pop(first):
             rows: tuple = ()
             cases, failures = 0, []
             for k in word:
-                entry = memo.get((rows, k))
-                if entry is None:
-                    entry = memo[rows, k] = _insert_step(rows, k, check)
-                step, ok, step_cases, step_failures = entry
+                step, (ok, step_cases, step_failures) = sweep.step(rows, k, check)
                 cases += step_cases
                 failures += step_failures
                 if not ok:
                     break
                 rows = step
-            yield index, u, rows, cases, failures
+            yield n, index, u, rows, cases, failures
 
 
 def verify_inverse(max_n: int) -> SuiteResult:
     """Both compositions of insertion and rapture are identities with
     mirrored bumping paths and escape routes, on every tableau arising
     while inserting every immaculate reading word.  The unchecked cores run
-    here.  Each distinct (tableau, letter) insertion is checked once per
-    degree and first letter, and its result is replayed for each word that
-    repeats it, so cases count every insertion of every word.  Failures
-    are reported per degree in word order."""
+    here.  Per first letter across all degrees, each insertion runs once
+    per (tableau, letter) and each rapture once per (tableau, virtuous
+    cell), and a repeated insertion replays its recorded cases and
+    failures, so cases count every insertion of every word.  Failures are
+    reported per degree in word order."""
     result = SuiteResult("inverse", max_n)
-    for n in range(1, max_n + 1):
-        failed = []
-        for index, _, _, cases, failures in _walk_reading_words(n, check=True):
-            result.cases += cases
-            if failures:
-                failed.append((index, failures))
-        for _, failures in sorted(failed):
-            result.failures += failures
+    failed = []
+    for n, index, _, _, cases, failures in _walk_reading_words(max_n, check=True):
+        result.cases += cases
+        if failures:
+            failed.append((n, index, failures))
+    for _, _, failures in sorted(failed):
+        result.failures += failures
     return result
 
 
@@ -168,13 +218,13 @@ def verify_descents(max_n: int) -> SuiteResult:
     """Insertion carries the immaculate descent set of the input tableau to
     the Young descent set of the inserted tableau."""
     result = SuiteResult("descents", max_n)
-    for n in range(1, max_n + 1):
-        failed = []
-        for index, u, p, _, _ in _walk_reading_words(n, check=False):
-            result.cases += 1
-            if young_descent_set(p) != immaculate_descent_set(u):
-                failed.append((index, f"descents differ for {u}"))
-        result.failures += [message for _, message in sorted(failed)]
+    failed = []
+    for n, index, u, p, _, _ in _walk_reading_words(max_n, check=False):
+        result.cases += 1
+        # standard_tableaux built u; p is the output under test.
+        if young_descent_set(p) != _immaculate_descent_set(u):
+            failed.append((n, index, f"descents differ for {u}"))
+    result.failures += [message for _, _, message in sorted(failed)]
     return result
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from qsc import verify
 from qsc.compositions import compositions
+from qsc.insertion import _freeze, _is_virtuous, insert_word
 from qsc.qsym import BasisExpansion, dimm_to_yqs
 from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, standard_tableaux
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
@@ -73,6 +74,22 @@ def corrupt_paths_into(monkeypatch):
     monkeypatch.setattr(verify, "_insert_into", corrupt)
 
 
+# Fourteen insertions of words with n <= 6 reach this tableau, which is
+# raptured at (2, 2) once per sweep.
+RAPTURED = ((2,), (3, 4))
+
+
+def corrupt_one_rapture(monkeypatch):
+    real = verify._rapture_from
+
+    def corrupt(work, cell, events=None):
+        before = tuple(map(tuple, work))
+        output, route = real(work, cell, events)
+        return output, route + ((0, 0),) if (before, cell) == (RAPTURED, (2, 2)) else route
+
+    monkeypatch.setattr(verify, "_rapture_from", corrupt)
+
+
 def test_inverse_records_a_non_tableau_core_result(monkeypatch):
     break_top_rows(monkeypatch)
     result = run_suite("inverse", 3)
@@ -86,29 +103,71 @@ def test_inverse_records_an_inf_rapture_output(monkeypatch):
     assert any("outputs INF" in f for f in result.failures)
 
 
-def plain_inverse(max_n):
-    """The inverse sweep word by word: every insertion of every word is
-    checked, with nothing shared between words."""
-    result = SuiteResult("inverse", max_n)
+def check_inverse_pair(result: SuiteResult, rows, new_cell, undone) -> None:
+    """insert after rapture returns the original tableau with the route
+    mirrored, for every virtuous cell.  Rapture at new_cell, the cell the
+    last insertion added, must undo that insertion: return undone, the
+    inserted value with the bumping path mirrored and the tableau before.
+    That insertion is then the insert after rapture, and is not rerun."""
+    undoes = False
+    for r, row in enumerate(rows, start=1):
+        cell = (len(row), r)
+        if not _is_virtuous(rows, cell):
+            continue
+        work = [list(x) for x in rows]
+        output, route = verify._rapture_from(work, cell)
+        after = _freeze(work)
+        if cell == new_cell and (output, route, after) == undone:
+            # The tableau before was checked, and the output is an entry.
+            undoes = True
+            result.cases += 1
+            continue
+        if not is_ssyct(after):
+            result.fail(f"rapture of {rows} at {cell} is not a Young composition tableau")
+            continue
+        if output is INF:
+            result.fail(f"rapture of {rows} at {cell} outputs INF")
+            continue
+        result.cases += 1
+        # Equal to rows, the insert result is a tableau; no separate check.
+        _, path = verify._insert_into(work, output)
+        if _freeze(work) != rows or path != tuple(reversed(route)):
+            result.fail(f"insert(rapture) failed at {rows} cell {cell}")
+    if not undoes:
+        result.fail(f"rapture(insert) failed: {undone[2]} + {undone[0]}")
+
+
+def reading_words(max_n):
     for n in range(1, max_n + 1):
         for alpha in compositions(n):
             for u in standard_tableaux(alpha, "immaculate"):
-                rows = ()
-                for k in immaculate_reading_word(u):
-                    work = [list(r) for r in rows]
-                    new_cell, path = verify._insert_into(work, k)
-                    step = tuple(map(tuple, work))
-                    result.cases += 1
-                    if not is_ssyct(step):
-                        result.fail(f"insert of {k} into {rows} is not a Young composition tableau")
-                        break
-                    verify._check_inverse_pair(
-                        result, step, new_cell, (k, tuple(reversed(path)), rows))
-                    rows = step
+                yield immaculate_reading_word(u)
+
+
+def plain_inverse(max_n):
+    """The inverse sweep word by word: every insertion of every word is
+    checked, with nothing shared between words and no code shared with the
+    suite's memo."""
+    result = SuiteResult("inverse", max_n)
+    for word in reading_words(max_n):
+        rows = ()
+        for k in word:
+            work = [list(r) for r in rows]
+            new_cell, path = verify._insert_into(work, k)
+            step = tuple(map(tuple, work))
+            result.cases += 1
+            if not is_ssyct(step):
+                result.fail(f"insert of {k} into {rows} is not a Young composition tableau")
+                break
+            check_inverse_pair(result, step, new_cell, (k, tuple(reversed(path)), rows))
+            rows = step
     return result
 
 
-@pytest.mark.parametrize("fault", [None, break_top_rows, settle_raptures, corrupt_paths_into])
+FAULTS = [None, break_top_rows, settle_raptures, corrupt_paths_into, corrupt_one_rapture]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 def test_inverse_replay_matches_a_plain_word_loop(monkeypatch, fault):
     if fault is not None:
         fault(monkeypatch)
@@ -120,6 +179,33 @@ def test_inverse_replay_matches_a_plain_word_loop(monkeypatch, fault):
     if fault is corrupt_paths_into:
         # A failure is repeated for each word that reaches the insertion.
         assert len(set(result.failures)) < len(result.failures)
+    if fault is corrupt_one_rapture:
+        # The one corrupted rapture is replayed for each insertion reaching it.
+        reached = sum(insert_word(word[:j])[0] == RAPTURED
+                      for word in reading_words(6) for j in range(1, len(word) + 1))
+        assert reached == 14
+        message = f"insert(rapture) failed at {RAPTURED} cell (2, 2)"
+        assert result.failures.count(message) == reached
+
+
+def test_inverse_runs_each_insertion_and_rapture_once(monkeypatch):
+    calls = {"_insert_into": 0, "_rapture_from": 0}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("_insert_into")
+    counted("_rapture_from")
+    # One of each per (tableau, virtuous cell) the sweep reaches, against
+    # 1,225 each with one memo per degree and first letter.
+    assert verify.verify_inverse(6).cases == 3971
+    assert calls == {"_insert_into": 691, "_rapture_from": 691}
 
 
 def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
