@@ -139,9 +139,12 @@ def cmd_demo_insert(args) -> int:
 
 def cmd_demo_rapture(args) -> int:
     rows = _read_tableau(args.tableau)
-    cell = from_string(args.cell)
+    try:
+        cell = from_string(args.cell)
+    except ValueError:
+        cell = ()
     if len(cell) != 2:
-        raise ValueError(f"cell must be 'column,row', got {args.cell!r}")
+        raise ValueError(f"cell must be 'column,row' with positive integers, got {args.cell!r}")
     events: list[dict] = []
     result = rapture(rows, cell, events)
     _emit({

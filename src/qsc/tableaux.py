@@ -233,7 +233,7 @@ def from_json_obj(obj) -> Rows:
         raise ValueError("rows must be a list of lists of entries")
     rows = make_rows(rows)
     shape = obj.get("shape", shape_of(rows))
-    if not isinstance(shape, (list, tuple)) or tuple(shape) != shape_of(rows):
+    if not isinstance(shape, (list, tuple)) or check_composition(shape) != shape_of(rows):
         raise ValueError("declared shape does not match rows")
     return rows
 

@@ -55,12 +55,8 @@ class SuiteResult:
         self.failures.append(message)
 
 
-# The record of an insertion the walk does not check.
-_UNCHECKED = (True, 0, ())
-
-
 class _Sweep:
-    """The pure-function memos of one bucket of reading words, kept only
+    """The pure-function memos of one bucket (see _buckets), kept only
     while the bucket is walked.  Tableaux are interned, so a tableau, the
     keys that hold it and the raptures that reach it share one object.
 
@@ -96,13 +92,11 @@ class _Sweep:
             entry = self.insertions[rows, k] = (self._intern(work), new_cell, path, None)
         return entry
 
-    def step(self, rows, k, check: bool):
-        """(step, (ok, cases, failures)) of inserting k into rows.  With
-        check, the inverse suite's checks of this insertion have run and ok
-        says whether step is a tableau."""
+    def step(self, rows, k):
+        """(step, (ok, cases, failures)) of inserting k into rows: the
+        inverse suite's checks of this insertion, run once and replayed
+        after.  ok says whether step is a tableau."""
         step, new_cell, path, record = self.insert(rows, k)
-        if not check:
-            return step, _UNCHECKED
         if record is None:
             record = self._check_insertion(rows, k, step, new_cell, path)
             self.insertions[rows, k] = (step, new_cell, path, record)
@@ -155,62 +149,53 @@ class _Sweep:
         return cell, undo, 1, ()
 
 
-def _walk_reading_words(max_n: int, check: bool):
-    """Insert the immaculate reading word of every standard immaculate
-    tableau u of degree 1..max_n, one letter at a time.  Yields (n, index,
-    u, p, cases, failures) per word: index is u's place in degree n's
-    enumeration order, p the last tableau reached, and cases and failures
-    those of its insertions (see _Sweep.step).  A step that is not a
-    tableau ends the word.  With check, u is None: the checking walk keeps
-    no filling per word.
+def _buckets(max_n: int):
+    """The standard immaculate tableaux u of degree 1..max_n in buckets by
+    u[-1][0], the first entry of the top row and so the first letter of
+    u's immaculate reading word.  Yields (sweep, [(n, index, u), ...]) per
+    bucket, with a fresh _Sweep; index is u's place in degree n's
+    enumeration order.
 
-    The words of all degrees are walked in buckets by first letter, with
-    one _Sweep per bucket: each insertion runs once per (tableau, letter)
-    and each rapture once per (tableau, virtuous cell), and a repeated
-    insertion replays its recorded cases and failures.  No sharing is lost:
-    a letter opens a row only when it is smaller than every row's first
-    entry, and _insert_into writes column 1 only then, so a word's first
-    letter stays on top of column 1 and words with different first letters
-    never reach the same tableau."""
+    No sharing is lost: a letter opens a row only when it is smaller than
+    every row's first entry, and _insert_into writes column 1 only then, so
+    a word's first letter stays on top of column 1 and words with different
+    first letters never reach the same tableau."""
     buckets: dict[int, list] = {}
     for n in range(1, max_n + 1):
         tableaux = (u for alpha in compositions(n) for u in standard_tableaux(alpha, "immaculate"))
         for index, u in enumerate(tableaux):
-            word = immaculate_reading_word(u)
-            buckets.setdefault(word[0], []).append((n, index, None if check else u, word))
+            buckets.setdefault(u[-1][0], []).append((n, index, u))
     for first in list(buckets):
         # Walked buckets are dropped: the later ones build the larger memos.
-        sweep = _Sweep()
-        for n, index, u, word in buckets.pop(first):
-            rows: tuple = ()
-            cases, failures = 0, []
-            for k in word:
-                step, (ok, step_cases, step_failures) = sweep.step(rows, k, check)
-                cases += step_cases
-                failures += step_failures
-                if not ok:
-                    break
-                rows = step
-            yield n, index, u, rows, cases, failures
+        yield _Sweep(), buckets.pop(first)
 
 
 def verify_inverse(max_n: int) -> SuiteResult:
     """Both compositions of insertion and rapture are identities with
     mirrored bumping paths and escape routes, on every tableau arising
-    while inserting every immaculate reading word.  The unchecked cores run
-    here.  Per first letter across all degrees, each insertion runs once
-    per (tableau, letter) and each rapture once per (tableau, virtuous
-    cell), and a repeated insertion replays its recorded cases and
-    failures, so cases count every insertion of every word.  Failures are
-    reported per degree in word order."""
+    while inserting every immaculate reading word, letter by letter; a step
+    that is not a tableau ends the word.  The unchecked cores run here.
+    The buckets hold the tableaux keyed by the top row's first entry (see
+    _buckets), and this suite walks them: per bucket, across all degrees,
+    each insertion runs once per (tableau, letter) and each rapture once
+    per (tableau, virtuous cell), and a repeated insertion replays its
+    recorded cases and failures, so cases count every insertion of every
+    word.  Failures are reported per degree in word order."""
     result = SuiteResult("inverse", max_n)
     failed = []
-    for n, index, _, _, cases, failures in _walk_reading_words(max_n, check=True):
-        result.cases += cases
-        if failures:
-            failed.append((n, index, failures))
-    for _, _, failures in sorted(failed):
-        result.failures += failures
+    for sweep, bucket in _buckets(max_n):
+        for n, index, u in bucket:
+            rows: tuple = ()
+            for k in immaculate_reading_word(u):
+                rows, (ok, cases, failures) = sweep.step(rows, k)
+                result.cases += cases
+                if failures:
+                    failed += [(n, index, message) for message in failures]
+                if not ok:
+                    break
+    # Stable: a word's failures keep their step order.
+    failed.sort(key=lambda entry: entry[:2])
+    result.failures += [message for _, _, message in failed]
     return result
 
 
@@ -219,11 +204,15 @@ def verify_descents(max_n: int) -> SuiteResult:
     the Young descent set of the inserted tableau."""
     result = SuiteResult("descents", max_n)
     failed = []
-    for n, index, u, p, _, _ in _walk_reading_words(max_n, check=False):
-        result.cases += 1
-        # standard_tableaux built u; p is the output under test.
-        if young_descent_set(p) != _immaculate_descent_set(u):
-            failed.append((n, index, f"descents differ for {u}"))
+    for sweep, bucket in _buckets(max_n):
+        for n, index, u in bucket:
+            p: tuple = ()
+            for k in immaculate_reading_word(u):
+                p = sweep.insert(p, k)[0]
+            result.cases += 1
+            # standard_tableaux built u; p is the output under test.
+            if young_descent_set(p) != _immaculate_descent_set(u):
+                failed.append((n, index, f"descents differ for {u}"))
     result.failures += [message for _, _, message in sorted(failed)]
     return result
 

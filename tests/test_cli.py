@@ -136,6 +136,22 @@ def test_demo_rapture_rejects_bad_tableau(capsys):
     assert err.startswith("error:")
 
 
+def test_demo_rapture_names_the_cell_in_its_parse_error(capsys):
+    code, _, err = run(capsys, "demo", "rapture", "--tableau", "1,2/3", "--cell", "0,1")
+    assert code == 2
+    assert err == "error: cell must be 'column,row' with positive integers, got '0,1'\n"
+
+
+@pytest.mark.parametrize("tableau", ['{"rows": [[1], [2]], "shape": [true, 1.0]}',
+                                     '{"rows": [[1]], "shape": [1.0]}'])
+def test_demo_insert_rejects_a_declared_shape_that_is_not_integers(capsys, tableau):
+    code, out, err = run(capsys, "demo", "insert", "--tableau", tableau, "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_demo_word(capsys):
     code, out, _ = run(capsys, "demo", "word", "--word", "1")
     assert code == 0

@@ -2,7 +2,7 @@ import pytest
 
 from qsc import verify
 from qsc.compositions import compositions
-from qsc.insertion import _freeze, _is_virtuous, insert_word
+from qsc.insertion import _freeze, _is_virtuous, insert, insert_word
 from qsc.qsym import BasisExpansion, dimm_to_yqs
 from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, standard_tableaux
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
@@ -37,6 +37,28 @@ def test_every_suite_passes_at_small_degree(name):
     assert result.max_n == 4
     assert result.cases > 0
     assert result.passed, result.failures[:3]
+
+
+def test_buckets_key_each_word_by_a_first_letter_that_stays_on_top():
+    # The bucket key u[-1][0] is the first letter of u's reading word, and
+    # every prefix's insertion tableau keeps that letter on top of column 1,
+    # so no two buckets reach the same tableau.
+    firsts, seen, prefixes = [], set(), 0
+    for _, bucket in verify._buckets(7):
+        words = [(n, index, u, immaculate_reading_word(u)) for n, index, u in bucket]
+        first = words[0][3][0]
+        firsts.append(first)
+        for n, index, u, word in words:
+            seen.add((n, index))
+            assert word[0] == u[-1][0] == first
+            rows = ()
+            for k in word:
+                rows = insert(rows, k).rows
+                prefixes += 1
+                assert rows[-1][0] == first
+    assert len(set(firsts)) == len(firsts)
+    assert len(seen) == 1 + 2 + 5 + 15 + 52 + 203 + 877
+    assert prefixes == 7697
 
 
 def break_top_rows(monkeypatch):
