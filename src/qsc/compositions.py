@@ -14,11 +14,18 @@ from functools import lru_cache
 Composition = tuple[int, ...]
 
 
+def _check_count(name: str, value) -> None:
+    # The package's one integer rule: exactly int, so bool, IntEnum and
+    # other int subclasses are refused, and the typed caches never see them.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def check_composition(alpha) -> Composition:
     """Return alpha as a tuple after validating that all parts are >= 1."""
     parts = tuple(alpha)
     for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        if type(p) is not int or p < 1:
             raise ValueError(f"composition parts must be positive integers, got {parts!r}")
     return parts
 
@@ -58,6 +65,7 @@ def composition_to_subset(alpha: Composition) -> frozenset[int]:
 
 def subset_to_composition(subset, n: int) -> Composition:
     """Inverse of composition_to_subset for subsets of {1, ..., n-1}."""
+    _check_count("n", n)
     marks = sorted(subset)
     if marks and (marks[0] < 1 or marks[-1] > n - 1):
         raise ValueError(f"subset {marks} not contained in {{1..{n - 1}}}")
@@ -71,13 +79,6 @@ def subset_to_composition(subset, n: int) -> Composition:
         prev = m
     parts.append(n - prev)
     return tuple(parts)
-
-
-def _check_count(name: str, value) -> None:
-    # bool is an int subclass: the caches below are typed, so True misses
-    # the entry for 1 and is refused here.
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -109,7 +109,7 @@ def insert(rows: Rows, k: int, events=None) -> InsertionResult:
     With events a list, appends one dict per scan step for tracing.
     """
     rows = make_rows(rows)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"inserted value must be a positive integer, got {k!r}")
     if not is_ssyct(rows):
         raise ValueError("insert requires a Young composition tableau")
@@ -214,7 +214,7 @@ def insert_word(word, events=None) -> tuple[Rows, Rows]:
     """
     word = tuple(word)
     for x in word:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        if type(x) is not int or x < 1:
             raise ValueError(f"letters must be positive integers, got {x!r}")
     if len(set(word)) != len(word):
         raise ValueError("word has repeated letters")

@@ -14,7 +14,6 @@ in the noncommutative world and are handled purely as coefficient tables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb
@@ -374,9 +373,7 @@ def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     strip shape is the reverse of alpha."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    row = _dirt_counts(n, len(alpha))[reverse(alpha)]
-    return BasisExpansion(YOUNG_QS, n, {beta: row.get(beta, 0)
-                                        for beta in compositions(n, len(alpha))})
+    return BasisExpansion(YOUNG_QS, n, _dirt_counts(n, len(alpha))[reverse(alpha)])
 
 
 def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
@@ -404,7 +401,7 @@ def principal_specialization(f: BasisExpansion, m: int) -> int:
     """Value of the monomial expansion f after substituting 1 for the first
     m variables and 0 beyond: each monomial element contributes a binomial
     count of support sets."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+    if type(m) is not int or m < 0:
         raise ValueError("m must be a nonnegative integer")
     _monomial_only(f)
     return sum(c * comb(m, len(alpha)) for alpha, c in f.items())
@@ -412,11 +409,6 @@ def principal_specialization(f: BasisExpansion, m: int) -> int:
 
 def _is_ones_then_tail(alpha: Composition) -> bool:
     return all(p == 1 for p in alpha[:-1]) if alpha else False
-
-
-def _sign(perm: tuple[int, ...]) -> int:
-    n = len(perm)
-    return (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
 
 
 def check_conjectures(n: int) -> dict:
@@ -431,7 +423,7 @@ def check_conjectures(n: int) -> dict:
     of that rule reports, in monomial coordinates, that signed sum minus the
     element.  Findings are returned, never raised.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("degree must be a positive integer")
     bounded_violations: list[dict] = []
     sum_violations: list[dict] = []
@@ -454,8 +446,10 @@ def check_conjectures(n: int) -> dict:
         if len(set(lam)) != len(lam):
             continue
         checked.append(to_string(lam))
-        signs = {tuple(lam[i] for i in perm): _sign(perm)
-                 for perm in itertools.permutations(range(len(lam)))}
+        # The sign of a rearrangement is -1 to its number of ascending pairs.
+        ell = len(lam)
+        signs = {beta: (-1) ** sum(beta[i] < beta[j] for i in range(ell) for j in range(i + 1, ell))
+                 for beta in rearrangements(lam)}
         table = tables[lam].coeffs
         if table != signs:
             difference = sum(

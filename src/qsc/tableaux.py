@@ -39,7 +39,7 @@ def make_rows(rows) -> Rows:
         if not row:
             raise ValueError("rows must be nonempty")
         for x in row:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            if type(x) is not int or x < 1:
                 raise ValueError(f"entries must be positive integers, got {x!r}")
         out.append(row)
     return tuple(out)
@@ -203,7 +203,7 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
-    if not isinstance(max_entry, int) or isinstance(max_entry, bool):
+    if type(max_entry) is not int:
         raise ValueError(f"max_entry must be an integer, got {max_entry!r}")
     n = sum(shape)
     return _search(shape, check_kind(kind), [n] * max_entry if n else [])

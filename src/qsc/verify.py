@@ -63,8 +63,8 @@ class _Sweep:
     insertions: (rows, k) -> (step, new_cell, path, record), where record
     is None until the inverse suite checks the insertion (see step).
     ssyct: rows -> is_ssyct(rows).
-    raptures: rows -> one record (cell, (output, route, after), cases,
-    failures) per virtuous cell, in row order (see _check_rapture)."""
+    raptures: rows -> the tableau's rapture total (cases, failures,
+    undos) over its virtuous cells (see _raptures)."""
 
     def __init__(self):
         self.tableaux: dict = {}
@@ -95,76 +95,69 @@ class _Sweep:
     def step(self, rows, k):
         """(step, (ok, cases, failures)) of inserting k into rows: the
         inverse suite's checks of this insertion, run once and replayed
-        after.  ok says whether step is a tableau."""
+        after.  ok says whether step is a tableau.  The insertion counts as
+        a case and adds step's rapture total; rapture at new_cell, the cell
+        it added, must undo it: return k, the bumping path mirrored and
+        rows.  That rapture's own check, re-inserting k into rows, is this
+        insertion, so it passes within the total."""
         step, new_cell, path, record = self.insert(rows, k)
         if record is None:
-            record = self._check_insertion(rows, k, step, new_cell, path)
+            if not self._is_ssyct(step):
+                record = False, 1, (f"insert of {k} into {rows} is not a Young composition tableau",)
+            else:
+                cases, failures, undos = self._raptures(step)
+                if (new_cell, k, tuple(reversed(path)), rows) not in undos:
+                    failures += (f"rapture(insert) failed: {rows} + {k}",)
+                record = True, 1 + cases, failures
             self.insertions[rows, k] = (step, new_cell, path, record)
         return step, record
 
-    def _check_insertion(self, rows, k, step, new_cell, path):
-        """The insertion counts as a case, and must give a tableau.  Rapture
-        at new_cell, the cell it added, must undo it: return k, the bumping
-        path mirrored and rows.  That cell then counts one case; every
-        other virtuous cell adds its record's cases and failures."""
-        if not self._is_ssyct(step):
-            return False, 1, (f"insert of {k} into {rows} is not a Young composition tableau",)
-        undone = (k, tuple(reversed(path)), rows)
-        cases, failures, undoes = 1, [], False
-        for cell, undo, cell_cases, cell_failures in self._raptures(step):
-            if cell == new_cell and undo == undone:
-                # The tableau before was checked, and the output is an entry.
-                undoes = True
-                cases += 1
-            else:
-                cases += cell_cases
-                failures += cell_failures
-        if not undoes:
-            failures.append(f"rapture(insert) failed: {rows} + {k}")
-        return True, cases, tuple(failures)
-
     def _raptures(self, rows):
-        records = self.raptures.get(rows)
-        if records is None:
-            ends = [(len(row), r) for r, row in enumerate(rows, start=1)]
-            records = self.raptures[rows] = tuple(
-                self._check_rapture(rows, cell) for cell in ends if _is_virtuous(rows, cell))
-        return records
-
-    def _check_rapture(self, rows, cell):
-        """insert after rapture at cell returns rows with the route
-        mirrored; the insertion is looked up in the same memo."""
-        work = [list(x) for x in rows]
-        output, route = _rapture_from(work, cell)
-        after = self._intern(work)
-        undo = (output, route, after)
-        if not self._is_ssyct(after):
-            return cell, undo, 0, (f"rapture of {rows} at {cell} is not a Young composition tableau",)
-        if output is INF:
-            return cell, undo, 0, (f"rapture of {rows} at {cell} outputs INF",)
-        # Equal to rows, the insert result is a tableau; no separate check.
-        back, _, path, _ = self.insert(after, output)
-        if back != rows or path != tuple(reversed(route)):
-            return cell, undo, 1, (f"insert(rapture) failed at {rows} cell {cell}",)
-        return cell, undo, 1, ()
+        """(cases, failures, undos) of rapture at each virtuous cell of rows,
+        in row order: insert after rapture must return rows with the route
+        mirrored, looked up in the same insertion memo.  undos holds
+        (cell, output, route, after) per cell."""
+        total = self.raptures.get(rows)
+        if total is None:
+            cases, failures, undos = 0, [], []
+            for r, row in enumerate(rows, start=1):
+                cell = (len(row), r)
+                if not _is_virtuous(rows, cell):
+                    continue
+                work = [list(x) for x in rows]
+                output, route = _rapture_from(work, cell)
+                after = self._intern(work)
+                undos.append((cell, output, route, after))
+                if not self._is_ssyct(after):
+                    failures.append(f"rapture of {rows} at {cell} is not a Young composition tableau")
+                elif output is INF:
+                    failures.append(f"rapture of {rows} at {cell} outputs INF")
+                else:
+                    cases += 1
+                    # Equal to rows, the insert result is a tableau; no separate check.
+                    back, _, path, _ = self.insert(after, output)
+                    if back != rows or path != tuple(reversed(route)):
+                        failures.append(f"insert(rapture) failed at {rows} cell {cell}")
+            total = self.raptures[rows] = cases, tuple(failures), tuple(undos)
+        return total
 
 
 def _buckets(max_n: int):
     """The standard immaculate tableaux u of degree 1..max_n in buckets by
     u[-1][0], the first entry of the top row and so the first letter of
-    u's immaculate reading word.  Yields (sweep, [(n, index, u), ...]) per
-    bucket, with a fresh _Sweep; index is u's place in degree n's
-    enumeration order.
+    u's immaculate reading word.  Yields (sweep, [(position, u), ...]) per
+    bucket, with a fresh _Sweep; position is u's place in one enumeration
+    by degree and then composition.
 
     No sharing is lost: a letter opens a row only when it is smaller than
     every row's first entry, and _insert_into writes column 1 only then, so
     a word's first letter stays on top of column 1 and words with different
     first letters never reach the same tableau."""
     buckets: dict[int, list] = {}
-    for n in range(1, max_n + 1):
-        tableaux = (u for alpha in compositions(n) for u in standard_tableaux(alpha, "immaculate"))
-        for index, u in enumerate(tableaux):
-            buckets.setdefault(u[-1][0], []).append((n, index, u))
+    tableaux = (u for n in range(1, max_n + 1) for alpha in compositions(n)
+                for u in standard_tableaux(alpha, "immaculate"))
+    for position, u in enumerate(tableaux):
+        buckets.setdefault(u[-1][0], []).append((position, u))
     for first in list(buckets):
         # Walked buckets are dropped: the later ones build the larger memos.
         yield _Sweep(), buckets.pop(first)
@@ -177,25 +170,27 @@ def verify_inverse(max_n: int) -> SuiteResult:
     that is not a tableau ends the word.  The unchecked cores run here.
     The buckets hold the tableaux keyed by the top row's first entry (see
     _buckets), and this suite walks them: per bucket, across all degrees,
-    each insertion runs once per (tableau, letter) and each rapture once
-    per (tableau, virtuous cell), and a repeated insertion replays its
-    recorded cases and failures, so cases count every insertion of every
-    word.  Failures are reported per degree in word order."""
+    each insertion runs once per (tableau, letter), and each tableau's
+    raptures run once and are kept as one total of cases and failures.  An
+    insertion's record is its own case plus that total of the tableau it
+    reaches, and is replayed for every word that repeats the insertion, so
+    cases count every insertion of every word.  Failures are reported in
+    word order."""
     result = SuiteResult("inverse", max_n)
     failed = []
     for sweep, bucket in _buckets(max_n):
-        for n, index, u in bucket:
+        for position, u in bucket:
             rows: tuple = ()
             for k in immaculate_reading_word(u):
                 rows, (ok, cases, failures) = sweep.step(rows, k)
                 result.cases += cases
                 if failures:
-                    failed += [(n, index, message) for message in failures]
+                    failed += [(position, message) for message in failures]
                 if not ok:
                     break
     # Stable: a word's failures keep their step order.
-    failed.sort(key=lambda entry: entry[:2])
-    result.failures += [message for _, _, message in failed]
+    failed.sort(key=lambda entry: entry[0])
+    result.failures += [message for _, message in failed]
     return result
 
 
@@ -205,15 +200,15 @@ def verify_descents(max_n: int) -> SuiteResult:
     result = SuiteResult("descents", max_n)
     failed = []
     for sweep, bucket in _buckets(max_n):
-        for n, index, u in bucket:
+        for position, u in bucket:
             p: tuple = ()
             for k in immaculate_reading_word(u):
                 p = sweep.insert(p, k)[0]
             result.cases += 1
             # standard_tableaux built u; p is the output under test.
             if young_descent_set(p) != _immaculate_descent_set(u):
-                failed.append((n, index, f"descents differ for {u}"))
-    result.failures += [message for _, _, message in sorted(failed)]
+                failed.append((position, f"descents differ for {u}"))
+    result.failures += [message for _, message in sorted(failed)]
     return result
 
 

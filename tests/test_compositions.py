@@ -86,6 +86,9 @@ def test_subset_encoding():
     assert subset_to_composition(frozenset({1, 4}), 6) == (1, 3, 2)
     assert subset_to_composition(frozenset(), 0) == ()
     assert subset_to_composition(frozenset(), 5) == (5,)
+    for n in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            subset_to_composition(set(), n)
 
 
 def test_subset_round_trip():

@@ -1,9 +1,11 @@
+import enum
 import json
 
 import pytest
 
 from qsc import qsym
-from qsc.compositions import compositions, partitions, to_string
+from qsc.compositions import check_composition, compositions, partitions, to_string
+from qsc.insertion import insert, insert_word
 from qsc.qsym import (
     BASES,
     DUAL_IMMACULATE,
@@ -31,7 +33,7 @@ from qsc.qsym import (
     yqs_f_expansion,
     yqs_to_dimm,
 )
-from qsc.tableaux import weighted_tableaux
+from qsc.tableaux import make_rows, semistandard_tableaux, weighted_tableaux
 
 
 def test_mexpr_basics():
@@ -293,6 +295,29 @@ def test_principal_specialization():
 def test_scalar_arguments_are_ints_not_bools(call):
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+class Two(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("value", [True, Two.TWO], ids=["bool", "IntEnum"])
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda v: check_composition((v, 1)), "composition parts", id="check_composition"),
+    pytest.param(lambda v: make_rows([[1, 3], [v]]), "entries", id="make_rows"),
+    pytest.param(lambda v: semistandard_tableaux((2, 1), "ssyct", v), "max_entry",
+                 id="semistandard_tableaux"),
+    pytest.param(lambda v: insert(((1,),), v), "inserted value", id="insert"),
+    pytest.param(lambda v: insert_word((3, v)), "letters", id="insert_word"),
+    pytest.param(lambda v: principal_specialization(monomial((1,)), v), "m must",
+                 id="principal_specialization"),
+    pytest.param(lambda v: check_conjectures(v), "degree must", id="check_conjectures"),
+])
+def test_one_integer_rule_refuses_int_subclasses(call, message, value):
+    # Exactly int, as compositions, BasisExpansion and the typed caches
+    # need; each entry point refuses with its own message.
+    with pytest.raises(ValueError, match=f"{message} .*integer"):
+        call(value)
 
 
 def test_integer_rule_holds_on_cache_hits():

@@ -45,11 +45,11 @@ def test_buckets_key_each_word_by_a_first_letter_that_stays_on_top():
     # so no two buckets reach the same tableau.
     firsts, seen, prefixes = [], set(), 0
     for _, bucket in verify._buckets(7):
-        words = [(n, index, u, immaculate_reading_word(u)) for n, index, u in bucket]
-        first = words[0][3][0]
+        words = [(position, u, immaculate_reading_word(u)) for position, u in bucket]
+        first = words[0][2][0]
         firsts.append(first)
-        for n, index, u, word in words:
-            seen.add((n, index))
+        for position, u, word in words:
+            seen.add(position)
             assert word[0] == u[-1][0] == first
             rows = ()
             for k in word:
@@ -57,7 +57,7 @@ def test_buckets_key_each_word_by_a_first_letter_that_stays_on_top():
                 prefixes += 1
                 assert rows[-1][0] == first
     assert len(set(firsts)) == len(firsts)
-    assert len(seen) == 1 + 2 + 5 + 15 + 52 + 203 + 877
+    assert seen == set(range(1 + 2 + 5 + 15 + 52 + 203 + 877))
     assert prefixes == 7697
 
 
@@ -82,18 +82,32 @@ def settle_raptures(monkeypatch):
     monkeypatch.setattr(verify, "_rapture_from", settles)
 
 
+# Nine insertions of words with n <= 6 start from this tableau, after
+# three distinct prefixes, all starting with 3.
+INSERTED_INTO = ((2,), (3, 4, 5))
+
+
 def corrupt_paths_into(monkeypatch):
-    # Nine insertions of words with n <= 6 start from this tableau, after
-    # three distinct prefixes, all starting with 3.
-    tableau = ((2,), (3, 4, 5))
     real = verify._insert_into
 
     def corrupt(work, k, events=None):
         before = tuple(map(tuple, work))
         new_cell, path = real(work, k, events)
-        return new_cell, path + ((0, 0),) if before == tableau else path
+        return new_cell, path + ((0, 0),) if before == INSERTED_INTO else path
 
     monkeypatch.setattr(verify, "_insert_into", corrupt)
+
+
+def misreport_cells_into(monkeypatch):
+    # A cell one column right of the one added; steps and paths are right.
+    real = verify._insert_into
+
+    def misreport(work, k, events=None):
+        before = tuple(map(tuple, work))
+        (col, row), path = real(work, k, events)
+        return ((col + 1, row) if before == INSERTED_INTO else (col, row)), path
+
+    monkeypatch.setattr(verify, "_insert_into", misreport)
 
 
 # Fourteen insertions of words with n <= 6 reach this tableau, which is
@@ -186,7 +200,8 @@ def plain_inverse(max_n):
     return result
 
 
-FAULTS = [None, break_top_rows, settle_raptures, corrupt_paths_into, corrupt_one_rapture]
+FAULTS = [None, break_top_rows, settle_raptures, corrupt_paths_into, misreport_cells_into,
+          corrupt_one_rapture]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -201,6 +216,10 @@ def test_inverse_replay_matches_a_plain_word_loop(monkeypatch, fault):
     if fault is corrupt_paths_into:
         # A failure is repeated for each word that reaches the insertion.
         assert len(set(result.failures)) < len(result.failures)
+    if fault is misreport_cells_into:
+        # Only the undo lookup sees the cell: every failure is that miss.
+        assert all(f.startswith(f"rapture(insert) failed: {INSERTED_INTO} + ")
+                   for f in result.failures)
     if fault is corrupt_one_rapture:
         # The one corrupted rapture is replayed for each insertion reaching it.
         reached = sum(insert_word(word[:j])[0] == RAPTURED
