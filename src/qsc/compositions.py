@@ -66,7 +66,11 @@ def composition_to_subset(alpha: Composition) -> frozenset[int]:
 def subset_to_composition(subset, n: int) -> Composition:
     """Inverse of composition_to_subset for subsets of {1, ..., n-1}."""
     _check_count("n", n)
-    marks = sorted(subset)
+    marks = list(subset)
+    for m in marks:
+        if type(m) is not int:
+            raise ValueError(f"subset elements must be integers, got {m!r}")
+    marks.sort()
     if marks and (marks[0] < 1 or marks[-1] > n - 1):
         raise ValueError(f"subset {marks} not contained in {{1..{n - 1}}}")
     if len(set(marks)) != len(marks):

@@ -10,15 +10,15 @@ increases top to bottom, and a triple condition ties every pair of rows
 (see is_dirt).  enumerate_dirts lists the DIRTs of one shape and strip
 shape from the leaves of the forward tree (rw.rw_forward); the counting
 tables in qsym count the same tableaux by row lengths without listing them.
-Public functions validate their inputs; the `_`-prefixed core _strips (on a
-positions map) checks nothing.
+Public functions validate their inputs; the `_`-prefixed cores _strips (on a
+positions map) and _dirt_strip_shape, which is_dirt wraps, check nothing.
 """
 
 from __future__ import annotations
 
 from .compositions import Composition, check_composition, is_partition, reverse
 from .rw import rw_forward
-from .tableaux import Rows, make_rows, positions
+from .tableaux import Rows, _positions, is_standard, make_rows, positions
 
 
 def _strips(pos: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -45,6 +45,34 @@ def row_strip_shape(rows: Rows) -> Composition:
     return tuple(len(s) for s in row_strips(rows))
 
 
+def _dirt_strip_shape(rows: Rows) -> Composition | None:
+    """The row strip shape of rows when rows is a DIRT (see is_dirt), else
+    None, also for a filling that is not standard.  rows must be well-formed
+    Rows; nothing else is checked."""
+    if not is_standard(rows):
+        return None
+    for row in rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return None
+    firsts = [row[0] for row in rows]
+    if any(firsts[i] <= firsts[i + 1] for i in range(len(firsts) - 1)):
+        return None
+    pos = _positions(rows)
+    strips = _strips(pos)
+    for strip in strips:
+        cols = [pos[v][0] for v in strip]
+        if cols[0] != 1:
+            return None
+        if any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
+            return None
+    for g, lower in enumerate(rows):
+        for upper in rows[g + 1:]:
+            for i in range(min(len(lower), len(upper))):
+                if upper[i] > lower[i] and not (i + 1 < len(lower) and upper[i] > lower[i + 1]):
+                    return None
+    return tuple(map(len, strips))
+
+
 def is_dirt(rows: Rows) -> bool:
     """True when rows is the recording tableau of the insertion of some
     immaculate reading word (a DIRT).  Recording tableaux of other words
@@ -56,29 +84,7 @@ def is_dirt(rows: Rows) -> bool:
     entry below it in its column, it also exceeds the entry to the right of
     that lower one (absent cells reading as infinity).
     """
-    rows = make_rows(rows)
-    try:
-        pos = positions(rows)
-    except ValueError:
-        return False
-    for row in rows:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            return False
-    firsts = [row[0] for row in rows]
-    if any(firsts[i] <= firsts[i + 1] for i in range(len(firsts) - 1)):
-        return False
-    for strip in _strips(pos):
-        cols = [pos[v][0] for v in strip]
-        if cols[0] != 1:
-            return False
-        if any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
-            return False
-    for g, lower in enumerate(rows):
-        for upper in rows[g + 1:]:
-            for i in range(min(len(lower), len(upper))):
-                if upper[i] > lower[i] and not (i + 1 < len(lower) and upper[i] > lower[i + 1]):
-                    return False
-    return True
+    return _dirt_strip_shape(make_rows(rows)) is not None
 
 
 def enumerate_dirts(shape: Composition, strip_shape: Composition) -> tuple[Rows, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .compositions import Composition, check_composition
+from .compositions import Composition, _check_count, check_composition
 
 INF = math.inf
 
@@ -203,8 +203,7 @@ def standard_tableaux(shape: Composition, kind: str) -> tuple[Rows, ...]:
 def semistandard_tableaux(shape: Composition, kind: str, max_entry: int) -> tuple[Rows, ...]:
     """All fillings of the given kind with entries in 1..max_entry."""
     shape = check_composition(shape)
-    if type(max_entry) is not int:
-        raise ValueError(f"max_entry must be an integer, got {max_entry!r}")
+    _check_count("max_entry", max_entry)
     n = sum(shape)
     return _search(shape, check_kind(kind), [n] * max_entry if n else [])
 

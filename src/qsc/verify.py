@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
+from operator import itemgetter
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
-from .dirt import is_dirt, row_strip_shape
+from .dirt import _dirt_strip_shape
 from .insertion import _freeze, _insert_into, _is_virtuous, _rapture_from
 from .insertion import insert_word, uninsert
 from .qsym import (
@@ -212,36 +213,100 @@ def verify_descents(max_n: int) -> SuiteResult:
     return result
 
 
+def _insertions(max_n: int):
+    """Yields (alpha, [(word, p, q), ...]) for every composition alpha of
+    degree 0..max_n, one entry per standard immaculate tableau u of alpha,
+    sorted by u's immaculate reading word; (p, q) is insert_word(word).
+
+    Each alpha = (a,) + tail is built from its tail's list.  u is its bottom
+    row B (1 in B, |B| = a) under a standard immaculate tableau of tail
+    relabelled order-preservingly onto the letters not in B, and word is that
+    tail's relabelled word followed by B.  _insert_into only compares
+    letters, so relabelling a word relabels its p and keeps its q: (p, q)
+    comes from the tail's by relabelling p and inserting the a letters of B.
+    The walk is depth-first, so only the lists of one chain of tails are
+    held at a time."""
+
+    def extend(tail, entries):
+        yield tail, entries
+        m = sum(tail)
+        for a in range(1, max_n - m + 1):
+            n = m + a
+            built = []
+            for rest in combinations(range(2, n + 1), a - 1):
+                bottom = (1,) + rest
+                # lift[x] is the x-th smallest letter of [n] not in bottom.
+                lift = (0,) + tuple(x for x in range(2, n + 1) if x not in rest)
+                relabel = lift.__getitem__
+                for word, p, q in entries:
+                    work = [list(map(relabel, row)) for row in p]
+                    rec = [list(row) for row in q]
+                    for j, k in enumerate(bottom, start=m + 1):
+                        (col, row), _ = _insert_into(work, k)
+                        if col == 1:
+                            rec.insert(row - 1, [j])
+                        else:
+                            rec[row - 1].append(j)
+                    built.append((tuple(map(relabel, word)) + bottom, _freeze(work), _freeze(rec)))
+            built.sort(key=itemgetter(0))
+            yield from extend((a,) + tail, built)
+
+    if max_n >= 0:
+        yield from extend((), [((), (), ())])
+
+
+def _tableau_of(word, alpha):
+    """The immaculate tableau of shape alpha whose reading word is word."""
+    rows, end = [], len(word)
+    for part in alpha:
+        rows.append(tuple(word[end - part:end]))
+        end -= part
+    return tuple(rows)
+
+
 def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
     shape multisets, direct recording-tableau counts, and forward tree
     leaves; dually, dual tree leaves match the transposed counts.  Each
     distinct recording tableau is checked once to be a DIRT of row strip
-    shape reverse(alpha), and reported for the first word that records it."""
+    shape reverse(alpha), and reported for the first word that records it.
+
+    The insertions come from _insertions, which builds each composition's
+    (word, p, q) from its tail's and inserts only the bottom row; that is
+    sound because insertion only compares letters.  Its walk order is not
+    the report order, so failures are sorted back by degree, composition in
+    compositions(n) order, and reading word."""
     result = SuiteResult("triple-agreement", max_n)
-    for n in range(0, max_n + 1):
-        for alpha in compositions(n):
-            recording: set = set()
-            for u in standard_tableaux(alpha, "immaculate"):
-                p, q = insert_word(immaculate_reading_word(u))
-                if q not in recording:
-                    recording.add(q)
-                    if not is_dirt(q) or row_strip_shape(q) != reverse(alpha):
-                        result.fail(f"bad recording tableau for {u}")
-                if shape_of(p) != shape_of(q):
-                    result.fail(f"shape mismatch for {u}")
-            by_insertion = dict(Counter(shape_of(q) for q in recording))
-            counted = dimm_to_yqs(alpha).coeffs
-            forward = rw_forward(alpha)[1].coeffs
-            result.cases += 1
-            if not (by_insertion == counted == forward):
-                result.fail(
-                    f"coefficient tables differ at {alpha}: "
-                    f"{by_insertion} vs {counted} vs {forward}"
-                )
-            result.cases += 1
-            if rw_dual(alpha)[1].coeffs != yns_to_imm(alpha).coeffs:
-                result.fail(f"dual tree disagrees at {alpha}")
+    order = {alpha: i for i, alpha in enumerate(
+        alpha for n in range(max_n + 1) for alpha in compositions(n))}
+    failed = []
+    for alpha, entries in _insertions(max_n):
+        failures = []
+        recording: set = set()
+        for word, p, q in entries:
+            if q not in recording:
+                recording.add(q)
+                if _dirt_strip_shape(q) != reverse(alpha):
+                    failures.append(f"bad recording tableau for {_tableau_of(word, alpha)}")
+            if shape_of(p) != shape_of(q):
+                failures.append(f"shape mismatch for {_tableau_of(word, alpha)}")
+        by_insertion = dict(Counter(shape_of(q) for q in recording))
+        counted = dimm_to_yqs(alpha).coeffs
+        forward = rw_forward(alpha)[1].coeffs
+        result.cases += 1
+        if not (by_insertion == counted == forward):
+            failures.append(
+                f"coefficient tables differ at {alpha}: "
+                f"{by_insertion} vs {counted} vs {forward}"
+            )
+        result.cases += 1
+        if rw_dual(alpha)[1].coeffs != yns_to_imm(alpha).coeffs:
+            failures.append(f"dual tree disagrees at {alpha}")
+        if failures:
+            failed.append((order[alpha], failures))
+    failed.sort(key=itemgetter(0))
+    for _, failures in failed:
+        result.failures += failures
     return result
 
 

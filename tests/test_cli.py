@@ -215,6 +215,14 @@ def test_enumerate_tableaux(capsys):
     assert out.startswith("count:")
 
 
+def test_enumerate_tableaux_rejects_a_negative_max_entry(capsys):
+    code, out, err = run(capsys, "enumerate", "tableaux", "--shape", "1",
+                         "--kind", "ssyct", "--max-entry", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_entry must be a nonnegative integer, got -3\n"
+
+
 def test_enumerate_dirts(capsys):
     code, out, _ = run(capsys, "enumerate", "dirts", "--shape", "1,3,2",
                        "--strips", "1,2,3")

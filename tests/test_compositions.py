@@ -91,6 +91,12 @@ def test_subset_encoding():
             subset_to_composition(set(), n)
 
 
+@pytest.mark.parametrize("subset", [{1.5}, {True}, {1, 2.0}, {"1"}])
+def test_subset_elements_are_ints_not_bools(subset):
+    with pytest.raises(ValueError, match="subset elements must be integers"):
+        subset_to_composition(subset, 3)
+
+
 def test_subset_round_trip():
     for n in range(9):
         for alpha in compositions(n):

@@ -4,6 +4,7 @@ import pytest
 
 from qsc.compositions import compositions, partitions, reverse, size
 from qsc.dirt import (
+    _dirt_strip_shape,
     enumerate_dirts,
     is_dirt,
     row_strip_shape,
@@ -66,6 +67,20 @@ def test_is_dirt_matches_recording_tableaux_exactly():
         for shape in compositions(n):
             for filling in _standard_fillings(shape):
                 assert is_dirt(filling) == (filling in recorded)
+
+
+def test_dirt_strip_shape_is_the_core_of_is_dirt_and_row_strip_shape():
+    # One pass answers both questions: the strip shape of a DIRT, None for
+    # any other filling.
+    for n in range(7):
+        for shape in compositions(n):
+            for filling in _standard_fillings(shape):
+                strips = _dirt_strip_shape(filling)
+                assert is_dirt(filling) == (strips is not None)
+                assert strips in (None, row_strip_shape(filling))
+    for filling in (((1, 1), (2, 3)), ((2,),), ((1, 3),)):
+        assert _dirt_strip_shape(filling) is None
+        assert not is_dirt(filling)
 
 
 def test_enumerate_dirts_golden():

@@ -4,7 +4,7 @@ from qsc import verify
 from qsc.compositions import compositions
 from qsc.insertion import _freeze, _is_virtuous, insert, insert_word
 from qsc.qsym import BasisExpansion, dimm_to_yqs
-from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, standard_tableaux
+from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, shape_of, standard_tableaux
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
 
@@ -249,15 +249,25 @@ def test_inverse_runs_each_insertion_and_rapture_once(monkeypatch):
     assert calls == {"_insert_into": 691, "_rapture_from": 691}
 
 
+def test_insertions_build_each_word_insertion_from_its_tail():
+    walked = []
+    for alpha, entries in verify._insertions(7):
+        walked.append(alpha)
+        words = [immaculate_reading_word(u) for u in standard_tableaux(alpha, "immaculate")]
+        assert entries == [(w, *insert_word(w)) for w in words], alpha
+    assert sorted(walked) == sorted(alpha for n in range(8) for alpha in compositions(n))
+    assert len(walked) == len(set(walked))
+
+
 def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
-    real = verify.insert_word
+    real = verify._insertions
 
-    def all_ones(word):
+    def all_ones(max_n):
         # Same shapes, but no filling with two or more cells is standard.
-        p, q = real(word)
-        return p, tuple((1,) * len(row) for row in q)
+        for alpha, entries in real(max_n):
+            yield alpha, [(w, p, tuple((1,) * len(row) for row in q)) for w, p, q in entries]
 
-    monkeypatch.setattr(verify, "insert_word", all_ones)
+    monkeypatch.setattr(verify, "_insertions", all_ones)
     result = run_suite("triple-agreement", 4)
     assert not result.passed
     assert all(f.startswith("bad recording tableau for ") for f in result.failures)
@@ -265,6 +275,21 @@ def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
     # alpha insert to, not one per word (13 reports against 15 words at n = 4).
     assert len(result.failures) == sum(
         len(dimm_to_yqs(alpha).coeffs) for n in (2, 3, 4) for alpha in compositions(n))
+    # Reported by degree, then composition, then for the least reading word
+    # that inserts to each shape.
+    expected = []
+    for n in (2, 3, 4):
+        for alpha in compositions(n):
+            shapes = set()
+            for u in standard_tableaux(alpha, "immaculate"):
+                shape = shape_of(insert_word(immaculate_reading_word(u))[1])
+                if shape not in shapes:
+                    shapes.add(shape)
+                    expected.append(f"bad recording tableau for {u}")
+    # The words 3124 and 4123 of alpha = (3, 1) both insert to shape (3, 1).
+    assert "bad recording tableau for ((1, 2, 4), (3,))" in result.failures
+    assert "bad recording tableau for ((1, 2, 3), (4,))" not in result.failures
+    assert result.failures == expected
 
 
 def test_dominance_records_a_perturbed_peeled_table(monkeypatch):
