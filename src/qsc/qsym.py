@@ -4,12 +4,15 @@ Everything reduces to the monomial basis.  One type, BasisExpansion, holds
 every element: integer coefficients on the compositions of one degree,
 tagged with the basis they are taken against.  Fundamental expansions come
 from descent sets of standard fillings, products from the quasi-shuffle
-rule, and changes of basis from integer leading-term peeling: both
-Schur-like bases are unitriangular in monomial coordinates under
-lexicographic order, which is checked on every element used rather than
-assumed.  Between the two Schur-like bases the DIRT counts give the table
-directly, and the same checked peel inverts it.  Bases dual to these live
-in the noncommutative world and are handled purely as coefficient tables.
+rule, and changes of basis from one integer leading-term peel over a dense
+list indexed by lexicographic position: both Schur-like bases are
+unitriangular in monomial coordinates under lexicographic order, and
+unitriangularity is checked on every element used rather than assumed.
+Between the two Schur-like bases the DIRT counts give the table directly,
+and the same checked peel inverts it, one length block at a time.  Bases
+dual to these live in the noncommutative world and are handled purely as
+coefficient tables.  Inputs are validated where they enter; expansions the
+package builds from checked inputs are not validated again.
 """
 
 from __future__ import annotations
@@ -79,6 +82,17 @@ class BasisExpansion:
                 clean[alpha] = c
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
+    @classmethod
+    def _built(cls, basis: str, degree: int, coeffs: dict[Composition, int]) -> "BasisExpansion":
+        # For coefficients the package computed from checked inputs: the
+        # keys are compositions of degree and the values ints, so only the
+        # zeros are dropped, and nothing is validated again.
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", MappingProxyType({a: c for a, c in coeffs.items() if c}))
+        return self
+
     def coefficient(self, alpha: Composition) -> int:
         return self.coeffs.get(tuple(alpha), 0)
 
@@ -96,7 +110,7 @@ class BasisExpansion:
         out = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
             out[alpha] = out.get(alpha, 0) + c
-        return BasisExpansion(self.basis, self.degree, out)
+        return BasisExpansion._built(self.basis, self.degree, out)
 
     def __neg__(self) -> "BasisExpansion":
         return self * -1
@@ -108,7 +122,7 @@ class BasisExpansion:
 
     def __mul__(self, other):
         if type(other) is int:
-            return BasisExpansion(
+            return BasisExpansion._built(
                 self.basis, self.degree, {a: c * other for a, c in self.coeffs.items()})
         if isinstance(other, BasisExpansion):
             return quasi_shuffle(self, other)
@@ -196,7 +210,7 @@ def _mexpr(basis: str, alpha: Composition) -> BasisExpansion:
     for beta, c in counts.items():
         for gamma in refinements(beta):
             out[gamma] = out.get(gamma, 0) + c
-    return BasisExpansion(MONOMIAL, n, out)
+    return BasisExpansion._built(MONOMIAL, n, out)
 
 
 def yqs_f_expansion(alpha: Composition) -> BasisExpansion:
@@ -269,31 +283,57 @@ def quasi_shuffle(f: BasisExpansion, g: BasisExpansion) -> BasisExpansion:
         for v, cv in g.items():
             for w, m in _shuffle_pair(u, v):
                 out[w] = out.get(w, 0) + cu * cv * m
-    return BasisExpansion(MONOMIAL, f.degree + g.degree, out)
+    return BasisExpansion._built(MONOMIAL, f.degree + g.degree, out)
 
 
-def _peel(rest: dict[Composition, int], element, basis: str) -> dict[Composition, int]:
-    # Coefficients of rest, which is used up, against the basis whose element
-    # at alpha has the terms element(alpha).  The lex-largest remaining term
-    # alpha, with coefficient c, gives coefficient c at alpha, and c times
-    # element(alpha) is subtracted, until nothing is left.  An element whose
-    # lex-largest term is not alpha with coefficient 1 raises RuntimeError.
+@cache
+def _lex_index(n: int, ell: int | None) -> dict[Composition, int]:
+    # Each composition's position in compositions(n, ell): lexicographically
+    # decreasing, so a larger index is a lex-smaller composition.
+    return {alpha: i for i, alpha in enumerate(compositions(n, ell))}
+
+
+def _peel(rest, row, basis: str, n: int, ell: int | None = None) -> dict[Composition, int]:
+    # Coefficients of rest against the basis whose element at alpha is
+    # row(alpha): its terms as (lex index, coefficient) pairs over
+    # compositions(n, ell).  rest is laid out densely by lex index, and the
+    # pivot walks it forward: the entry c at index i, when nonzero, is the
+    # coefficient at alpha = compositions(n, ell)[i], and c times the element
+    # at alpha is subtracted.  That touches no earlier entry and clears entry
+    # i, because the element is unitriangular: its term at alpha is 1 and
+    # every other term has a larger index.  Both are checked, on every
+    # element used, and a failure raises RuntimeError.  out comes out
+    # lexicographically decreasing, as compositions(n, ell) lists it.
+    order = compositions(n, ell)
+    index = _lex_index(n, ell)
+    dense = [0] * len(order)
+    for gamma, c in rest.items():
+        dense[index[gamma]] = c
     out: dict[Composition, int] = {}
-    while rest:
-        alpha = max(rest)
-        c = out[alpha] = rest[alpha]
-        terms = element(alpha)
-        lead = max(terms, default=None)
-        if lead != alpha or terms[lead] != 1:
-            raise RuntimeError(
-                f"{basis} element at {to_string(alpha)} is not unitriangular")
-        for gamma, x in terms.items():
-            left = rest.get(gamma, 0) - c * x
-            if left:
-                rest[gamma] = left
-            else:
-                rest.pop(gamma, None)
+    for i in range(min(map(index.__getitem__, rest), default=len(order)), len(order)):
+        c = dense[i]
+        if not c:
+            continue
+        alpha = order[i]
+        out[alpha] = c
+        for j, x in row(alpha):
+            if j < i:
+                break
+            dense[j] -= c * x
+        else:
+            # Entry i is c minus c times the diagonal, 0 only when that is 1.
+            if not dense[i]:
+                continue
+        raise RuntimeError(f"{basis} element at {to_string(alpha)} is not unitriangular")
     return out
+
+
+@cache
+def _mexpr_row(basis: str, alpha: Composition) -> tuple[tuple[int, int], ...]:
+    # _mexpr(basis, alpha) as _peel reads it; alpha must be checked first.
+    terms = _mexpr(basis, alpha).coeffs
+    index = _lex_index(sum(alpha), None)
+    return tuple(zip(map(index.__getitem__, terms), terms.values()))
 
 
 def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
@@ -303,8 +343,10 @@ def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
     The monomial case is f itself, and the fundamental case has a
     closed-form inverse.  The two Schur-like bases are unitriangular in
     monomial coordinates under lexicographic order, so f is peeled against
-    their monomial expansions, each checked (see _peel).  yqs_to_dimm peels
-    the DIRT-count table instead, with no monomials.
+    their monomial expansions over the dense lex index of compositions(n)
+    (see _peel).  Each expansion is read as cached (index, coefficient)
+    pairs, and the peel checks it is unitriangular every time it is used.
+    yqs_to_dimm peels the DIRT-count table instead, with no monomials.
     """
     _monomial_only(f)
     if basis == MONOMIAL:
@@ -313,8 +355,8 @@ def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
         return m_to_f(f)
     if basis not in _FILLINGS:
         raise ValueError(f"cannot expand in basis {basis!r}")
-    return BasisExpansion(
-        basis, f.degree, _peel(dict(f.coeffs), lambda alpha: _mexpr(basis, alpha).coeffs, basis))
+    return BasisExpansion._built(basis, f.degree, _peel(
+        f.coeffs, lambda alpha: _mexpr_row(basis, alpha), basis, f.degree))
 
 
 def is_symmetric(f: BasisExpansion) -> bool:
@@ -378,12 +420,21 @@ def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
 
 def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
     """Dual immaculate expansion of a Young quasisymmetric Schur element:
-    the DIRT-count table of dimm_to_yqs inverted by peeling, which checks
-    that the table is unitriangular (see _peel)."""
+    the DIRT-count table of dimm_to_yqs inverted by peeling over the lex
+    index of compositions(n, len(alpha)).  The table's rows are read in
+    place, and the peel checks each row it uses is unitriangular (see
+    _peel)."""
     alpha = check_composition(alpha)
-    table = _dirt_counts(sum(alpha), len(alpha))
-    return BasisExpansion(DUAL_IMMACULATE, sum(alpha), _peel(
-        {alpha: 1}, lambda beta: table[reverse(beta)], DUAL_IMMACULATE))
+    n, ell = sum(alpha), len(alpha)
+    table = _dirt_counts(n, ell)
+    index = _lex_index(n, ell)
+
+    def row(beta):
+        terms = table[reverse(beta)]
+        return zip(map(index.__getitem__, terms), terms.values())
+
+    return BasisExpansion._built(
+        DUAL_IMMACULATE, n, _peel({alpha: 1}, row, DUAL_IMMACULATE, n, ell))
 
 
 def yns_to_imm(alpha: Composition) -> BasisExpansion:

@@ -416,7 +416,7 @@ DEFAULT_MAX_N = {
     "descents": 8,
     "triple-agreement": 8,
     "symmetry": 8,
-    "positivity": 7,
+    "positivity": 8,
     "dominance": 8,
     "round-trip": 7,
 }
@@ -425,4 +425,7 @@ DEFAULT_MAX_N = {
 def run_suite(name: str, max_n: int) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    # The package's one integer rule, as the CLI's degree check: exactly int.
+    if type(max_n) is not int or max_n < 1:
+        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
     return SUITES[name](max_n)

@@ -1,10 +1,11 @@
 import enum
 import json
+from functools import cache
 
 import pytest
 
 from qsc import qsym
-from qsc.compositions import check_composition, compositions, partitions, to_string
+from qsc.compositions import check_composition, compositions, partitions, reverse, to_string
 from qsc.insertion import insert, insert_word
 from qsc.qsym import (
     BASES,
@@ -215,8 +216,72 @@ def test_expand_in_round_trips():
 ])
 def test_expand_in_checks_unitriangularity(monkeypatch, element):
     monkeypatch.setattr(qsym, "_mexpr", lambda basis, alpha: element)
+    # A fresh row cache, so the rows reach the bad element and none outlives the test.
+    monkeypatch.setattr(qsym, "_mexpr_row", cache(qsym._mexpr_row.__wrapped__))
     with pytest.raises(RuntimeError, match="not unitriangular"):
         expand_in(monomial((1, 2)), YOUNG_QS)
+
+
+def dict_peel(rest, element, basis):
+    # The reference peel: the lex-largest term of a dict of leftovers, each step.
+    rest, out = dict(rest), {}
+    while rest:
+        alpha = max(rest)
+        c = out[alpha] = rest[alpha]
+        terms = element(alpha)
+        lead = max(terms, default=None)
+        if lead != alpha or terms[lead] != 1:
+            raise RuntimeError(f"{basis} element at {to_string(alpha)} is not unitriangular")
+        for gamma, x in terms.items():
+            left = rest.get(gamma, 0) - c * x
+            if left:
+                rest[gamma] = left
+            else:
+                rest.pop(gamma, None)
+    return out
+
+
+def products(max_n):
+    # s_lambda times dimm_alpha, as the positivity suite builds them.
+    for total in range(2, max_n + 1):
+        for k in range(1, total):
+            for lam in partitions(k):
+                for alpha in compositions(total - k):
+                    yield quasi_shuffle(schur_m_expansion(lam), dual_immaculate_mexpr(alpha))
+
+
+def test_indexed_peel_matches_the_dict_peel():
+    elements = [mexpr(alpha) for n in range(1, 7) for alpha in compositions(n)
+                for mexpr in (young_qs_mexpr, dual_immaculate_mexpr)]
+    for f in elements + list(products(6)):
+        for basis in (YOUNG_QS, DUAL_IMMACULATE):
+            want = dict_peel(f.coeffs, lambda alpha: qsym._mexpr(basis, alpha).coeffs, basis)
+            assert list(expand_in(f, basis).items()) == list(want.items())
+    for n in range(1, 10):
+        for alpha in compositions(n):
+            table = qsym._dirt_counts(n, len(alpha))
+            want = dict_peel({alpha: 1}, lambda beta: table[reverse(beta)], DUAL_IMMACULATE)
+            assert list(yqs_to_dimm(alpha).items()) == list(want.items())
+
+
+def test_built_expansions_pass_the_public_constructor():
+    # Expansions built from checked inputs skip validation; each must be
+    # one the public constructor accepts unchanged, with no zero kept.
+    built = list(products(6))
+    for n in range(1, 7):
+        built += [schur_m_expansion(lam) for lam in partitions(n)]
+        for alpha in compositions(n):
+            young, dual = young_qs_mexpr(alpha), dual_immaculate_mexpr(alpha)
+            built += [young, dual, yqs_to_dimm(alpha), young - dual, 0 * dual,
+                      quasi_shuffle(young - dual, monomial((1,)))]
+            built += [expand_in(f, basis) for f in (young, dual)
+                      for basis in (YOUNG_QS, DUAL_IMMACULATE)]
+    for e in built:
+        assert BasisExpansion(e.basis, e.degree, dict(e.coeffs)) == e
+        assert all(e.coeffs.values())
+    for coeffs in ({(True, 1): 1}, {(2,): 1.0}):
+        with pytest.raises(ValueError):
+            BasisExpansion(MONOMIAL, 2, coeffs)
 
 
 def test_coefficient_maps():

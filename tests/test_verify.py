@@ -22,6 +22,13 @@ def test_run_suite_rejects_unknown_names():
         run_suite("telepathy", 3)
 
 
+@pytest.mark.parametrize("max_n", [True, 0, -1, 2.0])
+def test_run_suite_takes_a_positive_int_degree(max_n):
+    for name in SUITES:
+        with pytest.raises(ValueError, match="max_n must be a positive integer"):
+            run_suite(name, max_n)
+
+
 def test_suite_result_mechanics():
     result = SuiteResult("demo", 3)
     assert result.passed and result.cases == 0
