@@ -90,21 +90,31 @@ def compositions(n: int, length: int | None = None) -> tuple[Composition, ...]:
     """All compositions of n, largest-first-part first (lexicographically
     decreasing).  With length given, only those with that many parts."""
     _check_count("n", n)
-    if length is not None:
-        _check_count("length", length)
+    if length is None:
+        def gen(remaining: int) -> list[Composition]:
+            if remaining == 0:
+                return [()]
+            out = []
+            for first in range(remaining, 0, -1):
+                out.extend((first,) + rest for rest in gen(remaining - first))
+            return out
 
-    def gen(remaining: int) -> list[Composition]:
-        if remaining == 0:
-            return [()]
+        return tuple(gen(n))
+    _check_count("length", length)
+    if length == 0 or length > n:
+        return ((),) if n == length else ()
+
+    def fixed(remaining: int, parts: int) -> list[Composition]:
+        # Compositions of remaining >= parts >= 1 into exactly parts parts:
+        # the first part leaves at least one for each later part.
+        if parts == 1:
+            return [(remaining,)]
         out = []
-        for first in range(remaining, 0, -1):
-            out.extend((first,) + rest for rest in gen(remaining - first))
+        for first in range(remaining - parts + 1, 0, -1):
+            out.extend((first,) + rest for rest in fixed(remaining - first, parts - 1))
         return out
 
-    result = gen(n)
-    if length is not None:
-        result = [alpha for alpha in result if len(alpha) == length]
-    return tuple(result)
+    return tuple(fixed(n, length))
 
 
 @lru_cache(maxsize=None, typed=True)

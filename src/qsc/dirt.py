@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .compositions import Composition, check_composition, is_partition, reverse
 from .rw import rw_forward
-from .tableaux import Rows, _positions, is_standard, make_rows, positions
+from .tableaux import Rows, make_rows, positions
 
 
 def _strips(pos: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -48,29 +48,46 @@ def row_strip_shape(rows: Rows) -> Composition:
 def _dirt_strip_shape(rows: Rows) -> Composition | None:
     """The row strip shape of rows when rows is a DIRT (see is_dirt), else
     None, also for a filling that is not standard.  rows must be well-formed
-    Rows; nothing else is checked."""
-    if not is_standard(rows):
-        return None
+    Rows; nothing else is checked.
+
+    One pass over the rows records each value's column and checks that the
+    n cells hold n distinct values in 1..n, so each of 1..n once, that rows
+    increase and that the first column decreases upward.  One pass over the
+    values then cuts the greedy strips and checks their columns as they
+    grow.  While every strip so far starts in column 1 and moves strictly
+    right, the greedy rule starts a new strip exactly when a value's column
+    does not exceed the previous value's, and that strip must start in
+    column 1.  The triple condition is checked last."""
+    n = sum(map(len, rows))
+    col_of = [0] * (n + 1)
+    below = n + 1
     for row in rows:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        if row[0] >= below:
             return None
-    firsts = [row[0] for row in rows]
-    if any(firsts[i] <= firsts[i + 1] for i in range(len(firsts) - 1)):
-        return None
-    pos = _positions(rows)
-    strips = _strips(pos)
-    for strip in strips:
-        cols = [pos[v][0] for v in strip]
-        if cols[0] != 1:
+        below, prev = row[0], 0
+        for col, v in enumerate(row, start=1):
+            # prev >= 0 also guards 0 < v, so v indexes col_of.
+            if v <= prev or v > n or col_of[v]:
+                return None
+            col_of[v] = col
+            prev = v
+    sizes: list[int] = []
+    last = n + 1
+    for v in range(1, n + 1):
+        col = col_of[v]
+        if col > last:
+            sizes[-1] += 1
+        elif col == 1:
+            sizes.append(1)
+        else:
             return None
-        if any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
-            return None
+        last = col
     for g, lower in enumerate(rows):
         for upper in rows[g + 1:]:
             for i in range(min(len(lower), len(upper))):
                 if upper[i] > lower[i] and not (i + 1 < len(lower) and upper[i] > lower[i + 1]):
                     return None
-    return tuple(map(len, strips))
+    return tuple(sizes)
 
 
 def is_dirt(rows: Rows) -> bool:

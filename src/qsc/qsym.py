@@ -415,7 +415,7 @@ def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     strip shape is the reverse of alpha."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    return BasisExpansion(YOUNG_QS, n, _dirt_counts(n, len(alpha))[reverse(alpha)])
+    return BasisExpansion._built(YOUNG_QS, n, _dirt_counts(n, len(alpha))[reverse(alpha)])
 
 
 def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
@@ -445,7 +445,7 @@ def yns_to_imm(alpha: Composition) -> BasisExpansion:
     table = _dirt_counts(n, len(alpha))
     out = {beta: table[reverse(beta)].get(alpha, 0)
            for beta in compositions(n, len(alpha))}
-    return BasisExpansion(IMMACULATE, n, out)
+    return BasisExpansion._built(IMMACULATE, n, out)
 
 
 def principal_specialization(f: BasisExpansion, m: int) -> int:

@@ -5,10 +5,13 @@ the shapes appearing in the Young quasisymmetric Schur expansion of a dual
 immaculate element, and dirt.enumerate_dirts lists the leaves of one shape.
 The dual tree fills a fixed diagram level by level with repeated values:
 complete leaves give the immaculate expansion of a Young noncommutative
-Schur element.  Both builders walk one mutable row list, appending a cell
-before each recursion and popping it after, and try the rows in (next
-column, row) order, so children come out in the order of the cells they
-fill with no sort.  Both trees serialize to JSON and DOT.
+Schur element.  Both builders keep their filling as a list of immutable row
+tuples: a step replaces only the row that gains a cell and restores it
+after the recursion, so a node's snapshot is the tuple of that list and
+shares every row with its parent that the step left alone.  Both try the
+rows in (next column, row) order, a stable sort of the row lengths, so
+children come out in the order of the cells they fill.  Both trees
+serialize to JSON and DOT.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ class Node:
         return self.key is not None
 
 
-def _by_next_column(rows: list[list[int]]) -> list[int]:
-    return sorted(range(len(rows)), key=lambda r: (len(rows[r]), r))
-
-
 def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
     """Grow all recording tableaux with strip shape reverse(alpha).
 
@@ -56,10 +55,10 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
     ell = len(alpha)
     counts: dict[Composition, int] = {}
     # The root row, or no row for (): that root is then its only leaf.
-    rows = [list(range(1, last + 1)) for last in alpha[-1:]]
+    rows = [tuple(range(1, last + 1)) for last in alpha[-1:]]
 
     def build() -> Node:
-        filling = tuple(map(tuple, rows))
+        filling = tuple(rows)
         if len(rows) == ell:
             shape = tuple(map(len, rows))
             counts[shape] = counts.get(shape, 0) + 1
@@ -72,19 +71,21 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
             if value == stop:
                 children.append(build())
                 return
-            for r in _by_next_column(rows):
-                col = len(rows[r]) + 1
-                if col > last_col and all(len(rows[g]) != col for g in range(r)):
-                    rows[r].append(value)
+            lens = list(map(len, rows))
+            for r in sorted(range(len(lens)), key=lens.__getitem__):
+                col = lens[r] + 1
+                if col > last_col and col not in lens[:r]:
+                    old = rows[r]
+                    rows[r] = old + (value,)
                     extend(value + 1, col)
-                    rows[r].pop()
+                    rows[r] = old
 
-        rows.insert(0, [start])
+        rows.insert(0, (start,))
         extend(start + 1, 1)
         del rows[0]
         return Node(filling, tuple(children))
 
-    return build(), BasisExpansion(YOUNG_QS, sum(alpha), counts)
+    return build(), BasisExpansion._built(YOUNG_QS, sum(alpha), counts)
 
 
 def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
@@ -101,34 +102,43 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
     alpha = check_composition(alpha)
     ell = len(alpha)
     counts: dict[Composition, int] = {}
-    rows: list[list[int]] = [[] for _ in alpha]
+    # rows[r] is row r padded with None; lens[r] counts its filled cells.
+    rows: list[tuple[Cellvalue, ...]] = [(None,) * size for size in alpha]
+    lens = [0] * ell
+    full = list(alpha)
 
     def build(level: int, beta: Composition) -> Node:
-        filling = tuple(tuple(row) + (None,) * (size - len(row))
-                        for row, size in zip(rows, alpha))
+        filling = tuple(rows)
         if level > ell:
-            if any(len(row) < size for row, size in zip(rows, alpha)):
+            if lens != full:
                 return Node(filling, ())
             counts[beta] = counts.get(beta, 0) + 1
             return Node(filling, (), beta)
-        ends = [len(row) for row in rows]
+        # Level writes row top first, so rows top..ell-1 are the started
+        # ones; row r may not end where a row below ended before the level.
+        top = ell - level
+        blocked = [lens[:r] for r in range(ell)]
         children: list[Node] = []
 
         def options(last_col: int, count: int) -> None:
             children.append(build(level + 1, (count,) + beta))
-            for r in _by_next_column(rows):
-                col = len(rows[r]) + 1
-                if rows[r] and last_col < col <= alpha[r] and col not in ends[:r]:
-                    rows[r].append(level)
-                    options(col, count + 1)
-                    rows[r].pop()
+            for r in sorted(range(top, ell), key=lens.__getitem__):
+                c = lens[r]
+                # The free cell is column c + 1, at index c of the padded row.
+                if last_col <= c < alpha[r] and c + 1 not in blocked[r]:
+                    row = rows[r]
+                    rows[r] = row[:c] + (level,) + row[c + 1:]
+                    lens[r] = c + 1
+                    options(c + 1, count + 1)
+                    rows[r], lens[r] = row, c
 
-        rows[ell - level].append(level)
+        row = rows[top]
+        rows[top], lens[top] = (level,) + row[1:], 1
         options(1, 1)
-        rows[ell - level].pop()
+        rows[top], lens[top] = row, 0
         return Node(filling, tuple(children))
 
-    return build(1, ()), BasisExpansion(IMMACULATE, sum(alpha), counts)
+    return build(1, ()), BasisExpansion._built(IMMACULATE, sum(alpha), counts)
 
 
 def tree_to_json(node: Node, direction: str) -> dict:

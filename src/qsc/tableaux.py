@@ -46,7 +46,7 @@ def make_rows(rows) -> Rows:
 
 
 def shape_of(rows: Rows) -> Composition:
-    return tuple(len(row) for row in rows)
+    return tuple(map(len, rows))
 
 
 def is_immaculate(rows: Rows) -> bool:

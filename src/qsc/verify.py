@@ -237,17 +237,17 @@ def _insertions(max_n: int):
                 bottom = (1,) + rest
                 # lift[x] is the x-th smallest letter of [n] not in bottom.
                 lift = (0,) + tuple(x for x in range(2, n + 1) if x not in rest)
-                relabel = lift.__getitem__
                 for word, p, q in entries:
-                    work = [list(map(relabel, row)) for row in p]
-                    rec = [list(row) for row in q]
+                    work = [[lift[x] for x in row] for row in p]
+                    # q's rows are shared; only a row that gains a cell is copied.
+                    rec = list(q)
                     for j, k in enumerate(bottom, start=m + 1):
                         (col, row), _ = _insert_into(work, k)
                         if col == 1:
-                            rec.insert(row - 1, [j])
+                            rec.insert(row - 1, (j,))
                         else:
-                            rec[row - 1].append(j)
-                    built.append((tuple(map(relabel, word)) + bottom, _freeze(work), _freeze(rec)))
+                            rec[row - 1] += (j,)
+                    built.append((tuple([lift[x] for x in word]) + bottom, _freeze(work), tuple(rec)))
             built.sort(key=itemgetter(0))
             yield from extend((a,) + tail, built)
 
@@ -414,7 +414,7 @@ SUITES = {
 DEFAULT_MAX_N = {
     "inverse": 8,
     "descents": 8,
-    "triple-agreement": 8,
+    "triple-agreement": 9,
     "symmetry": 8,
     "positivity": 8,
     "dominance": 8,

@@ -47,6 +47,11 @@ def test_compositions_by_length():
     assert compositions(4, length=2) == ((3, 1), (2, 2), (1, 3))
     assert compositions(3, length=4) == ()
     assert compositions(0, length=0) == ((),)
+    # Generated by length directly, in the order of the full list.
+    for n in range(13):
+        for length in range(n + 2):
+            assert compositions(n, length) == tuple(
+                alpha for alpha in compositions(n) if len(alpha) == length)
 
 
 def test_partitions_of_five():

@@ -5,6 +5,7 @@ import pytest
 from qsc.compositions import compositions, partitions, reverse, size
 from qsc.dirt import (
     _dirt_strip_shape,
+    _strips,
     enumerate_dirts,
     is_dirt,
     row_strip_shape,
@@ -12,7 +13,14 @@ from qsc.dirt import (
     superstandard,
 )
 from qsc.insertion import insert_word
-from qsc.tableaux import immaculate_reading_word, shape_of, standard_tableaux
+from qsc.tableaux import (
+    _positions,
+    immaculate_reading_word,
+    is_standard,
+    shape_of,
+    standard_tableaux,
+)
+from qsc.verify import _insertions
 
 # Recording tableau with three strips of lengths 1, 3, 3.
 STRIP_EXAMPLE = ((5,), (2, 3, 4, 7), (1, 6))
@@ -81,6 +89,54 @@ def test_dirt_strip_shape_is_the_core_of_is_dirt_and_row_strip_shape():
     for filling in (((1, 1), (2, 3)), ((2,),), ((1, 3),)):
         assert _dirt_strip_shape(filling) is None
         assert not is_dirt(filling)
+
+
+def _reference_dirt_strip_shape(rows):
+    # The reference: each DIRT condition tested on its own, over is_standard,
+    # the positions map and _strips.
+    if not is_standard(rows):
+        return None
+    for row in rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return None
+    firsts = [row[0] for row in rows]
+    if any(firsts[i] <= firsts[i + 1] for i in range(len(firsts) - 1)):
+        return None
+    pos = _positions(rows)
+    strips = _strips(pos)
+    for strip in strips:
+        cols = [pos[v][0] for v in strip]
+        if cols[0] != 1:
+            return None
+        if any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
+            return None
+    for g, lower in enumerate(rows):
+        for upper in rows[g + 1:]:
+            for i in range(min(len(lower), len(upper))):
+                if upper[i] > lower[i] and not (i + 1 < len(lower) and upper[i] > lower[i + 1]):
+                    return None
+    return tuple(map(len, strips))
+
+
+def test_dirt_strip_shape_matches_the_reference():
+    fillings = [f for n in range(7) for shape in compositions(n)
+                for f in _standard_fillings(shape)]
+    fillings += [u for n in range(8) for alpha in compositions(n)
+                 for kind in ("ssyct", "immaculate")
+                 for u in standard_tableaux(alpha, kind)]
+    fillings += [q for _, entries in _insertions(8) for _, _, q in entries]
+    dirts = 0
+    for filling in fillings:
+        strips = _dirt_strip_shape(filling)
+        assert strips == _reference_dirt_strip_shape(filling)
+        dirts += strips is not None
+    assert 0 < dirts < len(fillings)
+    # Not standard: each has a repeat, a zero or a value past n.
+    for filling in (((2,),), ((1, 1),), ((3,), (1, 3)), ((4,), (1, 2)), ((0,),)):
+        assert _dirt_strip_shape(filling) is None
+        assert _reference_dirt_strip_shape(filling) is None
+    # Standard, and a DIRT with row strips 1, 2 and 3.
+    assert _dirt_strip_shape(((3,), (1, 2))) == (2, 1)
 
 
 def test_enumerate_dirts_golden():

@@ -34,6 +34,7 @@ from qsc.qsym import (
     yqs_f_expansion,
     yqs_to_dimm,
 )
+from qsc.rw import rw_dual, rw_forward
 from qsc.tableaux import make_rows, semistandard_tableaux, weighted_tableaux
 
 
@@ -276,6 +277,8 @@ def test_built_expansions_pass_the_public_constructor():
                       quasi_shuffle(young - dual, monomial((1,)))]
             built += [expand_in(f, basis) for f in (young, dual)
                       for basis in (YOUNG_QS, DUAL_IMMACULATE)]
+            built += [rw_forward(alpha)[1], rw_dual(alpha)[1],
+                      dimm_to_yqs(alpha), yns_to_imm(alpha)]
     for e in built:
         assert BasisExpansion(e.basis, e.degree, dict(e.coeffs)) == e
         assert all(e.coeffs.values())

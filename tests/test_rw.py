@@ -156,6 +156,21 @@ def test_tree_sizes_through_degree_seven():
     assert totals == {"rw_forward": (1005, 499), "rw_dual": (2729, 499)}
 
 
+# One digest over tree_to_dot of the forward and then the dual tree of every
+# alpha with 1 <= n <= 7, in compositions(n) order.
+ALL_DOT_SHA256 = "1c2e819f0b7e24abb8d0c547cdbe77fe9ed4200b73e92aad51a098711f340452"
+
+
+def test_tree_dot_bytes_through_degree_seven():
+    # Pins child order in every tree, which node and leaf counts cannot see.
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            for build in (rw_forward, rw_dual):
+                digest.update(tree_to_dot(build(alpha)[0]).encode())
+    assert digest.hexdigest() == ALL_DOT_SHA256
+
+
 def test_trees_are_deterministic():
     first = tree_to_json(rw_forward((2, 2, 1))[0], "forward")
     second = tree_to_json(rw_forward((2, 2, 1))[0], "forward")
