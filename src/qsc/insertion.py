@@ -26,9 +26,9 @@ the same cells backwards, from just after the removed cell up to the widest
 remaining row's width + 1.  The leftmost column is never a bump or evict
 target, so neither walk enters it.
 
-Public functions validate their inputs.  The `_`-prefixed cores work on
-mutable row lists and check nothing; insert_word, uninsert and the verify
-suites drive them directly.
+Public functions validate their inputs.  The `_`-prefixed cores take a
+filling being built (see tableaux) and check nothing; insert_word, uninsert
+and the verify suites drive them directly.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from .tableaux import (
     INF,
+    Row,
     Rows,
     is_ssyct,
     make_rows,
@@ -60,12 +61,8 @@ class RaptureResult:
     route: tuple[Cell, ...]
 
 
-def _freeze(work: list[list[int]]) -> Rows:
-    return tuple(tuple(row) for row in work)
-
-
-def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tuple[Cell, ...]]:
-    """Insert k into a mutable row list; returns (new_cell, bumping path)."""
+def _insert_into(work: list[Row], k: int, events=None) -> tuple[Cell, tuple[Cell, ...]]:
+    """Insert k into a filling being built; returns (new_cell, bumping path)."""
     carry = k
     path: list[Cell] = []
     for col in range(max(map(len, work), default=0) + 1, 1, -1):
@@ -84,16 +81,16 @@ def _insert_into(work: list[list[int]], k: int, events=None) -> tuple[Cell, tupl
                 continue
             path.append((col, row))
             if occupant is INF:
-                entries.append(carry)
+                work[row - 1] = entries + (carry,)
                 return (col, row), tuple(path)
-            entries[col - 1] = carry
+            work[row - 1] = entries[:col - 1] + (carry,) + entries[col:]
             carry = occupant
     # Nothing fit: open a new single-cell row, as high as possible subject to
     # every leftmost entry below it being smaller.
     pos = 0
     while pos < len(work) and work[pos][0] < carry:
         pos += 1
-    work.insert(pos, [carry])
+    work.insert(pos, (carry,))
     new_cell = (1, pos + 1)
     path = [(c, r if r <= pos else r + 1) for c, r in path]
     path.append(new_cell)
@@ -113,9 +110,9 @@ def insert(rows: Rows, k: int, events=None) -> InsertionResult:
         raise ValueError(f"inserted value must be a positive integer, got {k!r}")
     if not is_ssyct(rows):
         raise ValueError("insert requires a Young composition tableau")
-    work = [list(r) for r in rows]
+    work = list(rows)
     new_cell, path = _insert_into(work, k, events)
-    return InsertionResult(_freeze(work), new_cell, path)
+    return InsertionResult(tuple(work), new_cell, path)
 
 
 def _is_virtuous(rows, cell: Cell) -> bool:
@@ -145,14 +142,14 @@ def is_virtuous(rows: Rows, cell: Cell) -> bool:
     return _is_virtuous(rows, cell)
 
 
-def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int | float, tuple[Cell, ...]]:
+def _rapture_from(work: list[Row], cell: Cell, events=None) -> tuple[int | float, tuple[Cell, ...]]:
     col, row = cell
     carry = work[row - 1][col - 1]
     route: list[Cell] = [cell]
     if col == 1:
         del work[row - 1]
     else:
-        work[row - 1].pop()
+        work[row - 1] = work[row - 1][:-1]
     if events is not None:
         events.append({"event": "remove", "cell": [col, row], "entry": carry,
                        "row_removed": col == 1})
@@ -176,10 +173,10 @@ def _rapture_from(work: list[list[int]], cell: Cell, events=None) -> tuple[int |
                                "occupant": occupant, "right": right, "carry": carry,
                                "outcome": outcome})
             if outcome == "settle":
-                entries.append(carry)
+                work[r - 1] = entries + (carry,)
                 return INF, tuple(route)
             if outcome == "evict":
-                entries[c - 1] = carry
+                work[r - 1] = entries[:c - 1] + (carry,) + entries[c:]
                 route.append((c, r))
                 carry = occupant
     if events is not None:
@@ -199,9 +196,9 @@ def rapture(rows: Rows, cell: Cell, events=None) -> RaptureResult:
     _check_cell(rows, cell)
     if not _is_virtuous(rows, cell):
         raise ValueError(f"cell {cell} is not virtuous")
-    work = [list(r) for r in rows]
+    work = list(rows)
     output, route = _rapture_from(work, tuple(cell), events)
-    return RaptureResult(_freeze(work), output, route)
+    return RaptureResult(tuple(work), output, route)
 
 
 def insert_word(word, events=None) -> tuple[Rows, Rows]:
@@ -218,8 +215,8 @@ def insert_word(word, events=None) -> tuple[Rows, Rows]:
             raise ValueError(f"letters must be positive integers, got {x!r}")
     if len(set(word)) != len(word):
         raise ValueError("word has repeated letters")
-    p: list[list[int]] = []
-    q: list[list[int]] = []
+    p: list[Row] = []
+    q: list[Row] = []
     for j, k in enumerate(word, start=1):
         steps = None if events is None else []
         (col, row), path = _insert_into(p, k, steps)
@@ -227,10 +224,10 @@ def insert_word(word, events=None) -> tuple[Rows, Rows]:
             events.append({"letter": k, "steps": steps, "new_cell": [col, row],
                            "path": [list(cell) for cell in path]})
         if col == 1:
-            q.insert(row - 1, [j])
+            q.insert(row - 1, (j,))
         else:
-            q[row - 1].append(j)
-    return _freeze(p), _freeze(q)
+            q[row - 1] += (j,)
+    return tuple(p), tuple(q)
 
 
 def uninsert(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
@@ -242,8 +239,7 @@ def uninsert(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
     p_rows, q_rows = make_rows(p_rows), make_rows(q_rows)
     if shape_of(p_rows) != shape_of(q_rows):
         raise ValueError("tableau and recording tableau shapes differ")
-    p = [list(r) for r in p_rows]
-    q = [list(r) for r in q_rows]
+    p, q = list(p_rows), list(q_rows)
     reversed_word: list[int] = []
     while q:
         row = max(range(len(q)), key=lambda r: q[r][-1]) + 1
@@ -252,7 +248,7 @@ def uninsert(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
         if output is INF:
             raise ValueError("insertion record did not unwind to a finite letter")
         reversed_word.append(output)
-        q[row - 1].pop()
+        q[row - 1] = q[row - 1][:-1]
         if not q[row - 1]:
             del q[row - 1]
     word = tuple(reversed(reversed_word))

@@ -5,13 +5,11 @@ the shapes appearing in the Young quasisymmetric Schur expansion of a dual
 immaculate element, and dirt.enumerate_dirts lists the leaves of one shape.
 The dual tree fills a fixed diagram level by level with repeated values:
 complete leaves give the immaculate expansion of a Young noncommutative
-Schur element.  Both builders keep their filling as a list of immutable row
-tuples: a step replaces only the row that gains a cell and restores it
-after the recursion, so a node's snapshot is the tuple of that list and
-shares every row with its parent that the step left alone.  Both try the
-rows in (next column, row) order, a stable sort of the row lengths, so
-children come out in the order of the cells they fill.  Both trees
-serialize to JSON and DOT.
+Schur element.  Both builders build their filling as tableaux describes,
+restoring the replaced row after the recursion, so a node's snapshot is
+tuple(rows).  Both try the rows in (next column, row) order, a stable sort
+of the row lengths, so children come out in the order of the cells they
+fill.  Both trees serialize to JSON and DOT.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 A filling is a tuple of rows, each row a tuple of positive ints, stored
 bottom row first.  Cell addresses are (column, row), both 1-based, so the
 cell (i, j) is the i-th entry of the j-th row counting from the bottom.
+While built step by step, a filling is a list of those row tuples: a step
+replaces only the rows it changes, and tuple(work) is the finished filling.
 
 Two families of fillings matter here: Young composition tableaux (rows
 weakly increase, the leftmost column strictly increases upward, and a
@@ -28,7 +30,8 @@ from .compositions import Composition, _check_count, check_composition
 
 INF = math.inf
 
-Rows = tuple[tuple[int, ...], ...]
+Row = tuple[int, ...]
+Rows = tuple[Row, ...]
 
 
 def make_rows(rows) -> Rows:
@@ -156,7 +159,7 @@ def _search(shape, kind, budget):
     "ssyct" a cell at 0-based column p also needs no row above it of length
     exactly p (when p >= 1) and no lower row holding v at column p+1.  Results
     are sorted by row word, top row first."""
-    rows: list[list[int]] = [[] for _ in shape]
+    rows: list[Row] = [()] * len(shape)
     reach = list(accumulate(reversed(budget), initial=0))[::-1]  # sum(budget[v:])
     results: list[Rows] = []
 
@@ -171,7 +174,7 @@ def _search(shape, kind, budget):
     def grow(v, low, spare, empty):
         # The last cell placed holds v (0: none yet) in row `low`; `spare` more may follow.
         if not empty:
-            results.append(tuple(map(tuple, rows)))
+            results.append(tuple(rows))
             return
         for w in range(v, len(budget) + 1):
             if w > v and empty > reach[w - 1]:
@@ -179,9 +182,10 @@ def _search(shape, kind, budget):
             left = spare if w == v else budget[w - 1]
             for r in range(low if w == v else 0, len(rows)):
                 if left and fits(r, w):
-                    rows[r].append(w)
+                    row = rows[r]
+                    rows[r] = row + (w,)
                     grow(w, r, left - 1, empty - 1)
-                    rows[r].pop()
+                    rows[r] = row
 
     grow(0, 0, 0, sum(shape))
     return tuple(sorted(results, key=lambda t: t[::-1]))
@@ -239,11 +243,11 @@ def from_json_obj(obj) -> Rows:
 
 def parse_rows(text: str) -> Rows:
     """Compact form: rows separated by '/', bottom row first, entries
-    comma-separated.  Example: '2/3,4,7/6,8'."""
+    comma-separated, none of them empty.  Example: '2/3,4,7/6,8'."""
     rows = []
     for chunk in text.strip().split("/"):
         try:
-            rows.append([int(piece) for piece in chunk.split(",") if piece.strip()])
+            rows.append([int(piece) for piece in chunk.split(",")] if chunk.strip() else ())
         except ValueError:
             raise ValueError(f"cannot parse row {chunk!r}") from None
     return make_rows(rows)

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
 from .dirt import _dirt_strip_shape
-from .insertion import _freeze, _insert_into, _is_virtuous, _rapture_from
+from .insertion import _insert_into, _is_virtuous, _rapture_from
 from .insertion import insert_word, uninsert
 from .qsym import (
     DUAL_IMMACULATE,
@@ -59,7 +59,8 @@ class SuiteResult:
 class _Sweep:
     """The pure-function memos of one bucket (see _buckets), kept only
     while the bucket is walked.  Tableaux are interned, so a tableau, the
-    keys that hold it and the raptures that reach it share one object.
+    keys that hold it and the raptures that reach it share one object, and
+    (see tableaux) a step's tableau shares its unchanged rows.
 
     insertions: (rows, k) -> (step, new_cell, path, record), where record
     is None until the inverse suite checks the insertion (see step).
@@ -74,7 +75,7 @@ class _Sweep:
         self.raptures: dict = {}
 
     def _intern(self, work):
-        rows = _freeze(work)
+        rows = tuple(work)
         return self.tableaux.setdefault(rows, rows)
 
     def _is_ssyct(self, rows) -> bool:
@@ -88,7 +89,7 @@ class _Sweep:
         unchecked core."""
         entry = self.insertions.get((rows, k))
         if entry is None:
-            work = [list(r) for r in rows]
+            work = list(rows)
             new_cell, path = _insert_into(work, k)
             entry = self.insertions[rows, k] = (self._intern(work), new_cell, path, None)
         return entry
@@ -125,7 +126,7 @@ class _Sweep:
                 cell = (len(row), r)
                 if not _is_virtuous(rows, cell):
                     continue
-                work = [list(x) for x in rows]
+                work = list(rows)
                 output, route = _rapture_from(work, cell)
                 after = self._intern(work)
                 undos.append((cell, output, route, after))
@@ -238,8 +239,8 @@ def _insertions(max_n: int):
                 # lift[x] is the x-th smallest letter of [n] not in bottom.
                 lift = (0,) + tuple(x for x in range(2, n + 1) if x not in rest)
                 for word, p, q in entries:
-                    work = [[lift[x] for x in row] for row in p]
-                    # q's rows are shared; only a row that gains a cell is copied.
+                    # p and q are built as in tableaux: a row changes only by replacement.
+                    work = [tuple([lift[x] for x in row]) for row in p]
                     rec = list(q)
                     for j, k in enumerate(bottom, start=m + 1):
                         (col, row), _ = _insert_into(work, k)
@@ -247,7 +248,7 @@ def _insertions(max_n: int):
                             rec.insert(row - 1, (j,))
                         else:
                             rec[row - 1] += (j,)
-                    built.append((tuple([lift[x] for x in word]) + bottom, _freeze(work), tuple(rec)))
+                    built.append((tuple([lift[x] for x in word]) + bottom, tuple(work), tuple(rec)))
             built.sort(key=itemgetter(0))
             yield from extend((a,) + tail, built)
 

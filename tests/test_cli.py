@@ -112,6 +112,15 @@ def test_demo_insert_rejects_malformed_json_tableau(capsys, tableau):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tableau", ["1,,2", "1,2,", ",1", "3/1,,2"])
+def test_demo_insert_rejects_an_empty_entry(capsys, tableau):
+    code, out, err = run(capsys, "demo", "insert", "--tableau", tableau, "--k", "1")
+    assert code == 2
+    assert out == ""
+    row = tableau.split("/")[-1]
+    assert err == f"error: cannot parse row {row!r}\n"
+
+
 def test_demo_rapture_trace(capsys):
     code, out, _ = run(capsys, "demo", "rapture",
                        "--tableau", "2,8/3,4,5/6,7", "--cell", "2,1")

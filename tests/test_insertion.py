@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from qsc.compositions import compositions
 from qsc.insertion import (
+    _insert_into,
     _is_virtuous,
     _rapture_from,
     insert,
@@ -89,23 +91,93 @@ def test_rapture_row_removal_example():
     assert result.route == ((1, 2), (2, 1))
 
 
-def test_rapture_outputs_inf_only_off_virtuous_cells():
-    # Run off a virtuous cell, the core can settle: removing the 2 at (1, 2)
-    # of ((1,), (2,)) parks it next to the 1, and nothing falls out.
-    work = [[1], [2]]
-    assert _rapture_from(work, (1, 2)) == (INF, ((1, 2),))
-    assert work == [[1, 2]]
-    # At a virtuous cell, no rapture of a small tableau settles.
-    raptures = 0
-    for n in range(1, 7):
+def _virtuous_cells(max_n):
+    """(rows, cell) at each virtuous cell, in row order, of every
+    semistandard Young composition tableau with 1 <= n <= max_n and entries
+    <= n, walking n and then compositions(n)."""
+    for n in range(1, max_n + 1):
         for shape in compositions(n):
             for rows in semistandard_tableaux(shape, "ssyct", n):
                 for r, row in enumerate(rows, start=1):
                     if _is_virtuous(rows, (len(row), r)):
-                        work = [list(x) for x in rows]
-                        assert _rapture_from(work, (len(row), r))[0] is not INF
-                        raptures += 1
+                        yield rows, (len(row), r)
+
+
+def test_rapture_outputs_inf_only_off_virtuous_cells():
+    # Run off a virtuous cell, the core can settle: removing the 2 at (1, 2)
+    # of ((1,), (2,)) parks it next to the 1, and nothing falls out.
+    work = [(1,), (2,)]
+    assert _rapture_from(work, (1, 2)) == (INF, ((1, 2),))
+    assert work == [(1, 2)]
+    # At a virtuous cell, no rapture of a small tableau settles.
+    raptures = 0
+    for rows, cell in _virtuous_cells(6):
+        work = list(rows)
+        assert _rapture_from(work, cell)[0] is not INF
+        raptures += 1
     assert raptures == 12455
+
+
+def test_cores_replace_only_the_rows_they_change():
+    # The cores take a list of row tuples.  A step leaves every row it was
+    # handed as it was, and a row off the bumping path or the escape route
+    # stays the very same object.
+    steps = 0
+    for n in range(1, 6):
+        for word in itertools.permutations(range(1, n + 1)):
+            rows = ()
+            for k in word:
+                copies = [list(x) for x in rows]
+                work = list(rows)
+                (col, row), path = _insert_into(work, k)
+                assert [list(x) for x in rows] == copies
+                on_path = {r for _, r in path}
+                for i, after in enumerate(work, start=1):
+                    if i not in on_path:
+                        # A new row at (1, row) shifts the rows above it up.
+                        assert after is rows[i - 1 - (col == 1 and i > row)]
+                rows = tuple(work)
+                steps += 1
+    assert steps == 1 + 4 + 18 + 96 + 600
+    raptures = 0
+    for rows, (col, row) in _virtuous_cells(5):
+        copies = [list(x) for x in rows]
+        work = list(rows)
+        _, route = _rapture_from(work, (col, row))
+        assert [list(x) for x in rows] == copies
+        on_route = {r for _, r in route[1:]} | ({row} if col > 1 else set())
+        for i, after in enumerate(work, start=1):
+            if i not in on_route:
+                # Removing a one-cell row shifts the rows above it down.
+                assert after is rows[i - 1 + (col == 1 and i >= row)]
+        raptures += 1
+    assert raptures == 1583
+
+
+# One digest over repr((w, insert_word(w))) for every permutation w of
+# 1..n, 1 <= n <= 7, in permutations order.
+INSERT_WORD_SHA256 = "628489074f713df466b915660c2bbdd2e0864af040cbd828baf350c98226360b"
+
+
+def test_insert_word_outputs_through_degree_seven():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            digest.update(repr((word, insert_word(word))).encode())
+    assert digest.hexdigest() == INSERT_WORD_SHA256
+
+
+# One digest over repr((rows, result.rows, result.output, result.route)) for
+# the rapture at every cell of _virtuous_cells(6).
+RAPTURE_SHA256 = "f84b441f6164176bd8eaae4a72f8bbf18e088d07cc8baab40d7dd53920c34fd7"
+
+
+def test_rapture_outputs_through_degree_six():
+    digest = hashlib.sha256()
+    for rows, cell in _virtuous_cells(6):
+        result = rapture(rows, cell)
+        digest.update(repr((rows, result.rows, result.output, result.route)).encode())
+    assert digest.hexdigest() == RAPTURE_SHA256
 
 
 def _scanned(events):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,8 +179,15 @@ def test_weighted_fillings():
 def test_parse_and_render():
     assert parse_rows("2/3,4,7/6,8") == ((2,), (3, 4, 7), (6, 8))
     assert parse_rows("1") == ((1,),)
-    with pytest.raises(ValueError):
-        parse_rows("2//3")
+    # Spaces around an entry are allowed; an empty entry or row is not.
+    assert parse_rows(" 2, 3 / 4") == ((2, 3), (4,))
+    for text in ("1,,2", "1,2,", ",1", "1, ,2", "2/1,,3"):
+        row = text.split("/")[-1]
+        with pytest.raises(ValueError, match=f"^cannot parse row {re.escape(repr(row))}$"):
+            parse_rows(text)
+    for text in ("2//3", "", "2/ /3", "2/"):
+        with pytest.raises(ValueError, match="rows must be nonempty"):
+            parse_rows(text)
     text = render(EXAMPLE)
     assert text.splitlines()[-1].strip() == "1"
     assert "4 6" in text
@@ -209,3 +218,20 @@ def test_standard_filling_counts_have_closed_forms():
         for lam in partitions(n):
             assert sum(len(standard_tableaux(a, "ssyct"))
                        for a in rearrangements(lam)) == _hook_length_count(lam)
+
+
+# One digest over repr of each result tuple: for n = 0..7, compositions(n)
+# order and kind "ssyct" then "immaculate", standard_tableaux and, for
+# n <= 5, semistandard_tableaux with max_entry = n.
+ENUMERATOR_SHA256 = "f6ebb5bd7d68c54b0706c25c90a92ed2dd0a07864c4f80776beb44a1c115c1fd"
+
+
+def test_enumerator_outputs_through_degree_seven():
+    digest = hashlib.sha256()
+    for n in range(8):
+        for shape in compositions(n):
+            for kind in ("ssyct", "immaculate"):
+                digest.update(repr(standard_tableaux(shape, kind)).encode())
+                if n <= 5:
+                    digest.update(repr(semistandard_tableaux(shape, kind, n)).encode())
+    assert digest.hexdigest() == ENUMERATOR_SHA256

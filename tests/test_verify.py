@@ -2,7 +2,7 @@ import pytest
 
 from qsc import verify
 from qsc.compositions import compositions
-from qsc.insertion import _freeze, _is_virtuous, insert, insert_word
+from qsc.insertion import _is_virtuous, insert, insert_word
 from qsc.qsym import BasisExpansion, dimm_to_yqs
 from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, shape_of, standard_tableaux
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
@@ -74,7 +74,7 @@ def break_top_rows(monkeypatch):
     def broken(work, k, events=None):
         result = real(work, k, events)
         # A top row that starts above all entries no longer increases.
-        work[-1].insert(0, max(x for row in work for x in row) + 1)
+        work[-1] = (max(x for row in work for x in row) + 1,) + work[-1]
         return result
 
     monkeypatch.setattr(verify, "_insert_into", broken)
@@ -98,7 +98,7 @@ def corrupt_paths_into(monkeypatch):
     real = verify._insert_into
 
     def corrupt(work, k, events=None):
-        before = tuple(map(tuple, work))
+        before = tuple(work)
         new_cell, path = real(work, k, events)
         return new_cell, path + ((0, 0),) if before == INSERTED_INTO else path
 
@@ -110,7 +110,7 @@ def misreport_cells_into(monkeypatch):
     real = verify._insert_into
 
     def misreport(work, k, events=None):
-        before = tuple(map(tuple, work))
+        before = tuple(work)
         (col, row), path = real(work, k, events)
         return ((col + 1, row) if before == INSERTED_INTO else (col, row)), path
 
@@ -126,7 +126,7 @@ def corrupt_one_rapture(monkeypatch):
     real = verify._rapture_from
 
     def corrupt(work, cell, events=None):
-        before = tuple(map(tuple, work))
+        before = tuple(work)
         output, route = real(work, cell, events)
         return output, route + ((0, 0),) if (before, cell) == (RAPTURED, (2, 2)) else route
 
@@ -157,9 +157,9 @@ def check_inverse_pair(result: SuiteResult, rows, new_cell, undone) -> None:
         cell = (len(row), r)
         if not _is_virtuous(rows, cell):
             continue
-        work = [list(x) for x in rows]
+        work = list(rows)
         output, route = verify._rapture_from(work, cell)
-        after = _freeze(work)
+        after = tuple(work)
         if cell == new_cell and (output, route, after) == undone:
             # The tableau before was checked, and the output is an entry.
             undoes = True
@@ -174,7 +174,7 @@ def check_inverse_pair(result: SuiteResult, rows, new_cell, undone) -> None:
         result.cases += 1
         # Equal to rows, the insert result is a tableau; no separate check.
         _, path = verify._insert_into(work, output)
-        if _freeze(work) != rows or path != tuple(reversed(route)):
+        if tuple(work) != rows or path != tuple(reversed(route)):
             result.fail(f"insert(rapture) failed at {rows} cell {cell}")
     if not undoes:
         result.fail(f"rapture(insert) failed: {undone[2]} + {undone[0]}")
@@ -195,9 +195,9 @@ def plain_inverse(max_n):
     for word in reading_words(max_n):
         rows = ()
         for k in word:
-            work = [list(r) for r in rows]
+            work = list(rows)
             new_cell, path = verify._insert_into(work, k)
-            step = tuple(map(tuple, work))
+            step = tuple(work)
             result.cases += 1
             if not is_ssyct(step):
                 result.fail(f"insert of {k} into {rows} is not a Young composition tableau")
