@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .compositions import from_string
+from .compositions import _parse_int, from_string
 from .dirt import enumerate_dirts
 from .insertion import insert, insert_word, rapture
 from .qsym import (
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="demo_kind", required=True)
     ins = dsub.add_parser("insert", help="trace one insertion")
     ins.add_argument("--tableau", required=True, help=TABLEAU_HELP)
-    ins.add_argument("--k", type=int, required=True, help="value to insert")
+    ins.add_argument("--k", type=_parse_int, required=True, help="value to insert")
     ins.set_defaults(func=cmd_demo_insert)
     rap = dsub.add_parser("rapture", help="trace one rapture")
     rap.add_argument("--tableau", required=True, help=TABLEAU_HELP)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = tab.add_mutually_exclusive_group(required=True)
     group.add_argument("--standard", action="store_true",
                        help="standard fillings (entries 1..n once each)")
-    group.add_argument("--max-entry", dest="max_entry", type=int,
+    group.add_argument("--max-entry", dest="max_entry", type=_parse_int,
                        help="semistandard fillings with entries at most this")
     tab.add_argument("--format", choices=["json", "text"], default="json")
     tab.set_defaults(func=cmd_enumerate_tableaux)
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=list(SUITES))
-    p.add_argument("--max-n", dest="max_n", type=int, default=None,
+    p.add_argument("--max-n", dest="max_n", type=_parse_int, default=None,
                    help="largest degree to check (suite default otherwise)")
     p.add_argument("--force", action="store_true",
                    help="run past the size guard")
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjectures",
                        help="empirical report on the open conjectures")
-    p.add_argument("--n", type=int, required=True, help="degree to survey")
+    p.add_argument("--n", type=_parse_int, required=True, help="degree to survey")
     p.add_argument("--force", action="store_true",
                    help="run past the size guard")
     p.add_argument("--format", choices=["json", "text"], default="text")

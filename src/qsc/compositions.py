@@ -9,6 +9,7 @@ dominance, and deterministic enumeration.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 Composition = tuple[int, ...]
@@ -19,6 +20,14 @@ def _check_count(name: str, value) -> None:
     # other int subclasses are refused, and the typed caches never see them.
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _parse_int(text: str) -> int:
+    """An integer written as an optional '-' and ASCII digits, spaces around
+    it allowed.  Python's int also takes '1_0', '+1' and non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", text.strip()) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def check_composition(alpha) -> Composition:
@@ -48,7 +57,7 @@ def from_string(text: str) -> Composition:
     if not text:
         return ()
     try:
-        parts = tuple(int(piece) for piece in text.split(","))
+        parts = tuple(_parse_int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse composition from {text!r}") from None
     return check_composition(parts)

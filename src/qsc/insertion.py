@@ -125,6 +125,10 @@ def _is_virtuous(rows, cell: Cell) -> bool:
 
 
 def _check_cell(rows: Rows, cell: Cell) -> None:
+    # The package's one integer rule: a cell is a pair of exact ints.
+    if not (isinstance(cell, (tuple, list)) and len(cell) == 2
+            and all(type(x) is int for x in cell)):
+        raise ValueError(f"cell must be a pair of integers, got {cell!r}")
     col, row = cell
     if not (1 <= row <= len(rows) and 1 <= col <= len(rows[row - 1])):
         raise ValueError(f"cell {cell} is not in the diagram")

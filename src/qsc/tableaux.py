@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .compositions import Composition, _check_count, check_composition
+from .compositions import Composition, _check_count, _parse_int, check_composition
 
 INF = math.inf
 
@@ -247,7 +247,7 @@ def parse_rows(text: str) -> Rows:
     rows = []
     for chunk in text.strip().split("/"):
         try:
-            rows.append([int(piece) for piece in chunk.split(",")] if chunk.strip() else ())
+            rows.append([_parse_int(piece) for piece in chunk.split(",")] if chunk.strip() else ())
         except ValueError:
             raise ValueError(f"cannot parse row {chunk!r}") from None
     return make_rows(rows)

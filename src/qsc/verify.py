@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -56,113 +57,104 @@ class SuiteResult:
         self.failures.append(message)
 
 
-class _Sweep:
-    """The pure-function memos of one bucket (see _buckets), kept only
-    while the bucket is walked.  Tableaux are interned, so a tableau, the
-    keys that hold it and the raptures that reach it share one object, and
-    (see tableaux) a step's tableau shares its unchanged rows.
+def _sweep():
+    """The inverse suite's checks over one bucket (see _buckets) as cached
+    pure functions, kept only while the bucket is walked; returns step.
+    Tableaux are interned, so a tableau, the keys that hold it and the
+    raptures that reach it share one object, and (see tableaux) a step's
+    tableau shares its unchanged rows."""
+    tableaux: dict = {}
 
-    insertions: (rows, k) -> (step, new_cell, path, record), where record
-    is None until the inverse suite checks the insertion (see step).
-    ssyct: rows -> is_ssyct(rows).
-    raptures: rows -> the tableau's rapture total (cases, failures,
-    undos) over its virtuous cells (see _raptures)."""
-
-    def __init__(self):
-        self.tableaux: dict = {}
-        self.insertions: dict = {}
-        self.ssyct: dict = {}
-        self.raptures: dict = {}
-
-    def _intern(self, work):
+    def intern(work):
         rows = tuple(work)
-        return self.tableaux.setdefault(rows, rows)
+        return tableaux.setdefault(rows, rows)
 
-    def _is_ssyct(self, rows) -> bool:
-        ok = self.ssyct.get(rows)
-        if ok is None:
-            ok = self.ssyct[rows] = is_ssyct(rows)
-        return ok
+    ssyct = cache(is_ssyct)
 
-    def insert(self, rows, k):
-        """(step, new_cell, path, record) of inserting k into rows with the
+    @cache
+    def insert(rows, k):
+        """(after, new_cell, path) of inserting k into rows with the
         unchecked core."""
-        entry = self.insertions.get((rows, k))
-        if entry is None:
-            work = list(rows)
-            new_cell, path = _insert_into(work, k)
-            entry = self.insertions[rows, k] = (self._intern(work), new_cell, path, None)
-        return entry
+        work = list(rows)
+        new_cell, path = _insert_into(work, k)
+        return intern(work), new_cell, path
 
-    def step(self, rows, k):
-        """(step, (ok, cases, failures)) of inserting k into rows: the
-        inverse suite's checks of this insertion, run once and replayed
-        after.  ok says whether step is a tableau.  The insertion counts as
-        a case and adds step's rapture total; rapture at new_cell, the cell
-        it added, must undo it: return k, the bumping path mirrored and
-        rows.  That rapture's own check, re-inserting k into rows, is this
-        insertion, so it passes within the total."""
-        step, new_cell, path, record = self.insert(rows, k)
-        if record is None:
-            if not self._is_ssyct(step):
-                record = False, 1, (f"insert of {k} into {rows} is not a Young composition tableau",)
-            else:
-                cases, failures, undos = self._raptures(step)
-                if (new_cell, k, tuple(reversed(path)), rows) not in undos:
-                    failures += (f"rapture(insert) failed: {rows} + {k}",)
-                record = True, 1 + cases, failures
-            self.insertions[rows, k] = (step, new_cell, path, record)
-        return step, record
-
-    def _raptures(self, rows):
+    @cache
+    def raptures(rows):
         """(cases, failures, undos) of rapture at each virtuous cell of rows,
         in row order: insert after rapture must return rows with the route
-        mirrored, looked up in the same insertion memo.  undos holds
+        mirrored, looked up among the same insertions.  undos holds
         (cell, output, route, after) per cell."""
-        total = self.raptures.get(rows)
-        if total is None:
-            cases, failures, undos = 0, [], []
-            for r, row in enumerate(rows, start=1):
-                cell = (len(row), r)
-                if not _is_virtuous(rows, cell):
-                    continue
-                work = list(rows)
-                output, route = _rapture_from(work, cell)
-                after = self._intern(work)
-                undos.append((cell, output, route, after))
-                if not self._is_ssyct(after):
-                    failures.append(f"rapture of {rows} at {cell} is not a Young composition tableau")
-                elif output is INF:
-                    failures.append(f"rapture of {rows} at {cell} outputs INF")
-                else:
-                    cases += 1
-                    # Equal to rows, the insert result is a tableau; no separate check.
-                    back, _, path, _ = self.insert(after, output)
-                    if back != rows or path != tuple(reversed(route)):
-                        failures.append(f"insert(rapture) failed at {rows} cell {cell}")
-            total = self.raptures[rows] = cases, tuple(failures), tuple(undos)
-        return total
+        cases, failures, undos = 0, [], []
+        for r, row in enumerate(rows, start=1):
+            cell = (len(row), r)
+            if not _is_virtuous(rows, cell):
+                continue
+            work = list(rows)
+            output, route = _rapture_from(work, cell)
+            after = intern(work)
+            undos.append((cell, output, route, after))
+            if not ssyct(after):
+                failures.append(f"rapture of {rows} at {cell} is not a Young composition tableau")
+            elif output is INF:
+                failures.append(f"rapture of {rows} at {cell} outputs INF")
+            else:
+                cases += 1
+                # Equal to rows, the insert result is a tableau; no separate check.
+                back, _, path = insert(after, output)
+                if back != rows or path != tuple(reversed(route)):
+                    failures.append(f"insert(rapture) failed at {rows} cell {cell}")
+        return cases, tuple(failures), tuple(undos)
+
+    @cache
+    def step(rows, k):
+        """(after, (ok, cases, failures)) of inserting k into rows: the
+        inverse suite's checks of this insertion.  ok says whether after is
+        a tableau.  The insertion counts as a case and adds after's rapture
+        total; rapture at new_cell, the cell it added, must undo it: return
+        k, the bumping path mirrored and rows.  That rapture's own check,
+        re-inserting k into rows, is this insertion, so it passes within the
+        total."""
+        after, new_cell, path = insert(rows, k)
+        if not ssyct(after):
+            return after, (False, 1, (f"insert of {k} into {rows} is not a Young composition tableau",))
+        cases, failures, undos = raptures(after)
+        if (new_cell, k, tuple(reversed(path)), rows) not in undos:
+            failures += (f"rapture(insert) failed: {rows} + {k}",)
+        return after, (True, 1 + cases, failures)
+
+    return step
 
 
 def _buckets(max_n: int):
-    """The standard immaculate tableaux u of degree 1..max_n in buckets by
-    u[-1][0], the first entry of the top row and so the first letter of
-    u's immaculate reading word.  Yields (sweep, [(position, u), ...]) per
-    bucket, with a fresh _Sweep; position is u's place in one enumeration
-    by degree and then composition.
+    """The immaculate reading words of the standard immaculate tableaux of
+    degree 1..max_n in buckets by their first letter, which is u[-1][0],
+    the first entry of the top row of the tableau u.  Yields one
+    [(alpha, word), ...] per bucket.
 
     No sharing is lost: a letter opens a row only when it is smaller than
     every row's first entry, and _insert_into writes column 1 only then, so
     a word's first letter stays on top of column 1 and words with different
     first letters never reach the same tableau."""
     buckets: dict[int, list] = {}
-    tableaux = (u for n in range(1, max_n + 1) for alpha in compositions(n)
-                for u in standard_tableaux(alpha, "immaculate"))
-    for position, u in enumerate(tableaux):
-        buckets.setdefault(u[-1][0], []).append((position, u))
+    for n in range(1, max_n + 1):
+        for alpha in compositions(n):
+            for u in standard_tableaux(alpha, "immaculate"):
+                word = immaculate_reading_word(u)
+                buckets.setdefault(word[0], []).append((alpha, word))
     for first in list(buckets):
         # Walked buckets are dropped: the later ones build the larger memos.
-        yield _Sweep(), buckets.pop(first)
+        yield buckets.pop(first)
+
+
+def _in_report_order(failed, max_n: int) -> list[str]:
+    """The messages of (alpha, word, message) records sorted by degree,
+    composition in compositions(n) order, and word.  The sort is stable, so
+    the messages of one word keep their order."""
+    order = {alpha: i for i, alpha in enumerate(
+        alpha for n in range(max_n + 1) for alpha in compositions(n))}
+    failed.sort(key=lambda record: (order[record[0]], record[1]))
+    return [message for _, _, message in failed]
 
 
 def verify_inverse(max_n: int) -> SuiteResult:
@@ -170,47 +162,28 @@ def verify_inverse(max_n: int) -> SuiteResult:
     mirrored bumping paths and escape routes, on every tableau arising
     while inserting every immaculate reading word, letter by letter; a step
     that is not a tableau ends the word.  The unchecked cores run here.
-    The buckets hold the tableaux keyed by the top row's first entry (see
-    _buckets), and this suite walks them: per bucket, across all degrees,
-    each insertion runs once per (tableau, letter), and each tableau's
-    raptures run once and are kept as one total of cases and failures.  An
-    insertion's record is its own case plus that total of the tableau it
-    reaches, and is replayed for every word that repeats the insertion, so
-    cases count every insertion of every word.  Failures are reported in
-    word order."""
+    This suite walks the buckets of words keyed by their first letter (see
+    _buckets) with one set of cached functions per bucket (see _sweep):
+    across all degrees, each insertion runs once per (tableau, letter),
+    and each tableau's raptures run once and are kept as one total of
+    cases and failures.  An insertion's record is its own case plus that
+    total of the tableau it reaches, and is replayed for every word that
+    repeats the insertion, so cases count every insertion of every word.
+    Failures are reported by degree, composition and reading word."""
     result = SuiteResult("inverse", max_n)
     failed = []
-    for sweep, bucket in _buckets(max_n):
-        for position, u in bucket:
+    for bucket in _buckets(max_n):
+        step = _sweep()
+        for alpha, word in bucket:
             rows: tuple = ()
-            for k in immaculate_reading_word(u):
-                rows, (ok, cases, failures) = sweep.step(rows, k)
+            for k in word:
+                rows, (ok, cases, failures) = step(rows, k)
                 result.cases += cases
                 if failures:
-                    failed += [(position, message) for message in failures]
+                    failed += [(alpha, word, message) for message in failures]
                 if not ok:
                     break
-    # Stable: a word's failures keep their step order.
-    failed.sort(key=lambda entry: entry[0])
-    result.failures += [message for _, message in failed]
-    return result
-
-
-def verify_descents(max_n: int) -> SuiteResult:
-    """Insertion carries the immaculate descent set of the input tableau to
-    the Young descent set of the inserted tableau."""
-    result = SuiteResult("descents", max_n)
-    failed = []
-    for sweep, bucket in _buckets(max_n):
-        for position, u in bucket:
-            p: tuple = ()
-            for k in immaculate_reading_word(u):
-                p = sweep.insert(p, k)[0]
-            result.cases += 1
-            # standard_tableaux built u; p is the output under test.
-            if young_descent_set(p) != _immaculate_descent_set(u):
-                failed.append((position, f"descents differ for {u}"))
-    result.failures += [message for _, message in sorted(failed)]
+    result.failures += _in_report_order(failed, max_n)
     return result
 
 
@@ -265,6 +238,26 @@ def _tableau_of(word, alpha):
     return tuple(rows)
 
 
+def verify_descents(max_n: int) -> SuiteResult:
+    """Insertion carries the immaculate descent set of the input tableau to
+    the Young descent set of the inserted tableau.  The (word, P) pairs come
+    from the tail walk of _insertions, and failures are reported by degree,
+    composition and reading word."""
+    result = SuiteResult("descents", max_n)
+    failed = []
+    for alpha, entries in _insertions(max_n):
+        if alpha == ():
+            continue
+        for word, p, _ in entries:
+            result.cases += 1
+            # _insertions built u; p is the output under test.
+            u = _tableau_of(word, alpha)
+            if young_descent_set(p) != _immaculate_descent_set(u):
+                failed.append((alpha, word, f"descents differ for {u}"))
+    result.failures += _in_report_order(failed, max_n)
+    return result
+
+
 def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
     shape multisets, direct recording-tableau counts, and forward tree
@@ -275,39 +268,31 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
     The insertions come from _insertions, which builds each composition's
     (word, p, q) from its tail's and inserts only the bottom row; that is
     sound because insertion only compares letters.  Its walk order is not
-    the report order, so failures are sorted back by degree, composition in
-    compositions(n) order, and reading word."""
+    the report order, so failures are sorted back (see _in_report_order)."""
     result = SuiteResult("triple-agreement", max_n)
-    order = {alpha: i for i, alpha in enumerate(
-        alpha for n in range(max_n + 1) for alpha in compositions(n))}
     failed = []
     for alpha, entries in _insertions(max_n):
-        failures = []
         recording: set = set()
         for word, p, q in entries:
             if q not in recording:
                 recording.add(q)
                 if _dirt_strip_shape(q) != reverse(alpha):
-                    failures.append(f"bad recording tableau for {_tableau_of(word, alpha)}")
+                    failed.append((alpha, word, f"bad recording tableau for {_tableau_of(word, alpha)}"))
             if shape_of(p) != shape_of(q):
-                failures.append(f"shape mismatch for {_tableau_of(word, alpha)}")
+                failed.append((alpha, word, f"shape mismatch for {_tableau_of(word, alpha)}"))
+        # The table checks report under alpha's last word, after its words' failures.
         by_insertion = dict(Counter(shape_of(q) for q in recording))
         counted = dimm_to_yqs(alpha).coeffs
         forward = rw_forward(alpha)[1].coeffs
         result.cases += 1
         if not (by_insertion == counted == forward):
-            failures.append(
-                f"coefficient tables differ at {alpha}: "
-                f"{by_insertion} vs {counted} vs {forward}"
-            )
+            failed.append((alpha, word,
+                           f"coefficient tables differ at {alpha}: "
+                           f"{by_insertion} vs {counted} vs {forward}"))
         result.cases += 1
         if rw_dual(alpha)[1].coeffs != yns_to_imm(alpha).coeffs:
-            failures.append(f"dual tree disagrees at {alpha}")
-        if failures:
-            failed.append((order[alpha], failures))
-    failed.sort(key=itemgetter(0))
-    for _, failures in failed:
-        result.failures += failures
+            failed.append((alpha, word, f"dual tree disagrees at {alpha}"))
+    result.failures += _in_report_order(failed, max_n)
     return result
 
 

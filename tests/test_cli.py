@@ -121,6 +121,35 @@ def test_demo_insert_rejects_an_empty_entry(capsys, tableau):
     assert err == f"error: cannot parse row {row!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "insert", "--tableau", "1_0", "--k", "+2"],
+    ["demo", "insert", "--tableau", "1", "--k", "1_0"],
+    ["expand", "--from", "dual-immaculate", "--to", "young-qs", "--alpha", "1_0,+1"],
+    ["verify", "--suite", "symmetry", "--max-n", "\u0663"],
+    ["conjectures", "--n", "+3"],
+    ["enumerate", "tableaux", "--shape", "2", "--kind", "ssyct", "--max-entry", "1_0"],
+])
+def test_integers_are_plain_ascii_decimals(capsys, argv):
+    # Python's int takes '1_0', '+2' and Arabic-Indic three; qsc does not.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_spaced_and_negative_integers_reach_the_library(capsys):
+    code, out, _ = run(capsys, "demo", "insert", "--tableau", " 2 , 3 ", "--k", " 1 ")
+    assert code == 0
+    assert json.loads(out)["result"] == [[1], [2, 3]]
+    code, out, err = run(capsys, "demo", "insert", "--tableau", "2", "--k", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: inserted value must be a positive integer, got -1\n"
+
+
 def test_demo_rapture_trace(capsys):
     code, out, _ = run(capsys, "demo", "rapture",
                        "--tableau", "2,8/3,4,5/6,7", "--cell", "2,1")

@@ -86,6 +86,19 @@ def test_string_round_trip():
         from_string("1,0,2")
 
 
+@pytest.mark.parametrize("text", ["1_0", "+1", "\u0663", "1_0,+1", "2, +1", "1,\u0663"])
+def test_from_string_takes_only_ascii_digits(text):
+    # Python's int takes these; the compact form is plain decimal.
+    with pytest.raises(ValueError, match="^cannot parse composition"):
+        from_string(text)
+
+
+def test_from_string_keeps_spaces_and_the_part_rule():
+    assert from_string(" 2 , 1 ") == (2, 1)
+    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+        from_string("2,-1")
+
+
 def test_subset_encoding():
     assert composition_to_subset((1, 3, 2)) == frozenset({1, 4})
     assert subset_to_composition(frozenset({1, 4}), 6) == (1, 3, 2)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +76,15 @@ def test_virtuous_cells():
     assert not is_virtuous(((1, 2), (3, 4)), (2, 2))
     with pytest.raises(ValueError):
         is_virtuous(BUMP_RESULT, (4, 1))
+
+
+@pytest.mark.parametrize("cell", [(True, True), (1.0, 1), 5, (1, 1, 1), (1,), "11", None])
+def test_cells_are_pairs_of_ints(cell):
+    message = f"^cell must be a pair of integers, got {re.escape(repr(cell))}$"
+    with pytest.raises(ValueError, match=message):
+        rapture(((1,),), cell)
+    with pytest.raises(ValueError, match=message):
+        is_virtuous(((1,),), cell)
 
 
 def test_rapture_eviction_example():

@@ -188,6 +188,13 @@ def test_parse_and_render():
     for text in ("2//3", "", "2/ /3", "2/"):
         with pytest.raises(ValueError, match="rows must be nonempty"):
             parse_rows(text)
+    # Only an optional '-' and ASCII digits: not '1_0', '+1' or other digits.
+    for text in ("1_0", "+1", "2/\u0663", "2/3,+4"):
+        row = text.split("/")[-1]
+        with pytest.raises(ValueError, match=f"^cannot parse row {re.escape(repr(row))}$"):
+            parse_rows(text)
+    with pytest.raises(ValueError, match="entries must be positive integers"):
+        parse_rows("2/-3")
     text = render(EXAMPLE)
     assert text.splitlines()[-1].strip() == "1"
     assert "4 6" in text

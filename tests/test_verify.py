@@ -50,21 +50,21 @@ def test_buckets_key_each_word_by_a_first_letter_that_stays_on_top():
     # The bucket key u[-1][0] is the first letter of u's reading word, and
     # every prefix's insertion tableau keeps that letter on top of column 1,
     # so no two buckets reach the same tableau.
-    firsts, seen, prefixes = [], set(), 0
-    for _, bucket in verify._buckets(7):
-        words = [(position, u, immaculate_reading_word(u)) for position, u in bucket]
-        first = words[0][2][0]
+    firsts, seen, prefixes = [], [], 0
+    for bucket in verify._buckets(7):
+        first = bucket[0][1][0]
         firsts.append(first)
-        for position, u, word in words:
-            seen.add(position)
-            assert word[0] == u[-1][0] == first
+        for alpha, word in bucket:
+            seen.append((alpha, word))
             rows = ()
             for k in word:
                 rows = insert(rows, k).rows
                 prefixes += 1
                 assert rows[-1][0] == first
     assert len(set(firsts)) == len(firsts)
-    assert seen == set(range(1 + 2 + 5 + 15 + 52 + 203 + 877))
+    assert sorted(seen) == sorted(
+        (alpha, immaculate_reading_word(u)) for n in range(1, 8) for alpha in compositions(n)
+        for u in standard_tableaux(alpha, "immaculate"))
     assert prefixes == 7697
 
 
@@ -297,6 +297,21 @@ def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
     assert "bad recording tableau for ((1, 2, 4), (3,))" in result.failures
     assert "bad recording tableau for ((1, 2, 3), (4,))" not in result.failures
     assert result.failures == expected
+
+
+def test_descents_reports_in_report_order(monkeypatch):
+    real = verify._insertions
+
+    def one_row(max_n):
+        # A one-row P has no Young descents, so every u with two rows fails.
+        for alpha, entries in real(max_n):
+            yield alpha, [(w, (tuple(sorted(w)),), q) for w, p, q in entries]
+
+    monkeypatch.setattr(verify, "_insertions", one_row)
+    result = run_suite("descents", 5)
+    assert result.failures == [
+        f"descents differ for {u}" for n in range(1, 6) for alpha in compositions(n)
+        for u in standard_tableaux(alpha, "immaculate") if len(u) >= 2]
 
 
 def test_dominance_records_a_perturbed_peeled_table(monkeypatch):
