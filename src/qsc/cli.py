@@ -76,10 +76,18 @@ def _emit(obj) -> None:
     print(json.dumps(_jsonable(obj)))
 
 
+def integer(text: str) -> int:
+    # argparse names a type by __name__: "invalid integer value: 'x'".
+    return _parse_int(text)
+
+
 def _read_tableau(text: str):
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
-        obj = json.loads(stripped)
+        try:
+            obj = json.loads(stripped)
+        except RecursionError:
+            raise ValueError("tableau JSON is nested too deeply") from None
         return from_json_obj(obj if isinstance(obj, dict) else {"rows": obj})
     return parse_rows(stripped)
 
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="demo_kind", required=True)
     ins = dsub.add_parser("insert", help="trace one insertion")
     ins.add_argument("--tableau", required=True, help=TABLEAU_HELP)
-    ins.add_argument("--k", type=_parse_int, required=True, help="value to insert")
+    ins.add_argument("--k", type=integer, required=True, help="value to insert")
     ins.set_defaults(func=cmd_demo_insert)
     rap = dsub.add_parser("rapture", help="trace one rapture")
     rap.add_argument("--tableau", required=True, help=TABLEAU_HELP)
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = tab.add_mutually_exclusive_group(required=True)
     group.add_argument("--standard", action="store_true",
                        help="standard fillings (entries 1..n once each)")
-    group.add_argument("--max-entry", dest="max_entry", type=_parse_int,
+    group.add_argument("--max-entry", dest="max_entry", type=integer,
                        help="semistandard fillings with entries at most this")
     tab.add_argument("--format", choices=["json", "text"], default="json")
     tab.set_defaults(func=cmd_enumerate_tableaux)
@@ -342,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=list(SUITES))
-    p.add_argument("--max-n", dest="max_n", type=_parse_int, default=None,
+    p.add_argument("--max-n", dest="max_n", type=integer, default=None,
                    help="largest degree to check (suite default otherwise)")
     p.add_argument("--force", action="store_true",
                    help="run past the size guard")
@@ -350,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjectures",
                        help="empirical report on the open conjectures")
-    p.add_argument("--n", type=_parse_int, required=True, help="degree to survey")
+    p.add_argument("--n", type=integer, required=True, help="degree to survey")
     p.add_argument("--force", action="store_true",
                    help="run past the size guard")
     p.add_argument("--format", choices=["json", "text"], default="text")

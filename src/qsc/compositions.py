@@ -97,33 +97,19 @@ def subset_to_composition(subset, n: int) -> Composition:
 @lru_cache(maxsize=None, typed=True)
 def compositions(n: int, length: int | None = None) -> tuple[Composition, ...]:
     """All compositions of n, largest-first-part first (lexicographically
-    decreasing).  With length given, only those with that many parts."""
+    decreasing).  With length given, only those with that many parts: the
+    length blocks are the unit enumerated, and all of n is their merge."""
     _check_count("n", n)
     if length is None:
-        def gen(remaining: int) -> list[Composition]:
-            if remaining == 0:
-                return [()]
-            out = []
-            for first in range(remaining, 0, -1):
-                out.extend((first,) + rest for rest in gen(remaining - first))
-            return out
-
-        return tuple(gen(n))
+        blocks = (compositions(n, ell) for ell in range(n + 1))
+        return tuple(sorted(itertools.chain.from_iterable(blocks), reverse=True))
     _check_count("length", length)
     if length == 0 or length > n:
         return ((),) if n == length else ()
-
-    def fixed(remaining: int, parts: int) -> list[Composition]:
-        # Compositions of remaining >= parts >= 1 into exactly parts parts:
-        # the first part leaves at least one for each later part.
-        if parts == 1:
-            return [(remaining,)]
-        out = []
-        for first in range(remaining - parts + 1, 0, -1):
-            out.extend((first,) + rest for rest in fixed(remaining - first, parts - 1))
-        return out
-
-    return tuple(fixed(n, length))
+    # A block is the sets of length - 1 cuts in {1..n-1}, in reverse lex
+    # order: cut tuples of one length order as their compositions do.
+    cuts = reversed(list(itertools.combinations(range(1, n), length - 1)))
+    return tuple(subset_to_composition(c, n) for c in cuts)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -100,6 +100,16 @@ def _insert_into(work: list[Row], k: int, events=None) -> tuple[Cell, tuple[Cell
     return new_cell, tuple(path)
 
 
+def _record(q: list[Row], cell: Cell, j: int) -> None:
+    # Put j at cell, the cell an insertion added, in the recording tableau q
+    # being built: a new row when cell is in column 1, else its row's end.
+    col, row = cell
+    if col == 1:
+        q.insert(row - 1, (j,))
+    else:
+        q[row - 1] += (j,)
+
+
 def insert(rows: Rows, k: int, events=None) -> InsertionResult:
     """Insert k into a semistandard Young composition tableau.
 
@@ -223,14 +233,11 @@ def insert_word(word, events=None) -> tuple[Rows, Rows]:
     q: list[Row] = []
     for j, k in enumerate(word, start=1):
         steps = None if events is None else []
-        (col, row), path = _insert_into(p, k, steps)
+        new_cell, path = _insert_into(p, k, steps)
         if events is not None:
-            events.append({"letter": k, "steps": steps, "new_cell": [col, row],
+            events.append({"letter": k, "steps": steps, "new_cell": list(new_cell),
                            "path": [list(cell) for cell in path]})
-        if col == 1:
-            q.insert(row - 1, (j,))
-        else:
-            q[row - 1] += (j,)
+        _record(q, new_cell, j)
     return tuple(p), tuple(q)
 
 

@@ -31,7 +31,6 @@ from .compositions import (
     partitions,
     rearrangements,
     refinements,
-    reverse,
     subset_to_composition,
     to_string,
 )
@@ -377,19 +376,19 @@ def is_symmetric(f: BasisExpansion) -> bool:
 
 @cache
 def _dirt_counts(n: int, ell: int) -> dict[Composition, dict[Composition, int]]:
-    # Recording-tableau counts by row strip shape, then by shape, over the
-    # compositions of n with ell parts; row reverse(alpha) is dual immaculate
-    # alpha in Young quasisymmetric Schur terms.  The placement rule reads
-    # only row lengths and the previous value's column, so each strip shape
-    # carries {(lengths, last column): count} and lists no DIRT: strip s
-    # opens row ell - s - 1, and each later member ends row r at col =
-    # lengths[r] + 1 when col > last and no row below r ends at col (an
-    # unopened row offers col 1 <= last).  rw_forward enumerates the same
-    # tableaux independently.
+    # Row alpha, over the compositions alpha of n with ell parts, is dual
+    # immaculate alpha in Young quasisymmetric Schur terms: the counts, by
+    # shape, of the recording tableaux whose row strip shape is
+    # reversed(alpha).  The placement rule reads only row lengths and the
+    # previous value's column, so each row carries {(lengths, last column):
+    # count} and lists no DIRT: strip s opens row ell - s - 1, and each
+    # later member ends row r at col = lengths[r] + 1 when col > last and no
+    # row below r ends at col (an unopened row offers col 1 <= last).
+    # rw_forward enumerates the same tableaux independently.
     table = {}
-    for strips in compositions(n, ell):
+    for alpha in compositions(n, ell):
         states = {(0,) * ell: 1}
-        for s, size in enumerate(strips):
+        for s, size in enumerate(reversed(alpha)):
             anchor = ell - s - 1
             grown = {(lengths[:anchor] + (1,) + lengths[anchor + 1:], 1): c
                      for lengths, c in states.items()}
@@ -405,7 +404,7 @@ def _dirt_counts(n: int, ell: int) -> dict[Composition, dict[Composition, int]]:
             states = {}
             for (lengths, _), c in grown.items():
                 states[lengths] = states.get(lengths, 0) + c
-        table[strips] = states
+        table[alpha] = states
     return table
 
 
@@ -415,7 +414,7 @@ def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     strip shape is the reverse of alpha."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    return BasisExpansion._built(YOUNG_QS, n, _dirt_counts(n, len(alpha))[reverse(alpha)])
+    return BasisExpansion._built(YOUNG_QS, n, _dirt_counts(n, len(alpha))[alpha])
 
 
 def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
@@ -430,7 +429,7 @@ def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
     index = _lex_index(n, ell)
 
     def row(beta):
-        terms = table[reverse(beta)]
+        terms = table[beta]
         return zip(map(index.__getitem__, terms), terms.values())
 
     return BasisExpansion._built(
@@ -442,9 +441,7 @@ def yns_to_imm(alpha: Composition) -> BasisExpansion:
     transpose of the dual immaculate coefficient table."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    table = _dirt_counts(n, len(alpha))
-    out = {beta: table[reverse(beta)].get(alpha, 0)
-           for beta in compositions(n, len(alpha))}
+    out = {beta: row.get(alpha, 0) for beta, row in _dirt_counts(n, len(alpha)).items()}
     return BasisExpansion._built(IMMACULATE, n, out)
 
 

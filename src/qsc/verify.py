@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
 from .dirt import _dirt_strip_shape
-from .insertion import _insert_into, _is_virtuous, _rapture_from
+from .insertion import _insert_into, _is_virtuous, _rapture_from, _record
 from .insertion import insert_word, uninsert
 from .qsym import (
     DUAL_IMMACULATE,
@@ -216,11 +216,7 @@ def _insertions(max_n: int):
                     work = [tuple([lift[x] for x in row]) for row in p]
                     rec = list(q)
                     for j, k in enumerate(bottom, start=m + 1):
-                        (col, row), _ = _insert_into(work, k)
-                        if col == 1:
-                            rec.insert(row - 1, (j,))
-                        else:
-                            rec[row - 1] += (j,)
+                        _record(rec, _insert_into(work, k)[0], j)
                     built.append((tuple([lift[x] for x in word]) + bottom, tuple(work), tuple(rec)))
             built.sort(key=itemgetter(0))
             yield from extend((a,) + tail, built)

@@ -102,6 +102,7 @@ def test_demo_insert_accepts_json_tableau(capsys):
     '{"rows": 5}',
     '{"rows": [[1]], "shape": 5}',
     '[5]',
+    pytest.param("[" * 5000 + "]" * 5000, id="nested-5000-deep"),
 ])
 def test_demo_insert_rejects_malformed_json_tableau(capsys, tableau):
     code, out, err = run(capsys, "demo", "insert", "--tableau", tableau,
@@ -139,6 +140,22 @@ def test_integers_are_plain_ascii_decimals(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "insert", "--tableau", "1", "--k", "x"],
+    ["verify", "--suite", "symmetry", "--max-n", "x"],
+    ["conjectures", "--n", "x"],
+    ["enumerate", "tableaux", "--shape", "2", "--kind", "ssyct", "--max-entry", "x"],
+])
+def test_a_bad_integer_names_its_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: invalid integer value: 'x'" in captured.err
+    assert "_parse_int" not in captured.err
 
 
 def test_spaced_and_negative_integers_reach_the_library(capsys):

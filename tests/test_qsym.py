@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 
 from qsc import qsym
-from qsc.compositions import check_composition, compositions, partitions, reverse, to_string
+from qsc.compositions import check_composition, compositions, partitions, to_string
 from qsc.insertion import insert, insert_word
 from qsc.qsym import (
     BASES,
@@ -261,7 +261,7 @@ def test_indexed_peel_matches_the_dict_peel():
     for n in range(1, 10):
         for alpha in compositions(n):
             table = qsym._dirt_counts(n, len(alpha))
-            want = dict_peel({alpha: 1}, lambda beta: table[reverse(beta)], DUAL_IMMACULATE)
+            want = dict_peel({alpha: 1}, lambda beta: table[beta], DUAL_IMMACULATE)
             assert list(yqs_to_dimm(alpha).items()) == list(want.items())
 
 
@@ -322,8 +322,8 @@ def test_inverted_dirt_table_checks_unitriangularity(monkeypatch):
     real = qsym._dirt_counts
 
     def doubled(n, ell):
-        table = {strips: dict(row) for strips, row in real(n, ell).items()}
-        table[(1, 2)][(2, 1)] = 2  # the diagonal entry of dual immaculate (2, 1)
+        table = {alpha: dict(row) for alpha, row in real(n, ell).items()}
+        table[(2, 1)][(2, 1)] = 2  # the diagonal entry of dual immaculate (2, 1)
         return table
 
     monkeypatch.setattr(qsym, "_dirt_counts", doubled)
