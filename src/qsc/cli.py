@@ -208,7 +208,11 @@ def cmd_enumerate_tableaux(args) -> int:
 def cmd_enumerate_dirts(args) -> int:
     shape = from_string(args.shape)
     strips = from_string(args.strips)
-    items = enumerate_dirts(shape, strips)
+    try:
+        items = enumerate_dirts(shape, strips)
+    except RecursionError:
+        raise ValueError(f"the forward tree of {len(strips)} strips"
+                         " is nested too deeply") from None
     payload = {
         "shape": shape,
         "strips": strips,
@@ -222,16 +226,22 @@ def cmd_enumerate_dirts(args) -> int:
 def cmd_tree(args) -> int:
     alpha = from_string(args.alpha)
     builder = rw_forward if args.direction == "forward" else rw_dual
-    root, expansion = builder(alpha)
-    if args.format == "dot":
-        sys.stdout.write(tree_to_dot(root))
-    else:
-        _emit({
-            "alpha": alpha,
-            "direction": args.direction,
-            "expansion": expansion.to_json_obj(),
-            "tree": tree_to_json(root, args.direction),
-        })
+    # Building and serializing recurse about once per part; each output
+    # text is whole before it is printed.
+    try:
+        root, expansion = builder(alpha)
+        if args.format == "dot":
+            sys.stdout.write(tree_to_dot(root))
+        else:
+            _emit({
+                "alpha": alpha,
+                "direction": args.direction,
+                "expansion": expansion.to_json_obj(),
+                "tree": tree_to_json(root, args.direction),
+            })
+    except RecursionError:
+        raise ValueError(f"the {args.direction} tree of {len(alpha)} parts"
+                         " is nested too deeply") from None
     return 0
 
 

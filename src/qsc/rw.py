@@ -9,7 +9,14 @@ Schur element.  Both builders build their filling as tableaux describes,
 restoring the replaced row after the recursion, so a node's snapshot is
 tuple(rows).  Both try the rows in (next column, row) order, a stable sort
 of the row lengths, so children come out in the order of the cells they
-fill.  Both trees serialize to JSON and DOT.
+fill.  Each builder defines its recursion once per call: build makes a node
+and a second function places the node's next values, taking the level's
+state as arguments.  A value may not end a row in a column where a lower
+row ends; one map per level, from a column to the lowest row that ended
+there when the level began, answers that.  In the forward tree the rows a
+level has changed end left of its next placement, so the rows that end in
+that column are the same ones as when the level began.  Both trees
+serialize to JSON and DOT.
 """
 
 from __future__ import annotations
@@ -40,6 +47,12 @@ class Node:
         return self.key is not None
 
 
+def _lowest_ends(lens: list[int]) -> dict[int, int]:
+    """Maps each row length to the lowest row of that length, so a column c
+    maps to the lowest row ending in it."""
+    return dict(zip(reversed(lens), range(len(lens) - 1, -1, -1)))
+
+
 def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
     """Grow all recording tableaux with strip shape reverse(alpha).
 
@@ -63,25 +76,25 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
             return Node(filling, (), shape)
         children: list[Node] = []
         start = sum(map(len, rows)) + 1
-        stop = start + alpha[ell - 1 - len(rows)]
-
-        def extend(value: int, last_col: int) -> None:
-            if value == stop:
-                children.append(build())
-                return
-            lens = list(map(len, rows))
-            for r in sorted(range(len(lens)), key=lens.__getitem__):
-                col = lens[r] + 1
-                if col > last_col and col not in lens[:r]:
-                    old = rows[r]
-                    rows[r] = old + (value,)
-                    extend(value + 1, col)
-                    rows[r] = old
-
         rows.insert(0, (start,))
-        extend(start + 1, 1)
+        lowest = _lowest_ends(list(map(len, rows)))
+        extend(start + 1, 1, start + alpha[ell - len(rows)], lowest, children)
         del rows[0]
         return Node(filling, tuple(children))
+
+    def extend(value: int, last_col: int, stop: int, lowest: dict[int, int],
+               children: list[Node]) -> None:
+        if value == stop:
+            children.append(build())
+            return
+        lens = list(map(len, rows))
+        for r in sorted(range(len(lens)), key=lens.__getitem__):
+            col = lens[r] + 1
+            if col > last_col and lowest.get(col, ell) > r:
+                old = rows[r]
+                rows[r] = old + (value,)
+                extend(value + 1, col, stop, lowest, children)
+                rows[r] = old
 
     return build(), BasisExpansion._built(YOUNG_QS, sum(alpha), counts)
 
@@ -115,26 +128,26 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
         # Level writes row top first, so rows top..ell-1 are the started
         # ones; row r may not end where a row below ended before the level.
         top = ell - level
-        blocked = [lens[:r] for r in range(ell)]
+        lowest = _lowest_ends(lens)
         children: list[Node] = []
-
-        def options(last_col: int, count: int) -> None:
-            children.append(build(level + 1, (count,) + beta))
-            for r in sorted(range(top, ell), key=lens.__getitem__):
-                c = lens[r]
-                # The free cell is column c + 1, at index c of the padded row.
-                if last_col <= c < alpha[r] and c + 1 not in blocked[r]:
-                    row = rows[r]
-                    rows[r] = row[:c] + (level,) + row[c + 1:]
-                    lens[r] = c + 1
-                    options(c + 1, count + 1)
-                    rows[r], lens[r] = row, c
-
         row = rows[top]
         rows[top], lens[top] = (level,) + row[1:], 1
-        options(1, 1)
+        options(level, beta, top, lowest, children, 1, 1)
         rows[top], lens[top] = row, 0
         return Node(filling, tuple(children))
+
+    def options(level: int, beta: Composition, top: int, lowest: dict[int, int],
+                children: list[Node], last_col: int, count: int) -> None:
+        children.append(build(level + 1, (count,) + beta))
+        for r in sorted(range(top, ell), key=lens.__getitem__):
+            c = lens[r]
+            # The free cell is column c + 1, at index c of the padded row.
+            if last_col <= c < alpha[r] and lowest.get(c + 1, ell) > r:
+                row = rows[r]
+                rows[r] = row[:c] + (level,) + row[c + 1:]
+                lens[r] = c + 1
+                options(level, beta, top, lowest, children, c + 1, count + 1)
+                rows[r], lens[r] = row, c
 
     return build(1, ()), BasisExpansion._built(IMMACULATE, sum(alpha), counts)
 

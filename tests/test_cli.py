@@ -287,6 +287,14 @@ def test_enumerate_dirts(capsys):
     assert obj["dirts"] == [[[4], [2, 5, 6], [1, 3]]]
 
 
+def test_enumerate_dirts_refuses_a_tree_nested_too_deeply(capsys):
+    parts = ",".join(["1"] * 1200)
+    code, out, err = run(capsys, "enumerate", "dirts", "--shape", parts, "--strips", parts)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the forward tree of 1200 strips is nested too deeply\n"
+
+
 def test_tree_json(capsys):
     code, out, _ = run(capsys, "tree", "--alpha", "2,2",
                        "--direction", "forward")
@@ -294,6 +302,17 @@ def test_tree_json(capsys):
     obj = json.loads(out)
     assert obj["expansion"]["coeffs"] == {"2,2": 1, "1,3": 1}
     assert obj["tree"]["rows"] == [[1, 2]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("direction", ["forward", "dual"])
+def test_tree_refuses_a_tree_nested_too_deeply(capsys, direction, fmt):
+    # 250 parts already overflowed the JSON emission, and 500 the DOT one.
+    code, out, err = run(capsys, "tree", "--alpha", ",".join(["1"] * 1200),
+                         "--direction", direction, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the {direction} tree of 1200 parts is nested too deeply\n"
 
 
 def test_tree_dot(capsys):

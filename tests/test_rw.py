@@ -176,3 +176,21 @@ def test_trees_are_deterministic():
     second = tree_to_json(rw_forward((2, 2, 1))[0], "forward")
     assert first == second
     assert tree_to_dot(rw_dual((2, 2))[0]) == tree_to_dot(rw_dual((2, 2))[0])
+
+
+# One digest per builder over tree_to_dot of every alpha with n = 8, in
+# compositions(8) order.
+DEGREE_EIGHT_DOT_SHA256 = {
+    "rw_forward": "d2b6b5af063862be2eb80d176be73f03c408f5488b02a05586fd4bb9377314bb",
+    "rw_dual": "26f9e87f00645df26ac8c8f875a7fc3fe6caefe2d892549d4693c123fd801b49",
+}
+
+
+def test_tree_dot_bytes_at_degree_eight():
+    digests = {}
+    for build in (rw_forward, rw_dual):
+        digest = hashlib.sha256()
+        for alpha in compositions(8):
+            digest.update(tree_to_dot(build(alpha)[0]).encode())
+        digests[build.__name__] = digest.hexdigest()
+    assert digests == DEGREE_EIGHT_DOT_SHA256

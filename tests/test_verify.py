@@ -256,6 +256,22 @@ def test_inverse_runs_each_insertion_and_rapture_once(monkeypatch):
     assert calls == {"_insert_into": 691, "_rapture_from": 691}
 
 
+def test_insertions_insert_each_bottom_row_prefix_once(monkeypatch):
+    calls = 0
+    real = verify._insert_into
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_insert_into", counted)
+    assert sum(len(entries) for _, entries in verify._insertions(7)) == 1156
+    # One per (tail entry, prefix b_1..b_j with j >= 2) against 2,713 when
+    # every letter of every bottom row was inserted for each completion.
+    assert calls == 1148
+
+
 def test_insertions_build_each_word_insertion_from_its_tail():
     walked = []
     for alpha, entries in verify._insertions(7):
