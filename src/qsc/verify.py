@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
@@ -33,10 +33,8 @@ from .qsym import (
 from .rw import rw_dual, rw_forward
 from .tableaux import (
     INF,
-    immaculate_reading_word,
     is_ssyct,
     shape_of,
-    standard_tableaux,
     young_descent_set,
 )
 
@@ -56,18 +54,36 @@ class SuiteResult:
         self.failures.append(message)
 
 
-def _sweep():
-    """The inverse suite's checks over one bucket (see _buckets) as cached
-    pure functions, kept only while the bucket is walked; returns step.
-    Tableaux are interned, so a tableau, the keys that hold it and the
-    raptures that reach it share one object, and (see tableaux) a step's
-    tableau shares its unchanged rows."""
-    tableaux: dict = {}
+def _reading_words(max_n: int, step, root):
+    """Yields (word, state) for every standard immaculate reading word of
+    degree 1..max_n, walked depth first as a prefix tree over standardized
+    prefixes: a word's parent is its prefix one letter shorter,
+    standardized, and its state is step(parent's state, v), where v is its
+    last letter.
 
-    def intern(work):
-        rows = tuple(work)
-        return tableaux.setdefault(rows, rows)
+    A word on the letters 1..n is the reading word of a standard immaculate
+    tableau exactly when its maximal increasing runs, which are the rows
+    read top row first, have decreasing first letters.  Standardizing a
+    prefix keeps that, so every prefix of a word is a node.  A child
+    appends v and raises each earlier letter >= v by one; v either opens a
+    run below the current run's first letter f (v <= f) or extends the run
+    above its last letter l (v > l).  The root's one child is the word 1."""
+    stack = [((), root, 1, 1)]
+    while stack:
+        word, state, f, l = stack.pop()
+        j = len(word)
+        if j:
+            yield word, state
+        if j < max_n:
+            for v in chain(range(1, f + 1), range(l + 1, j + 2)):
+                child = tuple([x + (x >= v) for x in word]) + (v,)
+                stack.append((child, step(state, v), min(v, f), v))
 
+
+def _inverse_checks():
+    """The inverse suite's checks as cached functions of standardized
+    tableaux; returns step.  A failure is a record (kind, rows, x) on the
+    letters of the tableau checked, x a letter or a cell (see _MESSAGES)."""
     ssyct = cache(is_ssyct)
 
     @cache
@@ -76,7 +92,7 @@ def _sweep():
         unchecked core."""
         work = list(rows)
         new_cell, path = _insert_into(work, k)
-        return intern(work), new_cell, path
+        return tuple(work), new_cell, path
 
     @cache
     def raptures(rows):
@@ -91,59 +107,58 @@ def _sweep():
                 continue
             work = list(rows)
             output, route = _rapture_from(work, cell)
-            after = intern(work)
+            after = tuple(work)
             undos.append((cell, output, route, after))
             if not ssyct(after):
-                failures.append(f"rapture of {rows} at {cell} is not a Young composition tableau")
+                failures.append(("rapture", rows, cell))
             elif output is INF:
-                failures.append(f"rapture of {rows} at {cell} outputs INF")
+                failures.append(("inf", rows, cell))
             else:
                 cases += 1
                 # Equal to rows, the insert result is a tableau; no separate check.
                 back, _, path = insert(after, output)
                 if back != rows or path != tuple(reversed(route)):
-                    failures.append(f"insert(rapture) failed at {rows} cell {cell}")
+                    failures.append(("reinsert", rows, cell))
         return cases, tuple(failures), tuple(undos)
 
     @cache
-    def step(rows, k):
-        """(after, (ok, cases, failures)) of inserting k into rows: the
-        inverse suite's checks of this insertion.  ok says whether after is
-        a tableau.  The insertion counts as a case and adds after's rapture
-        total; rapture at new_cell, the cell it added, must undo it: return
-        k, the bumping path mirrored and rows.  That rapture's own check,
-        re-inserting k into rows, is this insertion, so it passes within the
+    def step(p, v):
+        """(after, cases, failures) of the step from a word with tableau p
+        to its child with last letter v: v inserted into p with every
+        letter >= v raised by one.  after is None when it is not a tableau.
+        The insertion counts as a case and adds after's rapture total;
+        rapture at new_cell, the cell it added, must undo it: return v, the
+        bumping path mirrored and the tableau before.  That rapture's own
+        check, re-inserting v, is this insertion, so it passes within the
         total."""
-        after, new_cell, path = insert(rows, k)
+        before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
+        after, new_cell, path = insert(before, v)
         if not ssyct(after):
-            return after, (False, 1, (f"insert of {k} into {rows} is not a Young composition tableau",))
+            return None, 1, (("insert", before, v),)
         cases, failures, undos = raptures(after)
-        if (new_cell, k, tuple(reversed(path)), rows) not in undos:
-            failures += (f"rapture(insert) failed: {rows} + {k}",)
-        return after, (True, 1 + cases, failures)
+        if (new_cell, v, tuple(reversed(path)), before) not in undos:
+            failures += (("undo", before, v),)
+        return after, 1 + cases, failures
 
     return step
 
 
-def _buckets(max_n: int):
-    """The immaculate reading words of the standard immaculate tableaux of
-    degree 1..max_n in buckets by their first letter, which is u[-1][0],
-    the first entry of the top row of the tableau u.  Yields one
-    [(alpha, word), ...] per bucket.
+# Failure texts by record kind; x is a letter for "insert" and "undo" and a
+# cell otherwise.
+_MESSAGES = {
+    "insert": "insert of {x} into {rows} is not a Young composition tableau",
+    "undo": "rapture(insert) failed: {rows} + {x}",
+    "rapture": "rapture of {rows} at {x} is not a Young composition tableau",
+    "inf": "rapture of {rows} at {x} outputs INF",
+    "reinsert": "insert(rapture) failed at {rows} cell {x}",
+}
 
-    No sharing is lost: a letter opens a row only when it is smaller than
-    every row's first entry, and _insert_into writes column 1 only then, so
-    a word's first letter stays on top of column 1 and words with different
-    first letters never reach the same tableau."""
-    buckets: dict[int, list] = {}
-    for n in range(1, max_n + 1):
-        for alpha in compositions(n):
-            for u in standard_tableaux(alpha, "immaculate"):
-                word = immaculate_reading_word(u)
-                buckets.setdefault(word[0], []).append((alpha, word))
-    for first in list(buckets):
-        # Walked buckets are dropped: the later ones build the larger memos.
-        yield buckets.pop(first)
+
+def _shape_of_word(word):
+    """The composition of the standard immaculate tableau whose reading word
+    is word: its maximal increasing runs, bottom row first."""
+    ends = [i for i in range(1, len(word)) if word[i - 1] > word[i]]
+    return tuple([b - a for a, b in zip([0] + ends, ends + [len(word)])][::-1])
 
 
 def _in_report_order(failed, max_n: int) -> list[str]:
@@ -161,27 +176,44 @@ def verify_inverse(max_n: int) -> SuiteResult:
     mirrored bumping paths and escape routes, on every tableau arising
     while inserting every immaculate reading word, letter by letter; a step
     that is not a tableau ends the word.  The unchecked cores run here.
-    This suite walks the buckets of words keyed by their first letter (see
-    _buckets) with one set of cached functions per bucket (see _sweep):
-    across all degrees, each insertion runs once per (tableau, letter),
-    and each tableau's raptures run once and are kept as one total of
-    cases and failures.  An insertion's record is its own case plus that
-    total of the tableau it reaches, and is replayed for every word that
-    repeats the insertion, so cases count every insertion of every word.
-    Failures are reported by degree, composition and reading word."""
+
+    The cores only compare letters, to each other and to INF, so each check
+    gives one verdict on all tableaux (and letters) of one order type.  The
+    suite therefore walks standardized prefixes (see _reading_words) with
+    one set of cached checks (see _inverse_checks): each insertion runs
+    once per standardized (tableau, letter), and each standard tableau's
+    raptures run once and are kept as one total of cases and failures.  A
+    word's state is its tableau, the sum of its steps' cases and its
+    steps' failure records; after a step that is not a tableau the state
+    stays as it is, so cases count every insertion of every word up to its
+    first broken one.  Each word renders its records with the letters of
+    its own prefixes, and failures are reported by degree, composition and
+    reading word."""
     result = SuiteResult("inverse", max_n)
+    step = _inverse_checks()
+
+    def grow(state, v):
+        p, cases, records = state
+        if p is None:
+            return state
+        after, more, failures = step(p, v)
+        if failures:
+            # The degree of the child, whose letters the records use.
+            records += ((sum(map(len, p)) + 1, failures),)
+        return after, cases + more, records
+
     failed = []
-    for bucket in _buckets(max_n):
-        step = _sweep()
-        for alpha, word in bucket:
-            rows: tuple = ()
-            for k in word:
-                rows, (ok, cases, failures) = step(rows, k)
-                result.cases += cases
-                if failures:
-                    failed += [(alpha, word, message) for message in failures]
-                if not ok:
-                    break
+    for word, (_, cases, records) in _reading_words(max_n, grow, ((), 0, ())):
+        result.cases += cases
+        if records:
+            alpha = _shape_of_word(word)
+            for j, failures in records:
+                letters = (0,) + tuple(sorted(word[:j]))
+                for kind, rows, x in failures:
+                    rows = tuple([tuple([letters[y] for y in row]) for row in rows])
+                    if kind in ("insert", "undo"):
+                        x = letters[x]
+                    failed.append((alpha, word, _MESSAGES[kind].format(rows=rows, x=x)))
     result.failures += _in_report_order(failed, max_n)
     return result
 
@@ -435,7 +467,7 @@ SUITES = {
 }
 
 DEFAULT_MAX_N = {
-    "inverse": 8,
+    "inverse": 9,
     "descents": 8,
     "triple-agreement": 9,
     "symmetry": 8,

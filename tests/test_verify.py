@@ -1,3 +1,6 @@
+import re
+from ast import literal_eval
+
 import pytest
 
 from qsc import verify
@@ -46,26 +49,66 @@ def test_every_suite_passes_at_small_degree(name):
     assert result.passed, result.failures[:3]
 
 
-def test_buckets_key_each_word_by_a_first_letter_that_stays_on_top():
-    # The bucket key u[-1][0] is the first letter of u's reading word, and
-    # every prefix's insertion tableau keeps that letter on top of column 1,
-    # so no two buckets reach the same tableau.
-    firsts, seen, prefixes = [], [], 0
-    for bucket in verify._buckets(7):
-        first = bucket[0][1][0]
-        firsts.append(first)
-        for alpha, word in bucket:
-            seen.append((alpha, word))
-            rows = ()
-            for k in word:
-                rows = insert(rows, k).rows
-                prefixes += 1
-                assert rows[-1][0] == first
-    assert len(set(firsts)) == len(firsts)
-    assert sorted(seen) == sorted(
+def word_of(codes):
+    """The word whose letters, appended one by one with every earlier letter
+    >= the new one raised by one, are codes."""
+    word = ()
+    for v in codes:
+        word = tuple(x + (x >= v) for x in word) + (v,)
+    return word
+
+
+def test_reading_words_walk_each_standard_immaculate_reading_word_once():
+    walked = []
+    for word, codes in verify._reading_words(7, lambda codes, v: codes + (v,), ()):
+        # Each word's state is threaded through its standardized prefixes.
+        assert word_of(codes) == word
+        walked.append((verify._shape_of_word(word), word))
+    assert len(set(walked)) == len(walked)
+    assert sorted(walked) == sorted(
         (alpha, immaculate_reading_word(u)) for n in range(1, 8) for alpha in compositions(n)
         for u in standard_tableaux(alpha, "immaculate"))
-    assert prefixes == 7697
+
+
+def order_type(rows):
+    """rows relabelled onto 1, 2, ... in the order of its letters."""
+    rank = {x: i for i, x in enumerate(sorted(x for row in rows for x in row), start=1)}
+    return tuple(tuple(rank[x] for x in row) for row in rows)
+
+
+def test_insertion_cores_see_only_the_order_of_letters():
+    # The inverse suite checks one tableau and letter per order type; that
+    # is sound because the cores give the same cells, and letters that map
+    # back, on every tableau of one order type.
+    reached = {insert_word(word[:j])[0] for word in reading_words(6) for j in range(len(word) + 1)}
+    assert len(reached) == 400
+    for rows in reached:
+        letters = sorted(x for row in rows for x in row)
+
+        def lifted(std, letters=letters):
+            return tuple(tuple(letters[x - 1] for x in row) for row in std)
+
+        std = order_type(rows)
+        assert lifted(std) == rows
+        assert is_ssyct(std) == is_ssyct(rows)
+        for r, row in enumerate(rows, start=1):
+            for c in range(1, len(row) + 1):
+                assert _is_virtuous(std, (c, r)) == _is_virtuous(rows, (c, r))
+                work, std_work = list(rows), list(std)
+                output, route = verify._rapture_from(work, (c, r))
+                std_output, std_route = verify._rapture_from(std_work, (c, r))
+                assert std_route == route
+                assert (INF if std_output is INF else letters[std_output - 1]) == output
+                assert lifted(std_work) == tuple(work)
+                assert is_ssyct(tuple(std_work)) == is_ssyct(tuple(work))
+        for k in set(range(1, len(letters) + 2)) - set(letters):
+            # k relabelled with the letters: insertion sees rows and k jointly.
+            joint = sorted(letters + [k])
+            work, std_work = list(rows), list(order_type(rows + ((k,),))[:-1])
+            cells = verify._insert_into(work, k)
+            assert verify._insert_into(std_work, joint.index(k) + 1) == cells
+            assert lifted(std_work, joint) == tuple(work)
+            assert is_ssyct(tuple(std_work)) == is_ssyct(tuple(work))
 
 
 def break_top_rows(monkeypatch):
@@ -89,16 +132,20 @@ def settle_raptures(monkeypatch):
     monkeypatch.setattr(verify, "_rapture_from", settles)
 
 
-# Nine insertions of words with n <= 6 start from this tableau, after
-# three distinct prefixes, all starting with 3.
-INSERTED_INTO = ((2,), (3, 4, 5))
+# The faults below fire on every tableau of one order type, as the cores'
+# verdicts do, so the suite, which checks tableaux standardized, and the
+# plain word loop, which does not, see the same faults.
+
+# 45 insertions of words with n <= 6 start from a tableau of this order
+# type: from 15 tableaux, after 27 distinct prefixes.
+INSERTED_INTO = ((1,), (2, 3, 4))
 
 
 def corrupt_paths_into(monkeypatch):
     real = verify._insert_into
 
     def corrupt(work, k, events=None):
-        before = tuple(work)
+        before = order_type(work)
         new_cell, path = real(work, k, events)
         return new_cell, path + ((0, 0),) if before == INSERTED_INTO else path
 
@@ -110,23 +157,23 @@ def misreport_cells_into(monkeypatch):
     real = verify._insert_into
 
     def misreport(work, k, events=None):
-        before = tuple(work)
+        before = order_type(work)
         (col, row), path = real(work, k, events)
         return ((col + 1, row) if before == INSERTED_INTO else (col, row)), path
 
     monkeypatch.setattr(verify, "_insert_into", misreport)
 
 
-# Fourteen insertions of words with n <= 6 reach this tableau, which is
-# raptured at (2, 2) once per sweep.
-RAPTURED = ((2,), (3, 4))
+# 111 insertions of words with n <= 6 reach a tableau of this order type,
+# which the suite raptures at (2, 2) once, as ((1,), (2, 3)).
+RAPTURED = ((1,), (2, 3))
 
 
 def corrupt_one_rapture(monkeypatch):
     real = verify._rapture_from
 
     def corrupt(work, cell, events=None):
-        before = tuple(work)
+        before = order_type(work)
         output, route = real(work, cell, events)
         return output, route + ((0, 0),) if (before, cell) == (RAPTURED, (2, 2)) else route
 
@@ -225,15 +272,20 @@ def test_inverse_replay_matches_a_plain_word_loop(monkeypatch, fault):
         assert len(set(result.failures)) < len(result.failures)
     if fault is misreport_cells_into:
         # Only the undo lookup sees the cell: every failure is that miss.
-        assert all(f.startswith(f"rapture(insert) failed: {INSERTED_INTO} + ")
-                   for f in result.failures)
+        for f in result.failures:
+            rows = re.fullmatch(r"rapture\(insert\) failed: (.*) \+ \d+", f).group(1)
+            assert order_type(literal_eval(rows)) == INSERTED_INTO
     if fault is corrupt_one_rapture:
-        # The one corrupted rapture is replayed for each insertion reaching it.
-        reached = sum(insert_word(word[:j])[0] == RAPTURED
+        # The one corrupted rapture is replayed for each insertion reaching
+        # its order type.
+        reached = sum(order_type(insert_word(word[:j])[0]) == RAPTURED
                       for word in reading_words(6) for j in range(1, len(word) + 1))
-        assert reached == 14
-        message = f"insert(rapture) failed at {RAPTURED} cell (2, 2)"
-        assert result.failures.count(message) == reached
+        assert reached == 111
+        raptured = [re.fullmatch(r"insert\(rapture\) failed at (.*) cell \(2, 2\)", f)
+                    for f in result.failures]
+        raptured = [literal_eval(m.group(1)) for m in raptured if m]
+        assert len(raptured) == reached
+        assert all(order_type(rows) == RAPTURED for rows in raptured)
 
 
 def test_inverse_runs_each_insertion_and_rapture_once(monkeypatch):
@@ -250,10 +302,10 @@ def test_inverse_runs_each_insertion_and_rapture_once(monkeypatch):
 
     counted("_insert_into")
     counted("_rapture_from")
-    # One of each per (tableau, virtuous cell) the sweep reaches, against
-    # 1,225 each with one memo per degree and first letter.
+    # One of each per standard (tableau, virtuous cell) the walk reaches,
+    # against 691 each when tableaux were kept with their own letters.
     assert verify.verify_inverse(6).cases == 3971
-    assert calls == {"_insert_into": 691, "_rapture_from": 691}
+    assert calls == {"_insert_into": 231, "_rapture_from": 231}
 
 
 def test_insertions_insert_each_bottom_row_prefix_once(monkeypatch):
