@@ -63,13 +63,32 @@ def _check_degree(name: str, n: int, force: bool) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    """value with tuples as lists and an infinite float as "inf", copied
+    with an explicit stack, so a tree of any depth converts."""
+
+    def convert(v):
+        # A container comes back empty and is filled when popped.
+        if isinstance(v, float) and math.isinf(v):
+            return "inf"
+        if isinstance(v, dict):
+            out = {}
+        elif isinstance(v, (list, tuple)):
+            out = []
+        else:
+            return v
+        stack.append((v, out))
+        return out
+
+    stack: list = []
+    root = convert(value)
+    while stack:
+        src, dst = stack.pop()
+        if isinstance(src, dict):
+            for key, v in src.items():
+                dst[key] = convert(v)
+        else:
+            dst.extend([convert(v) for v in src])
+    return root
 
 
 def _emit(obj) -> None:

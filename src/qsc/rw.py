@@ -15,8 +15,11 @@ state as arguments.  A value may not end a row in a column where a lower
 row ends; one map per level, from a column to the lowest row that ended
 there when the level began, answers that.  In the forward tree the rows a
 level has changed end left of its next placement, so the rows that end in
-that column are the same ones as when the level began.  Both trees
-serialize to JSON and DOT.
+that column are the same ones as when the level began.  The dual tree's
+placement rule reads only row lengths, and lives in _open_rows; the
+private _dual_counts reads the same rule to count the dual tree's leaves
+by row lengths, building no node and no dead branch.  Both trees
+serialize to JSON, built with an explicit stack, and to DOT.
 """
 
 from __future__ import annotations
@@ -139,32 +142,105 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
     def options(level: int, beta: Composition, top: int, lowest: dict[int, int],
                 children: list[Node], last_col: int, count: int) -> None:
         children.append(build(level + 1, (count,) + beta))
-        for r in sorted(range(top, ell), key=lens.__getitem__):
+        for r in _open_rows(alpha, lens, top, lowest, last_col):
             c = lens[r]
             # The free cell is column c + 1, at index c of the padded row.
-            if last_col <= c < alpha[r] and lowest.get(c + 1, ell) > r:
-                row = rows[r]
-                rows[r] = row[:c] + (level,) + row[c + 1:]
-                lens[r] = c + 1
-                options(level, beta, top, lowest, children, c + 1, count + 1)
-                rows[r], lens[r] = row, c
+            row = rows[r]
+            rows[r] = row[:c] + (level,) + row[c + 1:]
+            lens[r] = c + 1
+            options(level, beta, top, lowest, children, c + 1, count + 1)
+            rows[r], lens[r] = row, c
 
     return build(1, ()), BasisExpansion._built(IMMACULATE, sum(alpha), counts)
 
 
+def _open_rows(alpha: Composition, lens: list[int], top: int,
+               lowest: dict[int, int], last_col: int) -> list[int]:
+    """The dual tree's placement rule: the started rows top..ell-1 whose
+    next cell may take a level's next value after column last_col, in
+    (next column, row) order.  That cell must lie right of last_col, inside
+    alpha, and not in a column where a row below ended when the level began
+    (lowest, see _lowest_ends)."""
+    ell = len(alpha)
+    rows = []
+    for r in range(top, ell):
+        c = lens[r]
+        if last_col <= c < alpha[r] and lowest.get(c + 1, ell) > r:
+            rows.append(r)
+    # A stable sort keeps row order within a column.
+    rows.sort(key=lens.__getitem__)
+    return rows
+
+
+def _dual_counts(alpha: Composition) -> dict[Composition, int]:
+    """rw_dual(alpha)[1].coeffs, counted without building the tree.
+
+    The placement rule reads only row lengths, so the leaves below a node
+    depend only on its level and row lengths.  complete(level, lens) maps
+    the value multiplicities of levels ell..level, read from the last level
+    back, to the number of complete fillings that reach them from there.
+    Its memo is keyed by lens alone, since rows ell-level+1..ell-1 are the
+    started ones, and lives for this call only.  alpha is not checked."""
+    ell = len(alpha)
+    full = list(alpha)
+    memo: dict[tuple[int, ...], dict[Composition, int]] = {}
+
+    def complete(level: int, lens: tuple[int, ...]) -> dict[Composition, int]:
+        top = ell - level
+        lowest = _lowest_ends(list(lens))
+        work = list(lens)
+        work[top] = 1
+        out: dict[Composition, int] = {}
+
+        def options(last_col: int, count: int) -> None:
+            if top:
+                after = tuple(work)
+                tails = memo[after] if after in memo else complete(level + 1, after)
+                for gamma, m in tails.items():
+                    beta = gamma + (count,)
+                    out[beta] = out.get(beta, 0) + m
+            elif work == full:
+                # After the last level only a complete filling counts.
+                out[(count,)] = out.get((count,), 0) + 1
+            for r in _open_rows(alpha, work, top, lowest, last_col):
+                c = work[r]
+                work[r] = c + 1
+                options(c + 1, count + 1)
+                work[r] = c
+
+        options(1, 1)
+        memo[lens] = out
+        return out
+
+    return complete(1, (0,) * ell) if ell else {(): 1}
+
+
 def tree_to_json(node: Node, direction: str) -> dict:
     """Nested JSON form; leaf nodes carry their key, as "shape" (forward) or
-    "beta" (dual)."""
+    "beta" (dual).  Built with an explicit stack, so any depth converts."""
     if direction not in ("forward", "dual"):
         raise ValueError("direction must be 'forward' or 'dual'")
-    obj: dict = {
-        "rows": [list(row) for row in node.filling],
-        "leaf": node.is_leaf,
-    }
-    if node.is_leaf:
-        obj["shape" if direction == "forward" else "beta"] = list(node.key)
-    obj["children"] = [tree_to_json(child, direction) for child in node.children]
-    return obj
+    name = "shape" if direction == "forward" else "beta"
+
+    def convert(cur: Node) -> dict:
+        obj: dict = {
+            "rows": [list(row) for row in cur.filling],
+            "leaf": cur.is_leaf,
+        }
+        if cur.is_leaf:
+            obj[name] = list(cur.key)
+        obj["children"] = []
+        return obj
+
+    root = convert(node)
+    stack = [(node, root)]
+    while stack:
+        cur, obj = stack.pop()
+        for child in cur.children:
+            child_obj = convert(child)
+            obj["children"].append(child_obj)
+            stack.append((child, child_obj))
+    return root
 
 
 def _label(node: Node) -> str:

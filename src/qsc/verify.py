@@ -30,7 +30,7 @@ from .qsym import (
     young_qs_mexpr,
     yqs_to_dimm,
 )
-from .rw import rw_dual, rw_forward
+from .rw import _dual_counts, rw_forward
 from .tableaux import (
     INF,
     is_ssyct,
@@ -99,7 +99,10 @@ def _inverse_checks():
         """(cases, failures, undos) of rapture at each virtuous cell of rows,
         in row order: insert after rapture must return rows with the route
         mirrored, looked up among the same insertions.  undos holds
-        (cell, output, route, after) per cell."""
+        (cell, output, route, after) per cell.  Unless the output is INF,
+        after skips the output's letter, so it is checked standardized,
+        each letter above the output lowered by one: is_ssyct only compares
+        letters, and the walk has checked that standard tableau already."""
         cases, failures, undos = 0, [], []
         for r, row in enumerate(rows, start=1):
             cell = (len(row), r)
@@ -109,7 +112,9 @@ def _inverse_checks():
             output, route = _rapture_from(work, cell)
             after = tuple(work)
             undos.append((cell, output, route, after))
-            if not ssyct(after):
+            std = after if output is INF else tuple(
+                [tuple([x - (x > output) for x in row]) for row in after])
+            if not ssyct(std):
                 failures.append(("rapture", rows, cell))
             elif output is INF:
                 failures.append(("inf", rows, cell))
@@ -330,9 +335,13 @@ def verify_descents(max_n: int) -> SuiteResult:
 def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
     shape multisets, direct recording-tableau counts, and forward tree
-    leaves; dually, dual tree leaves match the transposed counts.  Each
-    distinct recording tableau is checked once to be a DIRT of row strip
-    shape reverse(alpha), and reported for the first word that records it.
+    leaves; dually, the dual tree's leaf counts match the transposed counts.
+    Each distinct recording tableau is checked once to be a DIRT of row
+    strip shape reverse(alpha), reported for the first word that records
+    it, and its shape is read once for both the per-word shape check and
+    the insertion table.  The dual tree's leaves are counted by row lengths
+    with the tree's own placement rule (rw._dual_counts), so no dual tree
+    is built; the forward tree is built.
 
     The insertions come from _insertions, which builds each composition's
     (word, p, q) from its tail's and inserts only the bottom row; that is
@@ -341,16 +350,19 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
     result = SuiteResult("triple-agreement", max_n)
     failed = []
     for alpha, entries in _insertions(max_n):
-        recording: set = set()
+        strips = reverse(alpha)
+        # Each distinct recording tableau, mapped to its shape.
+        recording: dict = {}
         for word, p, q in entries:
-            if q not in recording:
-                recording.add(q)
-                if _dirt_strip_shape(q) != reverse(alpha):
+            shape = recording.get(q)
+            if shape is None:
+                shape = recording[q] = shape_of(q)
+                if _dirt_strip_shape(q) != strips:
                     failed.append((alpha, word, f"bad recording tableau for {_tableau_of(word, alpha)}"))
-            if shape_of(p) != shape_of(q):
+            if shape_of(p) != shape:
                 failed.append((alpha, word, f"shape mismatch for {_tableau_of(word, alpha)}"))
         # The table checks report under alpha's last word, after its words' failures.
-        by_insertion = dict(Counter(shape_of(q) for q in recording))
+        by_insertion = dict(Counter(recording.values()))
         counted = dimm_to_yqs(alpha).coeffs
         forward = rw_forward(alpha)[1].coeffs
         result.cases += 1
@@ -359,7 +371,7 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
                            f"coefficient tables differ at {alpha}: "
                            f"{by_insertion} vs {counted} vs {forward}"))
         result.cases += 1
-        if rw_dual(alpha)[1].coeffs != yns_to_imm(alpha).coeffs:
+        if _dual_counts(alpha) != yns_to_imm(alpha).coeffs:
             failed.append((alpha, word, f"dual tree disagrees at {alpha}"))
     result.failures += _in_report_order(failed, max_n)
     return result

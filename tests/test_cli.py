@@ -307,12 +307,29 @@ def test_tree_json(capsys):
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 @pytest.mark.parametrize("direction", ["forward", "dual"])
 def test_tree_refuses_a_tree_nested_too_deeply(capsys, direction, fmt):
-    # 250 parts already overflowed the JSON emission, and 500 the DOT one.
+    # 500 parts already overflow both emissions.
     code, out, err = run(capsys, "tree", "--alpha", ",".join(["1"] * 1200),
                          "--direction", direction, "--format", fmt)
     assert code == 2
     assert out == ""
     assert err == f"error: the {direction} tree of 1200 parts is nested too deeply\n"
+
+
+@pytest.mark.parametrize("parts", [250, 450])
+@pytest.mark.parametrize("direction", ["forward", "dual"])
+def test_tree_json_reaches_the_dot_depth(capsys, direction, parts):
+    alpha = ",".join(["1"] * parts)
+    code, dot, err = run(capsys, "tree", "--alpha", alpha, "--direction", direction,
+                         "--format", "dot")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "tree", "--alpha", alpha, "--direction", direction,
+                         "--format", "json")
+    assert code == 0 and err == ""
+    nodes, todo = 0, [json.loads(out)["tree"]]
+    while todo:
+        nodes += 1
+        todo.extend(todo.pop()["children"])
+    assert nodes == dot.count(" [label=")
 
 
 def test_tree_dot(capsys):

@@ -3,10 +3,12 @@ import hashlib
 import json
 from pathlib import Path
 
+from qsc import rw
 from qsc.compositions import compositions
 from qsc.dirt import is_dirt
 from qsc.qsym import IMMACULATE, YOUNG_QS, dimm_to_yqs, yns_to_imm
-from qsc.rw import Node, rw_dual, rw_forward, tree_to_dot, tree_to_json
+from qsc.rw import Node, _dual_counts, rw_dual, rw_forward, tree_to_dot, tree_to_json
+from qsc.verify import run_suite
 
 
 def _leaves(node: Node):
@@ -76,6 +78,13 @@ def test_trees_agree_with_coefficient_maps():
         for alpha in compositions(n):
             assert rw_forward(alpha)[1] == dimm_to_yqs(alpha)
             assert rw_dual(alpha)[1] == yns_to_imm(alpha)
+
+
+def test_dual_counts_match_the_dual_tree():
+    assert _dual_counts(()) == {(): 1}
+    for n in range(1, 9):
+        for alpha in compositions(n):
+            assert _dual_counts(alpha) == rw_dual(alpha)[1].coeffs, alpha
 
 
 def test_empty_composition():
@@ -194,3 +203,18 @@ def test_tree_dot_bytes_at_degree_eight():
             digest.update(tree_to_dot(build(alpha)[0]).encode())
         digests[build.__name__] = digest.hexdigest()
     assert digests == DEGREE_EIGHT_DOT_SHA256
+
+
+def test_dual_tree_and_counts_read_one_placement_rule(monkeypatch):
+    # A fault in the shared rule: a value may end a row in a column where a
+    # lower row ended.  The counts then disagree with yns_to_imm, and the
+    # tree's bytes change, so both paths read the one rule.
+    real = rw._open_rows
+    monkeypatch.setattr(rw, "_open_rows", lambda alpha, lens, top, lowest, last_col:
+                        real(alpha, lens, top, {}, last_col))
+    assert run_suite("triple-agreement", 4).passed
+    assert run_suite("triple-agreement", 5).failures == ["dual tree disagrees at (1, 2, 2)"]
+    digest = hashlib.sha256()
+    for alpha in compositions(8):
+        digest.update(tree_to_dot(rw_dual(alpha)[0]).encode())
+    assert digest.hexdigest() != DEGREE_EIGHT_DOT_SHA256["rw_dual"]

@@ -3,7 +3,7 @@ from ast import literal_eval
 
 import pytest
 
-from qsc import verify
+from qsc import rw, verify
 from qsc.compositions import compositions
 from qsc.insertion import _is_virtuous, insert, insert_word
 from qsc.qsym import BasisExpansion, dimm_to_yqs
@@ -308,6 +308,23 @@ def test_inverse_runs_each_insertion_and_rapture_once(monkeypatch):
     assert calls == {"_insert_into": 231, "_rapture_from": 231}
 
 
+def test_inverse_checks_each_standard_tableau_once(monkeypatch):
+    calls = 0
+    real = verify.is_ssyct
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return real(rows)
+
+    monkeypatch.setattr(verify, "is_ssyct", counted)
+    assert verify.verify_inverse(7).passed
+    # A rapture result is checked standardized, so each check is one standard
+    # Young composition tableau of degree 0..7 (995 calls unstandardized).
+    assert calls == 352 == sum(len(standard_tableaux(alpha, "ssyct"))
+                               for n in range(8) for alpha in compositions(n))
+
+
 def test_insertions_insert_each_bottom_row_prefix_once(monkeypatch):
     calls = 0
     real = verify._insert_into
@@ -365,6 +382,16 @@ def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
     assert "bad recording tableau for ((1, 2, 4), (3,))" in result.failures
     assert "bad recording tableau for ((1, 2, 3), (4,))" not in result.failures
     assert result.failures == expected
+
+
+def test_triple_agreement_builds_no_dual_tree(monkeypatch):
+    def refuse(alpha):
+        raise AssertionError("rw_dual called")
+
+    monkeypatch.setattr(rw, "rw_dual", refuse)
+    monkeypatch.setattr(verify, "rw_dual", refuse, raising=False)
+    result = run_suite("triple-agreement", 7)
+    assert result.passed and result.cases == 256
 
 
 def test_descents_reports_in_report_order(monkeypatch):
