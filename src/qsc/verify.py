@@ -231,60 +231,64 @@ def _insertions(max_n: int):
     Each alpha = (a,) + tail is built from its tail's list.  u is its bottom
     row B = (1, b_2, ..., b_a) under a standard immaculate tableau of tail
     relabelled order-preservingly onto the letters not in B, and word is that
-    tail's relabelled word followed by B.  _insert_into only compares
-    letters, so keys that order like the letters give the same cells and
-    the keyed P.  With s = a + 1 a tail letter x is keyed x*s, and b_j is
-    keyed g_j*s + j, where g_j = b_j - j counts the tail letters below b_j.
-    So the P after b_1..b_j depends only on the tail's P and the
-    nondecreasing g_2..g_j in 0..m, and the walk inserts the B of each
-    tail entry as a prefix tree over those gaps: each prefix once for all
-    its completions.  Key 1, letter 1, is the least, so it opens the bottom
-    row at cell (1, 1) and bumps nothing.  At a finished B one table, built
-    once for all the tail's entries, maps P's keys back to letters, and q
-    is the tail's q with the a cells B added.  The walk over compositions is
-    depth-first, so only the lists of one chain of tails are held at a
-    time."""
+    tail's relabelled word followed by B, so q is the tail's q with the a
+    cells B adds.
 
-    def grow(m, s, gaps, states, built):
-        # gaps holds g_1..g_j, and states one (word, keyed P, q) per tail
-        # entry after b_1..b_j; P and q are copied before each step.
+    _insert_into only compares letters, so the walk keeps each P
+    standardized, on the letters 1..k, as the inverse suite does; the
+    tail's P stands for that of its relabelled word.  b_{j+1}, with
+    g = b_{j+1} - j - 1 tail letters below it, is the (g + j + 1)-th least
+    letter of the prefix it ends, so the next P is v = g + j + 1 inserted
+    into the last with every letter >= v raised by one; letter 1 is v = 1.
+    One memo for the whole walk maps each standard (P, v) to (P', new
+    cell), so the core runs once per pair, and interns the rows, tableaux
+    and cells it holds through one dict, so each is held once.  The word's
+    letters are 1..n, so the P after b_a is the word's P, and only the word
+    is relabelled.
+
+    The P after b_1..b_j depends only on the tail's P and the nondecreasing
+    g_2..g_j in 0..m, so the walk steps the B's of each tail entry as a
+    prefix tree over those gaps: each prefix once for all its completions.
+    The walk over compositions is depth-first, so only the lists of one
+    chain of tails are held at a time."""
+    memo, held = {}, {}
+
+    def insert(p, v):
+        # (P', new_cell) of the step, through memo; held interns its parts.
+        found = memo.get((p, v))
+        if found is None:
+            work = [tuple([x + (x >= v) for x in row]) for row in p]
+            cell = _insert_into(work, v)[0]
+            after = tuple([held.setdefault(row, row) for row in work])
+            found = memo[p, v] = held.setdefault(after, after), held.setdefault(cell, cell)
+        return found
+
+    def grow(m, a, gaps, states, built):
+        # gaps holds g_1..g_j, and states one (word, P, q) per tail entry
+        # after b_1..b_j; q is copied before each step.
         j = len(gaps)
-        if j < s - 1:
-            for g in range(gaps[-1], m + 1):
-                key = g * s + j + 1
+        if j < a:
+            for g in range(gaps[-1], m + 1) if gaps else (0,):
                 step = []
-                for word, work, rec in states:
-                    work, rec = list(work), list(rec)
-                    _record(rec, _insert_into(work, key)[0], m + j + 1)
-                    step.append((word, work, rec))
-                grow(m, s, gaps + (g,), step, built)
+                for word, p, rec in states:
+                    p, cell = insert(p, g + j + 1)
+                    rec = list(rec)
+                    _record(rec, cell, m + j + 1)
+                    step.append((word, p, rec))
+                grow(m, a, gaps + (g,), step, built)
             return
         bottom = tuple([g + j for j, g in enumerate(gaps, start=1)])
-        # lift[x] is the x-th smallest letter not in bottom, and letter[key]
-        # the letter of a key.
-        lift = (0,) + tuple([x for x in range(2, m + s) if x not in bottom])
-        letter = [0] * ((m + 1) * s)
-        letter[::s] = lift
-        for j, (g, b) in enumerate(zip(gaps, bottom), start=1):
-            letter[g * s + j] = b
-        for word, work, rec in states:
-            built.append((tuple([lift[x] for x in word]) + bottom,
-                          tuple([tuple([letter[k] for k in row]) for row in work]),
-                          tuple(rec)))
+        # lift[x] is the x-th smallest letter not in bottom.
+        lift = (0,) + tuple([x for x in range(2, m + a + 1) if x not in bottom])
+        for word, p, rec in states:
+            built.append((tuple([lift[x] for x in word]) + bottom, p, tuple(rec)))
 
     def extend(tail, entries):
         yield tail, entries
         m = sum(tail)
         for a in range(1, max_n - m + 1):
-            s = a + 1
-            states = []
-            for word, p, q in entries:
-                # Key 1 opens the bottom row at cell (1, 1).
-                rec = list(q)
-                _record(rec, (1, 1), m + 1)
-                states.append((word, [(1,)] + [tuple([x * s for x in row]) for row in p], rec))
             built = []
-            grow(m, s, (0,), states, built)
+            grow(m, a, (), entries, built)
             built.sort(key=itemgetter(0))
             yield from extend((a,) + tail, built)
 

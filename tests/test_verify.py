@@ -325,7 +325,7 @@ def test_inverse_checks_each_standard_tableau_once(monkeypatch):
                                for n in range(8) for alpha in compositions(n))
 
 
-def test_insertions_insert_each_bottom_row_prefix_once(monkeypatch):
+def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
     calls = 0
     real = verify._insert_into
 
@@ -336,9 +336,11 @@ def test_insertions_insert_each_bottom_row_prefix_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_insert_into", counted)
     assert sum(len(entries) for _, entries in verify._insertions(7)) == 1156
-    # One per (tail entry, prefix b_1..b_j with j >= 2) against 2,713 when
-    # every letter of every bottom row was inserted for each completion.
-    assert calls == 1148
+    # One per (standard P, v) a reading word's prefixes reach, against 1,148
+    # when each bottom-row prefix was inserted once per tail entry.
+    steps = {(order_type(insert_word(w[:k - 1])[0]), sorted(w[:k]).index(w[k - 1]) + 1)
+             for w in reading_words(7) for k in range(1, len(w) + 1)}
+    assert calls == len(steps) == 557
 
 
 def test_insertions_build_each_word_insertion_from_its_tail():
@@ -349,6 +351,56 @@ def test_insertions_build_each_word_insertion_from_its_tail():
         assert entries == [(w, *insert_word(w)) for w in words], alpha
     assert sorted(walked) == sorted(alpha for n in range(8) for alpha in compositions(n))
     assert len(walked) == len(set(walked))
+
+
+# Two more faults on insertions from a tableau of order type INSERTED_INTO,
+# for the tail walk.
+
+def move_cells_to_the_corner(monkeypatch):
+    # The step is right, but the cell it reports is (1, 1).
+    real = verify._insert_into
+
+    def moved(work, k, events=None):
+        before = order_type(work)
+        new_cell, path = real(work, k, events)
+        return ((1, 1) if before == INSERTED_INTO else new_cell), path
+
+    monkeypatch.setattr(verify, "_insert_into", moved)
+
+
+def swap_lowest_row_ends(monkeypatch):
+    real = verify._insert_into
+
+    def swapped(work, k, events=None):
+        before = order_type(work)
+        result = real(work, k, events)
+        if before == INSERTED_INTO:
+            low, next_low = work[0], work[1]
+            work[0], work[1] = low[:-1] + next_low[-1:], next_low[:-1] + low[-1:]
+        return result
+
+    monkeypatch.setattr(verify, "_insert_into", swapped)
+
+
+@pytest.mark.parametrize("fault", [move_cells_to_the_corner, swap_lowest_row_ends])
+def test_insertions_match_a_plain_word_loop_under_a_core_fault(monkeypatch, fault):
+    # Every letter of every word goes through the core, letter 1 too: a
+    # fault there shows in the walk as in the loop.
+    fault(monkeypatch)
+    changed = 0
+    for alpha, entries in verify._insertions(6):
+        plain = []
+        for u in standard_tableaux(alpha, "immaculate"):
+            word = immaculate_reading_word(u)
+            p, q = [], []
+            for j, k in enumerate(word, start=1):
+                verify._record(q, verify._insert_into(p, k)[0], j)
+            plain.append((word, tuple(p), tuple(q)))
+        plain.sort()
+        assert entries == plain, alpha
+        changed += sum(entry != (entry[0], *insert_word(entry[0])) for entry in entries)
+    # The fault changes some entries, so the comparison is not vacuous.
+    assert changed > 0
 
 
 def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
