@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, permutations
-from operator import itemgetter
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
 from .dirt import _dirt_strip_shape
@@ -55,29 +54,31 @@ class SuiteResult:
 
 
 def _reading_words(max_n: int, step, root):
-    """Yields (word, state) for every standard immaculate reading word of
-    degree 1..max_n, walked depth first as a prefix tree over standardized
-    prefixes: a word's parent is its prefix one letter shorter,
-    standardized, and its state is step(parent's state, v), where v is its
-    last letter.
+    """Yields (word, alpha, state) for every standard immaculate reading word
+    of degree 1..max_n, with alpha its tableau's shape, walked depth first as
+    a prefix tree over standardized prefixes: a word's parent is its prefix
+    one letter shorter, standardized, and its state is step(parent's state,
+    v), where v is its last letter.
 
     A word on the letters 1..n is the reading word of a standard immaculate
     tableau exactly when its maximal increasing runs, which are the rows
     read top row first, have decreasing first letters.  Standardizing a
     prefix keeps that, so every prefix of a word is a node.  A child
     appends v and raises each earlier letter >= v by one; v either opens a
-    run below the current run's first letter f (v <= f) or extends the run
-    above its last letter l (v > l).  The root's one child is the word 1."""
-    stack = [((), root, 1, 1)]
+    run below the current run's first letter f (v <= f), a new bottom row
+    of length 1, or extends the run above its last letter l (v > l), the
+    bottom row.  The root's one child is the word 1."""
+    stack = [((), (), root, 1, 1)]
     while stack:
-        word, state, f, l = stack.pop()
+        word, alpha, state, f, l = stack.pop()
         j = len(word)
         if j:
-            yield word, state
+            yield word, alpha, state
         if j < max_n:
             for v in chain(range(1, f + 1), range(l + 1, j + 2)):
                 child = tuple([x + (x >= v) for x in word]) + (v,)
-                stack.append((child, step(state, v), min(v, f), v))
+                shape = (1,) + alpha if v <= f else (alpha[0] + 1,) + alpha[1:]
+                stack.append((child, shape, step(state, v), min(v, f), v))
 
 
 def _inverse_checks():
@@ -159,17 +160,12 @@ _MESSAGES = {
 }
 
 
-def _shape_of_word(word):
-    """The composition of the standard immaculate tableau whose reading word
-    is word: its maximal increasing runs, bottom row first."""
-    ends = [i for i in range(1, len(word)) if word[i - 1] > word[i]]
-    return tuple([b - a for a, b in zip([0] + ends, ends + [len(word)])][::-1])
-
-
 def _in_report_order(failed, max_n: int) -> list[str]:
-    """The messages of (alpha, word, message) records sorted by degree,
-    composition in compositions(n) order, and word.  The sort is stable, so
-    the messages of one word keep their order."""
+    """The messages of (alpha, key, message) records sorted by degree,
+    composition in compositions(n) order, and key: a word's failures have
+    the word as key, and a composition's own checks a key after all its
+    words.  The sort is stable, so the messages of one key keep their
+    order."""
     order = {alpha: i for i, alpha in enumerate(
         alpha for n in range(max_n + 1) for alpha in compositions(n))}
     failed.sort(key=lambda record: (order[record[0]], record[1]))
@@ -208,92 +204,48 @@ def verify_inverse(max_n: int) -> SuiteResult:
         return after, cases + more, records
 
     failed = []
-    for word, (_, cases, records) in _reading_words(max_n, grow, ((), 0, ())):
+    for word, alpha, (_, cases, records) in _reading_words(max_n, grow, ((), 0, ())):
         result.cases += cases
-        if records:
-            alpha = _shape_of_word(word)
-            for j, failures in records:
-                letters = (0,) + tuple(sorted(word[:j]))
-                for kind, rows, x in failures:
-                    rows = tuple([tuple([letters[y] for y in row]) for row in rows])
-                    if kind in ("insert", "undo"):
-                        x = letters[x]
-                    failed.append((alpha, word, _MESSAGES[kind].format(rows=rows, x=x)))
+        for j, failures in records:
+            letters = (0,) + tuple(sorted(word[:j]))
+            for kind, rows, x in failures:
+                rows = tuple([tuple([letters[y] for y in row]) for row in rows])
+                if kind in ("insert", "undo"):
+                    x = letters[x]
+                failed.append((alpha, word, _MESSAGES[kind].format(rows=rows, x=x)))
     result.failures += _in_report_order(failed, max_n)
     return result
 
 
-def _insertions(max_n: int):
-    """Yields (alpha, [(word, p, q), ...]) for every composition alpha of
-    degree 0..max_n, one entry per standard immaculate tableau u of alpha,
-    sorted by u's immaculate reading word; (p, q) is insert_word(word).
+def _word_insertions(max_n: int):
+    """Yields (word, alpha, (p, q)) for every standard immaculate reading
+    word of degree 1..max_n, with alpha its tableau's shape and (p, q)
+    insert_word(word), from the walk of _reading_words.
 
-    Each alpha = (a,) + tail is built from its tail's list.  u is its bottom
-    row B = (1, b_2, ..., b_a) under a standard immaculate tableau of tail
-    relabelled order-preservingly onto the letters not in B, and word is that
-    tail's relabelled word followed by B, so q is the tail's q with the a
-    cells B adds.
-
-    _insert_into only compares letters, so the walk keeps each P
-    standardized, on the letters 1..k, as the inverse suite does; the
-    tail's P stands for that of its relabelled word.  b_{j+1}, with
-    g = b_{j+1} - j - 1 tail letters below it, is the (g + j + 1)-th least
-    letter of the prefix it ends, so the next P is v = g + j + 1 inserted
-    into the last with every letter >= v raised by one; letter 1 is v = 1.
-    One memo for the whole walk maps each standard (P, v) to (P', new
-    cell), so the core runs once per pair, and interns the rows, tableaux
-    and cells it holds through one dict, so each is held once.  The word's
-    letters are 1..n, so the P after b_a is the word's P, and only the word
-    is relabelled.
-
-    The P after b_1..b_j depends only on the tail's P and the nondecreasing
-    g_2..g_j in 0..m, so the walk steps the B's of each tail entry as a
-    prefix tree over those gaps: each prefix once for all its completions.
-    The walk over compositions is depth-first, so only the lists of one
-    chain of tails are held at a time."""
+    A word's P is its parent's P with v inserted and every letter >= v
+    raised by one, as in the inverse suite: the word's letters are 1..n,
+    and _insert_into only compares letters.  One memo for the whole walk
+    maps each standard (P, v) to (P', new cell), so the core runs once per
+    pair, and interns the rows, tableaux and cells it holds through one
+    dict, so each is held once.  A word's Q is its parent's Q with n, the
+    word's length, at the new cell."""
     memo, held = {}, {}
 
-    def insert(p, v):
-        # (P', new_cell) of the step, through memo; held interns its parts.
+    def step(state, v):
+        p, q, n = state
         found = memo.get((p, v))
         if found is None:
             work = [tuple([x + (x >= v) for x in row]) for row in p]
             cell = _insert_into(work, v)[0]
             after = tuple([held.setdefault(row, row) for row in work])
             found = memo[p, v] = held.setdefault(after, after), held.setdefault(cell, cell)
-        return found
+        p, cell = found
+        q = list(q)
+        _record(q, cell, n + 1)
+        return p, tuple(q), n + 1
 
-    def grow(m, a, gaps, states, built):
-        # gaps holds g_1..g_j, and states one (word, P, q) per tail entry
-        # after b_1..b_j; q is copied before each step.
-        j = len(gaps)
-        if j < a:
-            for g in range(gaps[-1], m + 1) if gaps else (0,):
-                step = []
-                for word, p, rec in states:
-                    p, cell = insert(p, g + j + 1)
-                    rec = list(rec)
-                    _record(rec, cell, m + j + 1)
-                    step.append((word, p, rec))
-                grow(m, a, gaps + (g,), step, built)
-            return
-        bottom = tuple([g + j for j, g in enumerate(gaps, start=1)])
-        # lift[x] is the x-th smallest letter not in bottom.
-        lift = (0,) + tuple([x for x in range(2, m + a + 1) if x not in bottom])
-        for word, p, rec in states:
-            built.append((tuple([lift[x] for x in word]) + bottom, p, tuple(rec)))
-
-    def extend(tail, entries):
-        yield tail, entries
-        m = sum(tail)
-        for a in range(1, max_n - m + 1):
-            built = []
-            grow(m, a, (), entries, built)
-            built.sort(key=itemgetter(0))
-            yield from extend((a,) + tail, built)
-
-    if max_n >= 0:
-        yield from extend((), [((), (), ())])
+    for word, alpha, (p, q, _) in _reading_words(max_n, step, ((), (), 0)):
+        yield word, alpha, (p, q)
 
 
 def _tableau_of(word, alpha):
@@ -319,19 +271,15 @@ def _word_descent_set(word) -> frozenset[int]:
 def verify_descents(max_n: int) -> SuiteResult:
     """Insertion carries the immaculate descent set of the input tableau to
     the Young descent set of the inserted tableau.  The (word, P) pairs come
-    from the tail walk of _insertions, the input's descent set is read off
-    its word, and failures are reported by degree, composition and reading
-    word."""
+    from _word_insertions, the input's descent set is read off its word,
+    and failures are reported by degree, composition and reading word."""
     result = SuiteResult("descents", max_n)
     failed = []
-    for alpha, entries in _insertions(max_n):
-        if alpha == ():
-            continue
-        for word, p, _ in entries:
-            result.cases += 1
-            # p is the output under test.
-            if young_descent_set(p) != _word_descent_set(word):
-                failed.append((alpha, word, f"descents differ for {_tableau_of(word, alpha)}"))
+    for word, alpha, (p, _) in _word_insertions(max_n):
+        result.cases += 1
+        # p is the output under test.
+        if young_descent_set(p) != _word_descent_set(word):
+            failed.append((alpha, word, f"descents differ for {_tableau_of(word, alpha)}"))
     result.failures += _in_report_order(failed, max_n)
     return result
 
@@ -341,42 +289,58 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
     shape multisets, direct recording-tableau counts, and forward tree
     leaves; dually, the dual tree's leaf counts match the transposed counts.
     Each distinct recording tableau is checked once to be a DIRT of row
-    strip shape reverse(alpha), reported for the first word that records
+    strip shape reverse(alpha), reported for the least word that records
     it, and its shape is read once for both the per-word shape check and
     the insertion table.  The dual tree's leaves are counted by row lengths
     with the tree's own placement rule (rw._dual_counts), so no dual tree
     is built; the forward tree is built.
 
-    The insertions come from _insertions, which builds each composition's
-    (word, p, q) from its tail's and inserts only the bottom row; that is
-    sound because insertion only compares letters.  Its walk order is not
-    the report order, so failures are sorted back (see _in_report_order)."""
+    The insertions come from _word_insertions, whose walk is not grouped by
+    composition: each composition's distinct recording tableaux are held
+    until it ends, and then the table checks run over compositions(n) for
+    n in 0..max_n.  Failures are sorted back into report order (see
+    _in_report_order); a table check comes after its composition's words,
+    and each table in its message is in compositions(n) order."""
     result = SuiteResult("triple-agreement", max_n)
     failed = []
-    for alpha, entries in _insertions(max_n):
-        strips = reverse(alpha)
-        # Each distinct recording tableau, mapped to its shape.
-        recording: dict = {}
-        for word, p, q in entries:
-            shape = recording.get(q)
-            if shape is None:
-                shape = recording[q] = shape_of(q)
-                if _dirt_strip_shape(q) != strips:
-                    failed.append((alpha, word, f"bad recording tableau for {_tableau_of(word, alpha)}"))
-            if shape_of(p) != shape:
-                failed.append((alpha, word, f"shape mismatch for {_tableau_of(word, alpha)}"))
-        # The table checks report under alpha's last word, after its words' failures.
-        by_insertion = dict(Counter(recording.values()))
-        counted = dimm_to_yqs(alpha).coeffs
-        forward = rw_forward(alpha)[1].coeffs
-        result.cases += 1
-        if not (by_insertion == counted == forward):
-            failed.append((alpha, word,
-                           f"coefficient tables differ at {alpha}: "
-                           f"{by_insertion} vs {counted} vs {forward}"))
-        result.cases += 1
-        if _dual_counts(alpha) != yns_to_imm(alpha).coeffs:
-            failed.append((alpha, word, f"dual tree disagrees at {alpha}"))
+    # Each composition's distinct recording tableaux, mapped to their
+    # shapes; the walk starts below the empty word.
+    recording = {(): {(): ()}}
+    # (index in failed, least word) of each bad recording tableau's report.
+    # The report is placed when its tableau is first seen, ahead of every
+    # later failure, so it stays ahead of its least word's shape mismatch.
+    bad = {}
+    for word, alpha, (p, q) in _word_insertions(max_n):
+        shapes = recording.setdefault(alpha, {})
+        shape = shapes.get(q)
+        if shape is None:
+            shape = shapes[q] = shape_of(q)
+            if _dirt_strip_shape(q) != reverse(alpha):
+                bad[alpha, q] = len(failed), word
+                failed.append(None)
+        elif bad and (alpha, q) in bad:
+            i, least = bad[alpha, q]
+            bad[alpha, q] = i, min(least, word)
+        if shape_of(p) != shape:
+            failed.append((alpha, word, f"shape mismatch for {_tableau_of(word, alpha)}"))
+    for (alpha, _), (i, word) in bad.items():
+        failed[i] = (alpha, word, f"bad recording tableau for {_tableau_of(word, alpha)}")
+    for n in range(max_n + 1):
+        # After every word of degree n, whose letters are at most n.
+        after = (n + 1,)
+        for alpha in compositions(n):
+            by_insertion = dict(Counter(recording.pop(alpha).values()))
+            counted = dimm_to_yqs(alpha).coeffs
+            forward = rw_forward(alpha)[1].coeffs
+            result.cases += 1
+            if not (by_insertion == counted == forward):
+                # compositions(n) is in lexicographically decreasing order.
+                tables = " vs ".join(str(dict(sorted(table.items(), reverse=True)))
+                                     for table in (by_insertion, counted, forward))
+                failed.append((alpha, after, f"coefficient tables differ at {alpha}: {tables}"))
+            result.cases += 1
+            if _dual_counts(alpha) != yns_to_imm(alpha).coeffs:
+                failed.append((alpha, after, f"dual tree disagrees at {alpha}"))
     result.failures += _in_report_order(failed, max_n)
     return result
 
@@ -484,7 +448,7 @@ SUITES = {
 
 DEFAULT_MAX_N = {
     "inverse": 9,
-    "descents": 8,
+    "descents": 9,
     "triple-agreement": 9,
     "symmetry": 8,
     "positivity": 8,

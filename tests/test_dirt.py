@@ -20,7 +20,7 @@ from qsc.tableaux import (
     shape_of,
     standard_tableaux,
 )
-from qsc.verify import _insertions
+from qsc.verify import _word_insertions
 
 # Recording tableau with three strips of lengths 1, 3, 3.
 STRIP_EXAMPLE = ((5,), (2, 3, 4, 7), (1, 6))
@@ -124,7 +124,7 @@ def test_dirt_strip_shape_matches_the_reference():
     fillings += [u for n in range(8) for alpha in compositions(n)
                  for kind in ("ssyct", "immaculate")
                  for u in standard_tableaux(alpha, kind)]
-    fillings += [q for _, entries in _insertions(8) for _, _, q in entries]
+    fillings += [q for _, _, (_, q) in _word_insertions(8)]
     dirts = 0
     for filling in fillings:
         strips = _dirt_strip_shape(filling)

@@ -1,12 +1,14 @@
 import re
 from ast import literal_eval
+from collections import Counter
 
 import pytest
 
 from qsc import rw, verify
-from qsc.compositions import compositions
+from qsc.compositions import compositions, reverse
+from qsc.dirt import is_dirt, row_strip_shape
 from qsc.insertion import _is_virtuous, insert, insert_word
-from qsc.qsym import BasisExpansion, dimm_to_yqs
+from qsc.qsym import BasisExpansion, dimm_to_yqs, yns_to_imm
 from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, shape_of, standard_tableaux
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
@@ -60,10 +62,10 @@ def word_of(codes):
 
 def test_reading_words_walk_each_standard_immaculate_reading_word_once():
     walked = []
-    for word, codes in verify._reading_words(7, lambda codes, v: codes + (v,), ()):
+    for word, alpha, codes in verify._reading_words(7, lambda codes, v: codes + (v,), ()):
         # Each word's state is threaded through its standardized prefixes.
         assert word_of(codes) == word
-        walked.append((verify._shape_of_word(word), word))
+        walked.append((alpha, word))
     assert len(set(walked)) == len(walked)
     assert sorted(walked) == sorted(
         (alpha, immaculate_reading_word(u)) for n in range(1, 8) for alpha in compositions(n)
@@ -335,7 +337,7 @@ def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "_insert_into", counted)
-    assert sum(len(entries) for _, entries in verify._insertions(7)) == 1156
+    assert sum(1 for _ in verify._word_insertions(7)) == 1155
     # One per (standard P, v) a reading word's prefixes reach, against 1,148
     # when each bottom-row prefix was inserted once per tail entry.
     steps = {(order_type(insert_word(w[:k - 1])[0]), sorted(w[:k]).index(w[k - 1]) + 1)
@@ -343,18 +345,17 @@ def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
     assert calls == len(steps) == 557
 
 
-def test_insertions_build_each_word_insertion_from_its_tail():
-    walked = []
-    for alpha, entries in verify._insertions(7):
-        walked.append(alpha)
-        words = [immaculate_reading_word(u) for u in standard_tableaux(alpha, "immaculate")]
-        assert entries == [(w, *insert_word(w)) for w in words], alpha
-    assert sorted(walked) == sorted(alpha for n in range(8) for alpha in compositions(n))
-    assert len(walked) == len(set(walked))
+def test_word_insertions_yield_each_reading_word_with_its_insertion():
+    walked = sorted(verify._word_insertions(7))
+    assert len(walked) == 1155
+    assert walked == sorted(
+        (immaculate_reading_word(u), alpha, insert_word(immaculate_reading_word(u)))
+        for n in range(1, 8) for alpha in compositions(n)
+        for u in standard_tableaux(alpha, "immaculate"))
 
 
 # Two more faults on insertions from a tableau of order type INSERTED_INTO,
-# for the tail walk.
+# for the word walk.
 
 def move_cells_to_the_corner(monkeypatch):
     # The step is right, but the cell it reports is (1, 1).
@@ -387,31 +388,30 @@ def test_insertions_match_a_plain_word_loop_under_a_core_fault(monkeypatch, faul
     # Every letter of every word goes through the core, letter 1 too: a
     # fault there shows in the walk as in the loop.
     fault(monkeypatch)
-    changed = 0
-    for alpha, entries in verify._insertions(6):
-        plain = []
-        for u in standard_tableaux(alpha, "immaculate"):
-            word = immaculate_reading_word(u)
-            p, q = [], []
-            for j, k in enumerate(word, start=1):
-                verify._record(q, verify._insert_into(p, k)[0], j)
-            plain.append((word, tuple(p), tuple(q)))
-        plain.sort()
-        assert entries == plain, alpha
-        changed += sum(entry != (entry[0], *insert_word(entry[0])) for entry in entries)
+    plain = []
+    for n in range(1, 7):
+        for alpha in compositions(n):
+            for u in standard_tableaux(alpha, "immaculate"):
+                word = immaculate_reading_word(u)
+                p, q = [], []
+                for j, k in enumerate(word, start=1):
+                    verify._record(q, verify._insert_into(p, k)[0], j)
+                plain.append((word, alpha, (tuple(p), tuple(q))))
+    walked = sorted(verify._word_insertions(6))
+    assert walked == sorted(plain)
     # The fault changes some entries, so the comparison is not vacuous.
-    assert changed > 0
+    assert sum(pq != insert_word(word) for word, _, pq in walked) > 0
 
 
 def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
-    real = verify._insertions
+    real = verify._word_insertions
 
     def all_ones(max_n):
         # Same shapes, but no filling with two or more cells is standard.
-        for alpha, entries in real(max_n):
-            yield alpha, [(w, p, tuple((1,) * len(row) for row in q)) for w, p, q in entries]
+        for word, alpha, (p, q) in real(max_n):
+            yield word, alpha, (p, tuple((1,) * len(row) for row in q))
 
-    monkeypatch.setattr(verify, "_insertions", all_ones)
+    monkeypatch.setattr(verify, "_word_insertions", all_ones)
     result = run_suite("triple-agreement", 4)
     assert not result.passed
     assert all(f.startswith("bad recording tableau for ") for f in result.failures)
@@ -436,6 +436,94 @@ def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
     assert result.failures == expected
 
 
+def triple_agreement_word_by_word(max_n, recorded):
+    """The triple-agreement failures built word by word from
+    standard_tableaux and insert_word, with recorded(word, q) as each word's
+    recording tableau: each composition's words in reading word order, then
+    its table checks."""
+    failures = []
+    for n in range(max_n + 1):
+        for alpha in compositions(n):
+            shapes = {} if n else {(): ()}
+            tableaux = sorted(standard_tableaux(alpha, "immaculate"), key=immaculate_reading_word)
+            for u in tableaux if n else ():
+                word = immaculate_reading_word(u)
+                p, q = insert_word(word)
+                q = recorded(word, q)
+                if q not in shapes:
+                    shapes[q] = shape_of(q)
+                    if not (is_dirt(q) and row_strip_shape(q) == reverse(alpha)):
+                        failures.append(f"bad recording tableau for {u}")
+                if shape_of(p) != shapes[q]:
+                    failures.append(f"shape mismatch for {u}")
+            tables = [dict(Counter(shapes.values())), verify.dimm_to_yqs(alpha).coeffs,
+                      rw.rw_forward(alpha)[1].coeffs]
+            if not tables[0] == tables[1] == tables[2]:
+                # Each key in the order of compositions of its degree.
+                tables = [{beta: t[beta] for beta in sorted(
+                    t, key=lambda beta: compositions(sum(beta)).index(beta))} for t in tables]
+                failures.append(f"coefficient tables differ at {alpha}: "
+                                f"{tables[0]} vs {tables[1]} vs {tables[2]}")
+            if rw.rw_dual(alpha)[1].coeffs != yns_to_imm(alpha).coeffs:
+                failures.append(f"dual tree disagrees at {alpha}")
+    return failures
+
+
+def test_triple_agreement_keeps_the_word_order_under_a_two_check_fault(monkeypatch):
+    real = verify._word_insertions
+
+    def grown(word, q):
+        # One cell too many: Q is no DIRT of the right strips, and has
+        # another shape than P.
+        return (q[0] + (len(word) + 1,),) + q[1:]
+
+    def grow_bottom_rows(max_n):
+        for word, alpha, (p, q) in real(max_n):
+            yield word, alpha, (p, grown(word, q))
+
+    monkeypatch.setattr(verify, "_word_insertions", grow_bottom_rows)
+    result = run_suite("triple-agreement", 5)
+    # The walk meets a recording tableau first at a word other than its
+    # least, yet its report comes first among the least word's failures.
+    assert result.failures[:2] == ["bad recording tableau for ((1,),)",
+                                   "shape mismatch for ((1,),)"]
+    assert len(result.failures) == 163
+    assert result.failures == triple_agreement_word_by_word(5, grown)
+
+
+def test_triple_agreement_reports_a_table_after_its_words_in_composition_order(monkeypatch):
+    real_insertions, real_counts = verify._word_insertions, verify.dimm_to_yqs
+
+    def all_ones(max_n):
+        for word, alpha, (p, q) in real_insertions(max_n):
+            yield word, alpha, (p, tuple((1,) * len(row) for row in q))
+
+    def miscounted(alpha):
+        # (2, 1)'s table, reversed and with its diagonal raised by one.
+        table = real_counts(alpha)
+        if alpha != (2, 1):
+            return table
+        coeffs = {beta: c + (beta == alpha) for beta, c in reversed(table.coeffs.items())}
+        return BasisExpansion(table.basis, table.degree, coeffs)
+
+    monkeypatch.setattr(verify, "_word_insertions", all_ones)
+    monkeypatch.setattr(verify, "dimm_to_yqs", miscounted)
+    # At degree 7 the walk also meets some tableaux first at a word other
+    # than their least.
+    result = run_suite("triple-agreement", 7)
+    # The walk meets shape (1, 2) before (2, 1), but each table prints in
+    # compositions(3) order.
+    message = ("coefficient tables differ at (2, 1): "
+               "{(2, 1): 1, (1, 2): 1} vs {(2, 1): 2, (1, 2): 1} vs {(2, 1): 1, (1, 2): 1}")
+    # After (2, 1)'s two bad recording reports and before (1, 2)'s.
+    at = result.failures.index(message)
+    assert result.failures[at - 2:at] == ["bad recording tableau for ((1, 3), (2,))",
+                                          "bad recording tableau for ((1, 2), (3,))"]
+    assert result.failures[at + 1] == "bad recording tableau for ((1,), (2, 3))"
+    assert result.failures == triple_agreement_word_by_word(
+        7, lambda word, q: tuple((1,) * len(row) for row in q))
+
+
 def test_triple_agreement_builds_no_dual_tree(monkeypatch):
     def refuse(alpha):
         raise AssertionError("rw_dual called")
@@ -447,14 +535,14 @@ def test_triple_agreement_builds_no_dual_tree(monkeypatch):
 
 
 def test_descents_reports_in_report_order(monkeypatch):
-    real = verify._insertions
+    real = verify._word_insertions
 
     def one_row(max_n):
         # A one-row P has no Young descents, so every u with two rows fails.
-        for alpha, entries in real(max_n):
-            yield alpha, [(w, (tuple(sorted(w)),), q) for w, p, q in entries]
+        for word, alpha, (_, q) in real(max_n):
+            yield word, alpha, ((tuple(sorted(word)),), q)
 
-    monkeypatch.setattr(verify, "_insertions", one_row)
+    monkeypatch.setattr(verify, "_word_insertions", one_row)
     result = run_suite("descents", 5)
     assert result.failures == [
         f"descents differ for {u}" for n in range(1, 6) for alpha in compositions(n)
