@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -36,6 +35,7 @@ from .qsym import (
 )
 from .rw import rw_dual, rw_forward, tree_to_dot, tree_to_json
 from .tableaux import (
+    INF,
     from_json_obj,
     parse_rows,
     render,
@@ -62,37 +62,19 @@ def _check_degree(name: str, n: int, force: bool) -> None:
                          " pass --force to run anyway")
 
 
-def _jsonable(value):
-    """value with tuples as lists and an infinite float as "inf", copied
-    with an explicit stack, so a tree of any depth converts."""
-
-    def convert(v):
-        # A container comes back empty and is filled when popped.
-        if isinstance(v, float) and math.isinf(v):
-            return "inf"
-        if isinstance(v, dict):
-            out = {}
-        elif isinstance(v, (list, tuple)):
-            out = []
-        else:
-            return v
-        stack.append((v, out))
-        return out
-
-    stack: list = []
-    root = convert(value)
-    while stack:
-        src, dst = stack.pop()
-        if isinstance(src, dict):
-            for key, v in src.items():
-                dst[key] = convert(v)
-        else:
-            dst.extend([convert(v) for v in src])
-    return root
+def _spell_inf(value):
+    """value with each INF, the past-the-row sentinel of the demo traces,
+    written "inf"; traces nest a few levels deep, so plain recursion does."""
+    if isinstance(value, dict):
+        return {key: _spell_inf(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_inf(v) for v in value]
+    return "inf" if value is INF else value
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_jsonable(obj)))
+    # allow_nan=False: a stray INF is an error, not a silent Infinity.
+    print(json.dumps(obj, allow_nan=False))
 
 
 def integer(text: str) -> int:
@@ -153,14 +135,14 @@ def cmd_demo_insert(args) -> int:
     rows = _read_tableau(args.tableau)
     events: list[dict] = []
     result = insert(rows, args.k, events)
-    _emit({
+    _emit(_spell_inf({
         "input": rows,
         "k": args.k,
         "steps": events,
         "result": result.rows,
         "new_cell": result.new_cell,
         "path": result.path,
-    })
+    }))
     return 0
 
 
@@ -174,14 +156,14 @@ def cmd_demo_rapture(args) -> int:
         raise ValueError(f"cell must be 'column,row' with positive integers, got {args.cell!r}")
     events: list[dict] = []
     result = rapture(rows, cell, events)
-    _emit({
+    _emit(_spell_inf({
         "input": rows,
         "cell": cell,
         "steps": events,
         "result": result.rows,
         "output": result.output,
         "route": result.route,
-    })
+    }))
     return 0
 
 
@@ -189,12 +171,12 @@ def cmd_demo_word(args) -> int:
     word = from_string(args.word)
     insertions: list[dict] = []
     p_rows, q_rows = insert_word(word, insertions)
-    _emit({
+    _emit(_spell_inf({
         "word": word,
         "insertions": insertions,
         "p": p_rows,
         "q": q_rows,
-    })
+    }))
     return 0
 
 

@@ -102,9 +102,10 @@ def _insert_into(work: list[Row], k: int, events=None) -> tuple[Cell, tuple[Cell
 
 def _record(q: list[Row], cell: Cell, j: int) -> None:
     # Put j at cell, the cell an insertion added, in the recording tableau q
-    # being built: a new row when cell is in column 1, else its row's end.
+    # being built: a new row when cell is in column 1 or above q's top row
+    # (which only a faulty core reports), else its row's end.
     col, row = cell
-    if col == 1:
+    if col == 1 or row > len(q):
         q.insert(row - 1, (j,))
     else:
         q[row - 1] += (j,)

@@ -32,9 +32,10 @@ from .qsym import (
 from .rw import _dual_counts, rw_forward
 from .tableaux import (
     INF,
+    _young_descent_set,
     is_ssyct,
+    is_standard,
     shape_of,
-    young_descent_set,
 )
 
 
@@ -163,9 +164,9 @@ _MESSAGES = {
 def _in_report_order(failed, max_n: int) -> list[str]:
     """The messages of (alpha, key, message) records sorted by degree,
     composition in compositions(n) order, and key: a word's failures have
-    the word as key, and a composition's own checks a key after all its
-    words.  The sort is stable, so the messages of one key keep their
-    order."""
+    the word, or the word and a rank among its checks, as key, and a
+    composition's own checks a key after all its words.  The sort is
+    stable, so the messages of one key keep their order."""
     order = {alpha: i for i, alpha in enumerate(
         alpha for n in range(max_n + 1) for alpha in compositions(n))}
     failed.sort(key=lambda record: (order[record[0]], record[1]))
@@ -272,13 +273,16 @@ def verify_descents(max_n: int) -> SuiteResult:
     """Insertion carries the immaculate descent set of the input tableau to
     the Young descent set of the inserted tableau.  The (word, P) pairs come
     from _word_insertions, the input's descent set is read off its word,
-    and failures are reported by degree, composition and reading word."""
+    and failures are reported by degree, composition and reading word.  A P
+    that is not standard has no descent set and fails as it stands."""
     result = SuiteResult("descents", max_n)
     failed = []
     for word, alpha, (p, _) in _word_insertions(max_n):
         result.cases += 1
         # p is the output under test.
-        if young_descent_set(p) != _word_descent_set(word):
+        if not is_standard(p):
+            failed.append((alpha, word, f"P is not standard for {_tableau_of(word, alpha)}"))
+        elif _young_descent_set(p) != _word_descent_set(word):
             failed.append((alpha, word, f"descents differ for {_tableau_of(word, alpha)}"))
     result.failures += _in_report_order(failed, max_n)
     return result
@@ -299,16 +303,17 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
     composition: each composition's distinct recording tableaux are held
     until it ends, and then the table checks run over compositions(n) for
     n in 0..max_n.  Failures are sorted back into report order (see
-    _in_report_order); a table check comes after its composition's words,
-    and each table in its message is in compositions(n) order."""
+    _in_report_order) by their keys: (least word, 0) for a bad recording
+    tableau, (word, 1) for a shape mismatch, so a least word's bad
+    recording comes before its shape mismatch, and ((n + 1,),) for a table
+    check, after every word of degree n.  Each table in a table check's
+    message is in compositions(n) order."""
     result = SuiteResult("triple-agreement", max_n)
     failed = []
     # Each composition's distinct recording tableaux, mapped to their
     # shapes; the walk starts below the empty word.
     recording = {(): {(): ()}}
-    # (index in failed, least word) of each bad recording tableau's report.
-    # The report is placed when its tableau is first seen, ahead of every
-    # later failure, so it stays ahead of its least word's shape mismatch.
+    # The least word that records each bad recording tableau.
     bad = {}
     for word, alpha, (p, q) in _word_insertions(max_n):
         shapes = recording.setdefault(alpha, {})
@@ -316,18 +321,16 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
         if shape is None:
             shape = shapes[q] = shape_of(q)
             if _dirt_strip_shape(q) != reverse(alpha):
-                bad[alpha, q] = len(failed), word
-                failed.append(None)
+                bad[alpha, q] = word
         elif bad and (alpha, q) in bad:
-            i, least = bad[alpha, q]
-            bad[alpha, q] = i, min(least, word)
+            bad[alpha, q] = min(bad[alpha, q], word)
         if shape_of(p) != shape:
-            failed.append((alpha, word, f"shape mismatch for {_tableau_of(word, alpha)}"))
-    for (alpha, _), (i, word) in bad.items():
-        failed[i] = (alpha, word, f"bad recording tableau for {_tableau_of(word, alpha)}")
+            failed.append((alpha, (word, 1), f"shape mismatch for {_tableau_of(word, alpha)}"))
+    failed += [(alpha, (word, 0), f"bad recording tableau for {_tableau_of(word, alpha)}")
+               for (alpha, _), word in bad.items()]
     for n in range(max_n + 1):
         # After every word of degree n, whose letters are at most n.
-        after = (n + 1,)
+        after = ((n + 1,),)
         for alpha in compositions(n):
             by_insertion = dict(Counter(recording.pop(alpha).values()))
             counted = dimm_to_yqs(alpha).coeffs
@@ -404,8 +407,13 @@ def verify_dominance(max_n: int) -> SuiteResult:
             if table.get(alpha) != 1:
                 result.fail(f"diagonal coefficient is not 1 at {alpha}")
             result.cases += 1
-            # yqs_to_dimm checks the DIRT table is unitriangular and inverts it.
-            if yqs_to_dimm(alpha) != expand_in(young_qs_mexpr(alpha), DUAL_IMMACULATE):
+            # yqs_to_dimm checks the DIRT table is unitriangular and inverts
+            # it; a table that is not raises, and fails this check.
+            try:
+                inverted = yqs_to_dimm(alpha)
+            except RuntimeError:
+                inverted = None
+            if inverted != expand_in(young_qs_mexpr(alpha), DUAL_IMMACULATE):
                 result.fail(f"DIRT counts times the peeled table is not the identity at {alpha}")
         for lam in partitions(n):
             result.cases += 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qsc
 from qsc import insertion
-from qsc.cli import _ROUTES, _jsonable, main
+from qsc.cli import _ROUTES, _spell_inf, main
 from qsc.verify import SUITES
 from qsc.qsym import BasisExpansion
 
@@ -231,7 +231,7 @@ def test_demo_word_inserts_each_letter_once(capsys, monkeypatch):
                            "path": [list(cell) for cell in step.path]})
         rows = step.rows
     p, q = insertion.insert_word(word)
-    expected = json.dumps(_jsonable({
+    expected = json.dumps(_spell_inf({
         "word": list(word), "insertions": insertions,
         "p": [list(r) for r in p], "q": [list(r) for r in q]})) + "\n"
 

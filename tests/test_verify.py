@@ -4,12 +4,14 @@ from collections import Counter
 
 import pytest
 
-from qsc import rw, verify
+from qsc import qsym, rw, verify
+from qsc.cli import main
 from qsc.compositions import compositions, reverse
 from qsc.dirt import is_dirt, row_strip_shape
 from qsc.insertion import _is_virtuous, insert, insert_word
 from qsc.qsym import BasisExpansion, dimm_to_yqs, yns_to_imm
-from qsc.tableaux import INF, immaculate_reading_word, is_ssyct, shape_of, standard_tableaux
+from qsc.tableaux import (INF, immaculate_reading_word, is_ssyct, is_standard, shape_of,
+                          standard_tableaux)
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
 
@@ -547,6 +549,93 @@ def test_descents_reports_in_report_order(monkeypatch):
     assert result.failures == [
         f"descents differ for {u}" for n in range(1, 6) for alpha in compositions(n)
         for u in standard_tableaux(alpha, "immaculate") if len(u) >= 2]
+
+
+def verify_cli(capsys, suite, max_n):
+    """(exit code, stdout lines) of qsc verify; it prints nothing to stderr."""
+    code = main(["verify", "--suite", suite, "--max-n", str(max_n)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out.splitlines()
+
+
+def test_word_suites_report_a_cell_above_the_top_row(monkeypatch, capsys):
+    # Some of the misreported cells lie past Q's top row: Q opens a row
+    # there, and only triple-agreement, which reads Q, fails.
+    misreport_cells_into(monkeypatch)
+
+    def replayed(word, q):
+        p, q = [], []
+        for j, k in enumerate(word, start=1):
+            verify._record(q, verify._insert_into(p, k)[0], j)
+        return tuple(q)
+
+    result = run_suite("triple-agreement", 6)
+    assert len(result.failures) == 45
+    assert result.failures == triple_agreement_word_by_word(6, replayed)
+    descents = run_suite("descents", 6)
+    assert descents.passed and descents.cases == 278
+    code, lines = verify_cli(capsys, "triple-agreement", 6)
+    assert code == 1
+    assert lines[:2] == ["suite triple-agreement: FAIL (128 cases, max_n=6)",
+                         f"  counterexample: {result.failures[0]}"]
+
+
+def repeat_a_letter_into(monkeypatch):
+    # P's bottom row ends in a copy of its top row's last letter; the shape
+    # is right.
+    real = verify._insert_into
+
+    def repeated(work, k, events=None):
+        before = order_type(work)
+        result = real(work, k, events)
+        if before == INSERTED_INTO:
+            work[0] = work[0][:-1] + work[-1][-1:]
+        return result
+
+    monkeypatch.setattr(verify, "_insert_into", repeated)
+
+
+def test_descents_records_a_p_that_is_not_standard(monkeypatch, capsys):
+    repeat_a_letter_into(monkeypatch)
+    expected = []
+    for n in range(1, 7):
+        for alpha in compositions(n):
+            for u in sorted(standard_tableaux(alpha, "immaculate"), key=immaculate_reading_word):
+                p = []
+                for k in immaculate_reading_word(u):
+                    verify._insert_into(p, k)
+                if not is_standard(tuple(p)):
+                    expected.append(f"P is not standard for {u}")
+    result = run_suite("descents", 6)
+    assert len(result.failures) == 45
+    assert result.failures == expected
+    # Not exit 2, which means bad input.
+    code, lines = verify_cli(capsys, "descents", 6)
+    assert code == 1
+    assert lines[:2] == ["suite descents: FAIL (278 cases, max_n=6)",
+                         f"  counterexample: {expected[0]}"]
+
+
+def test_dominance_records_a_dirt_table_that_is_not_unitriangular(monkeypatch, capsys):
+    real = qsym._dirt_counts
+
+    def perturbed(n, ell):
+        # 2 on the diagonal at (2, 1), in a copy of the cached table.
+        table = real(n, ell)
+        if (2, 1) in table:
+            table = {**table, (2, 1): {**table[(2, 1)], (2, 1): 2}}
+        return table
+
+    monkeypatch.setattr(qsym, "_dirt_counts", perturbed)
+    result = run_suite("dominance", 4)
+    assert result.failures[:2] == [
+        "diagonal coefficient is not 1 at (2, 1)",
+        "DIRT counts times the peeled table is not the identity at (2, 1)"]
+    code, lines = verify_cli(capsys, "dominance", 4)
+    assert code == 1
+    assert lines[:2] == [f"suite dominance: FAIL ({result.cases} cases, max_n=4)",
+                         "  counterexample: diagonal coefficient is not 1 at (2, 1)"]
 
 
 def test_dominance_records_a_perturbed_peeled_table(monkeypatch):
