@@ -23,6 +23,7 @@ from .qsym import (
     YOUNG_NCSCHUR,
     YOUNG_QS,
     BasisExpansion,
+    NotUnitriangularError,
     check_conjectures,
     dimm_f_expansion,
     dimm_to_yqs,
@@ -388,6 +389,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotUnitriangularError as exc:
+        # A table the package built fails the check its basis changes rely
+        # on: a fault in the package, not in the input.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # The reader closed stdout.  What is still buffered goes to devnull
         # at exit, and 141 is the shell's code for a writer killed by SIGPIPE.

@@ -3,9 +3,10 @@
 Everything reduces to the monomial basis.  One type, BasisExpansion, holds
 every element: integer coefficients on the compositions of one degree,
 tagged with the basis they are taken against.  Fundamental expansions come
-from descent sets of standard fillings, products from the quasi-shuffle
-rule, and changes of basis from one integer leading-term peel over a dense
-list indexed by lexicographic position: both Schur-like bases are
+from standard fillings counted by descent set, monomial ones from those
+counts by one subset-sum pass, products from the quasi-shuffle rule, and
+changes of basis from one integer leading-term peel over a dense list
+indexed by lexicographic position: both Schur-like bases are
 unitriangular in monomial coordinates under lexicographic order, and
 unitriangularity is checked on every element used rather than assumed.
 Between the two Schur-like bases the DIRT counts give the table directly,
@@ -31,15 +32,9 @@ from .compositions import (
     partitions,
     rearrangements,
     refinements,
-    subset_to_composition,
     to_string,
 )
-from .tableaux import (
-    _immaculate_descent_set,
-    _young_descent_set,
-    standard_tableaux,
-    weighted_tableaux,
-)
+from .tableaux import _descent_counts, weighted_tableaux
 
 MONOMIAL = "monomial"
 FUNDAMENTAL = "fundamental"
@@ -51,6 +46,11 @@ YOUNG_NCSCHUR = "young-ncschur"
 BASES = frozenset(
     {MONOMIAL, FUNDAMENTAL, YOUNG_QS, DUAL_IMMACULATE, IMMACULATE, YOUNG_NCSCHUR}
 )
+
+
+class NotUnitriangularError(RuntimeError):
+    """A peel met an element that is not unitriangular: a table the package
+    built breaks the fact its basis changes rely on."""
 
 
 @dataclass(frozen=True)
@@ -181,46 +181,48 @@ def m_to_f(f: BasisExpansion) -> BasisExpansion:
 
 
 # The filling kind whose standard tableaux give each Schur-like basis its
-# fundamental expansion, and the descent set read off each such tableau
-# (unchecked: standard_tableaux built it).
-_FILLINGS = {
-    YOUNG_QS: ("ssyct", _young_descent_set),
-    DUAL_IMMACULATE: ("immaculate", _immaculate_descent_set),
-}
+# fundamental expansion.
+_FILLINGS = {YOUNG_QS: "ssyct", DUAL_IMMACULATE: "immaculate"}
 
 
 def _f_expansion(basis: str, alpha: Composition) -> tuple[int, dict[Composition, int]]:
-    # (degree, fundamental coefficients) at alpha; standard_tableaux checks alpha.
-    kind, descents = _FILLINGS[basis]
-    fillings = standard_tableaux(alpha, kind)
+    # (degree, fundamental coefficients) at alpha; alpha must be checked first.
     n = sum(alpha)
-    out: dict[Composition, int] = {}
-    for t in fillings:
-        beta = subset_to_composition(descents(t), n)
-        out[beta] = out.get(beta, 0) + 1
-    return n, out
+    order = compositions(n)
+    return n, {order[m]: c for m, c in _descent_counts(alpha, _FILLINGS[basis]).items()}
 
 
 @cache
 def _mexpr(basis: str, alpha: Composition) -> BasisExpansion:
     # alpha must be checked first: the cache takes (True, 1) for (1, 1).
-    n, counts = _f_expansion(basis, alpha)
-    out: dict[Composition, int] = {}
-    for beta, c in counts.items():
-        for gamma in refinements(beta):
-            out[gamma] = out.get(gamma, 0) + c
-    return BasisExpansion._built(MONOMIAL, n, out)
+    # F_beta is the sum of M_gamma over the gamma whose descent sets contain
+    # beta's.  A descent mask is its composition's index in compositions(n)
+    # (see _descent_counts), so the fundamental counts laid out densely by
+    # mask, summed over subsets one bit at a time, are the monomial
+    # coefficients in compositions(n) order.
+    n = sum(alpha)
+    order = compositions(n)
+    dense = [0] * len(order)
+    for m, c in _descent_counts(alpha, _FILLINGS[basis]).items():
+        dense[m] = c
+    for b in range(n - 1):
+        bit = 1 << b
+        for m in range(len(dense)):
+            if m & bit:
+                dense[m] += dense[m ^ bit]
+    return BasisExpansion._built(MONOMIAL, n, dict(zip(order, dense)))
 
 
 def yqs_f_expansion(alpha: Composition) -> BasisExpansion:
-    """Fundamental expansion of a Young quasisymmetric Schur element, by
-    bucketing standard tableaux of the shape over their descent sets."""
-    return BasisExpansion(FUNDAMENTAL, *_f_expansion(YOUNG_QS, alpha))
+    """Fundamental expansion of a Young quasisymmetric Schur element: the
+    standard tableaux of the shape counted by descent set."""
+    return BasisExpansion._built(FUNDAMENTAL, *_f_expansion(YOUNG_QS, check_composition(alpha)))
 
 
 def dimm_f_expansion(alpha: Composition) -> BasisExpansion:
     """Fundamental expansion of a dual immaculate element."""
-    return BasisExpansion(FUNDAMENTAL, *_f_expansion(DUAL_IMMACULATE, alpha))
+    return BasisExpansion._built(
+        FUNDAMENTAL, *_f_expansion(DUAL_IMMACULATE, check_composition(alpha)))
 
 
 def young_qs_mexpr(alpha: Composition) -> BasisExpansion:
@@ -236,7 +238,7 @@ def monomial_coefficient_oracle(basis: str, alpha: Composition, gamma: Compositi
     independent of any descent-set bookkeeping."""
     if basis not in _FILLINGS:
         raise ValueError(f"no filling model for basis {basis!r}")
-    fillings = weighted_tableaux(alpha, _FILLINGS[basis][0], gamma)
+    fillings = weighted_tableaux(alpha, _FILLINGS[basis], gamma)
     if sum(alpha) != sum(gamma):
         raise ValueError("degree mismatch between shape and weight")
     return len(fillings)
@@ -301,7 +303,7 @@ def _peel(rest, row, basis: str, n: int, ell: int | None = None) -> dict[Composi
     # at alpha is subtracted.  That touches no earlier entry and clears entry
     # i, because the element is unitriangular: its term at alpha is 1 and
     # every other term has a larger index.  Both are checked, on every
-    # element used, and a failure raises RuntimeError.  out comes out
+    # element used, and a failure raises NotUnitriangularError.  out comes out
     # lexicographically decreasing, as compositions(n, ell) lists it.
     order = compositions(n, ell)
     index = _lex_index(n, ell)
@@ -323,7 +325,8 @@ def _peel(rest, row, basis: str, n: int, ell: int | None = None) -> dict[Composi
             # Entry i is c minus c times the diagonal, 0 only when that is 1.
             if not dense[i]:
                 continue
-        raise RuntimeError(f"{basis} element at {to_string(alpha)} is not unitriangular")
+        raise NotUnitriangularError(
+            f"{basis} element at {to_string(alpha)} is not unitriangular")
     return out
 
 
@@ -469,7 +472,8 @@ def check_conjectures(n: int) -> dict:
     except the last) and 0 elsewhere, and whether each distinct-part
     partition's table is the signed sum of its rearrangements; a violation
     of that rule reports, in monomial coordinates, that signed sum minus the
-    element.  Findings are returned, never raised.
+    element.  Findings are returned, never raised; a DIRT-count table that
+    is not unitriangular raises NotUnitriangularError from yqs_to_dimm.
     """
     if type(n) is not int or n < 1:
         raise ValueError("degree must be a positive integer")
@@ -506,7 +510,7 @@ def check_conjectures(n: int) -> dict:
                 BasisExpansion(MONOMIAL, n))
             alternating_violations.append({
                 "lambda": to_string(lam),
-                "difference": {to_string(g): c for g, c in difference.items()},
+                "difference": difference.to_json_obj()["coeffs"],
             })
     return {
         "degree": n,

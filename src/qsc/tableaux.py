@@ -15,6 +15,9 @@ the end of a row is math.inf, which compares greater than every entry.
 The three enumerators are one search, _search, that places values in
 increasing order, along covers of the composition poset, from a budget:
 each of 1..n once, each of 1..max_entry up to n times, or gamma exactly.
+The part of its placement rule that reads only row lengths is _open_ends,
+which _descent_counts also reads to count standard fillings by descent set
+without listing them.
 
 Enumerators and parsers validate their inputs, and predicates such as
 is_ssyct take well-formed Rows; `_`-prefixed helpers such as _search and
@@ -152,24 +155,40 @@ def immaculate_descent_set(rows: Rows) -> frozenset[int]:
     return _immaculate_descent_set(rows)
 
 
+def _open_ends(shape, lengths, kind) -> list[int]:
+    """The placement rule's part that reads only row lengths: the rows, from
+    the bottom up, whose end may take the next cell.  Started rows form a
+    prefix, and the first empty row is the one that may open, directly above
+    a started row.  A started row needs room in shape, and for "ssyct" a row
+    of length p needs no row above it of length exactly p."""
+    out = []
+    for r, p in enumerate(lengths):
+        if not p:
+            out.append(r)
+            break
+        if p < shape[r] and (kind == "immaculate" or p not in lengths[r + 1:]):
+            out.append(r)
+    return out
+
+
 def _search(shape, kind, budget):
     """Value-order core of the enumerators: the copies of v, at most
-    budget[v-1], go to the ends of rows from the bottom up, and a row opens
-    only directly above an open row whose first entry is smaller than v.  For
-    "ssyct" a cell at 0-based column p also needs no row above it of length
-    exactly p (when p >= 1) and no lower row holding v at column p+1.  Results
-    are sorted by row word, top row first."""
+    budget[v-1], go to the ends of the rows _open_ends offers, from the bottom
+    up.  A row opens only above one whose first entry is smaller than v, and
+    for "ssyct" a cell at 0-based column p needs no lower row holding v at
+    column p+1.  Results are sorted by row word, top row first."""
     rows: list[Row] = [()] * len(shape)
+    lens = [0] * len(shape)
     reach = list(accumulate(reversed(budget), initial=0))[::-1]  # sum(budget[v:])
     results: list[Rows] = []
 
     def fits(r, v):
-        p = len(rows[r])
-        if p == shape[r] or not (p or r == 0 or rows[r - 1] and rows[r - 1][0] < v):
+        # The part of the rule that reads values.
+        p = lens[r]
+        if not (p or r == 0 or rows[r - 1][0] < v):
             return False
-        return kind == "immaculate" or not (
-            p and any(len(upper) == p for upper in rows[r + 1:])
-            or any(len(lower) > p + 1 and lower[p + 1] == v for lower in rows[:r]))
+        return kind == "immaculate" or not any(
+            len(lower) > p + 1 and lower[p + 1] == v for lower in rows[:r])
 
     def grow(v, low, spare, empty):
         # The last cell placed holds v (0: none yet) in row `low`; `spare` more may follow.
@@ -180,15 +199,53 @@ def _search(shape, kind, budget):
             if w > v and empty > reach[w - 1]:
                 break
             left = spare if w == v else budget[w - 1]
-            for r in range(low if w == v else 0, len(rows)):
-                if left and fits(r, w):
+            if not left:
+                continue
+            first = low if w == v else 0
+            for r in _open_ends(shape, lens, kind):
+                if r >= first and fits(r, w):
                     row = rows[r]
                     rows[r] = row + (w,)
+                    lens[r] += 1
                     grow(w, r, left - 1, empty - 1)
                     rows[r] = row
+                    lens[r] -= 1
 
     grow(0, 0, 0, sum(shape))
     return tuple(sorted(results, key=lambda t: t[::-1]))
+
+
+def _descent_counts(shape, kind) -> dict[int, int]:
+    """Standard fillings of shape counted by descent set, listing none.
+
+    Values go in increasing order to the rows _open_ends offers, which for
+    standard fillings is the whole rule, so a partial filling is known by
+    its row lengths and the place of its last value: the column for
+    "ssyct", where i is a descent when i+1 lands weakly left of i, and the
+    row for "immaculate", where i+1 lands in a strictly higher row.  Each
+    state carries its counts by descent mask, with bit n-1-i for descent
+    i: read from the top bit down, the mask spells the descent set, so it
+    is the composition's index in compositions(n)."""
+    young = kind == "ssyct"
+    n = sum(shape)
+    states = {((0,) * len(shape), 0): {0: 1}}
+    for v in range(1, n + 1):
+        bit = 1 << (n - v) if v > 1 else 0  # descent v - 1
+        grown = {}
+        for (lens, last), masks in states.items():
+            for r in _open_ends(shape, lens, kind):
+                col = lens[r] + 1
+                here = col if young else r
+                b = bit if (last >= col if young else last < r) else 0
+                out = grown.setdefault((lens[:r] + (col,) + lens[r + 1:], here), {})
+                for m, c in masks.items():
+                    out[m | b] = out.get(m | b, 0) + c
+        states = grown
+    counts: dict[int, int] = {}
+    for masks in states.values():
+        for m, c in masks.items():
+            counts[m] = counts.get(m, 0) + c
+    return counts
 
 
 def check_kind(kind: str) -> str:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc import insertion
+from qsc import insertion, qsym
 from qsc.cli import _ROUTES, _spell_inf, main
 from qsc.verify import SUITES
 from qsc.qsym import BasisExpansion
@@ -393,6 +393,34 @@ def test_conjectures_report_lists_violations(capsys, monkeypatch):
         " no violations (checked: (2,1))"]
 
 
+def perturb_dirt_diagonal(monkeypatch):
+    real = qsym._dirt_counts
+
+    def perturbed(n, ell):
+        # 2 on the diagonal at (2, 1), in a copy of the cached table.
+        table = real(n, ell)
+        if (2, 1) in table:
+            table = {**table, (2, 1): {**table[(2, 1)], (2, 1): 2}}
+        return table
+
+    monkeypatch.setattr(qsym, "_dirt_counts", perturbed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjectures", "--n", "3"],
+    ["conjectures", "--n", "3", "--format", "json"],
+    ["expand", "--from", "young-qs", "--alpha", "2,1", "--to", "dual-immaculate"],
+])
+def test_a_table_that_is_not_unitriangular_exits_3(capsys, monkeypatch, argv):
+    # The peel's check failing is a fault in the package, not in the input,
+    # so it has its own exit code, with one error line and no traceback.
+    perturb_dirt_diagonal(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: dual-immaculate element at 2,1 is not unitriangular\n"
+
+
 def test_conjectures_json(capsys):
     code, out, _ = run(capsys, "conjectures", "--n", "3", "--format", "json")
     assert code == 0
@@ -494,7 +522,8 @@ _ARGV = st.one_of(
 @given(_ARGV)
 def test_cli_fuzz_exit_codes(argv):
     # Exit 0 is success, 1 a failed verify suite, 2 a usage or input error;
-    # nothing else escapes main except argparse's own usage exit.
+    # nothing else escapes main except argparse's own usage exit.  Exit 3,
+    # a table of the package's own that fails its check, takes a fault.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

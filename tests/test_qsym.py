@@ -1,11 +1,19 @@
 import enum
+import hashlib
 import json
+from collections import Counter
 from functools import cache
 
 import pytest
 
 from qsc import qsym
-from qsc.compositions import check_composition, compositions, partitions, to_string
+from qsc.compositions import (
+    check_composition,
+    compositions,
+    partitions,
+    subset_to_composition,
+    to_string,
+)
 from qsc.insertion import insert, insert_word
 from qsc.qsym import (
     BASES,
@@ -35,7 +43,14 @@ from qsc.qsym import (
     yqs_to_dimm,
 )
 from qsc.rw import rw_dual, rw_forward
-from qsc.tableaux import make_rows, semistandard_tableaux, weighted_tableaux
+from qsc.tableaux import (
+    _immaculate_descent_set,
+    _young_descent_set,
+    make_rows,
+    semistandard_tableaux,
+    standard_tableaux,
+    weighted_tableaux,
+)
 
 
 def test_mexpr_basics():
@@ -179,6 +194,33 @@ def test_oracle_agrees_with_descent_route():
                     YOUNG_QS, alpha, gamma)
                 assert dual.coefficient(gamma) == monomial_coefficient_oracle(
                     DUAL_IMMACULATE, alpha, gamma)
+
+
+@pytest.mark.parametrize("f_expansion, kind, descents", [
+    (yqs_f_expansion, "ssyct", _young_descent_set),
+    (dimm_f_expansion, "immaculate", _immaculate_descent_set),
+])
+def test_counted_f_expansion_buckets_the_listed_tableaux(f_expansion, kind, descents):
+    # The enumerator stays the oracle of the count over row-length states.
+    for n in range(8):
+        for alpha in compositions(n):
+            listed = Counter(subset_to_composition(descents(t), n)
+                             for t in standard_tableaux(alpha, kind))
+            assert f_expansion(alpha) == BasisExpansion(FUNDAMENTAL, n, listed), alpha
+
+
+# sha256 over the four expansions, as JSON lines, of every composition of 9,
+# as the enumerating route (listed standard tableaux, their descent sets and
+# one refinement list per fundamental term) printed them.
+DEGREE_9_SHA256 = "a09f9329639208427871d1e376bdfb5d2dd540c246dee9a795b2d0087a896cda"
+
+
+def test_expansions_at_degree_9_are_pinned():
+    digest = hashlib.sha256()
+    for expansion in (young_qs_mexpr, dual_immaculate_mexpr, yqs_f_expansion, dimm_f_expansion):
+        for alpha in compositions(9):
+            digest.update(json.dumps(expansion(alpha).to_json_obj()).encode() + b"\n")
+    assert digest.hexdigest() == DEGREE_9_SHA256
 
 
 def test_schur_expansion():

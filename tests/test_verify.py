@@ -9,7 +9,17 @@ from qsc.cli import main
 from qsc.compositions import compositions, reverse
 from qsc.dirt import is_dirt, row_strip_shape
 from qsc.insertion import _is_virtuous, insert, insert_word
-from qsc.qsym import BasisExpansion, dimm_to_yqs, yns_to_imm
+from qsc.qsym import (
+    DUAL_IMMACULATE,
+    YOUNG_QS,
+    BasisExpansion,
+    dimm_to_yqs,
+    dual_immaculate_mexpr,
+    expand_in,
+    quasi_shuffle,
+    schur_m_expansion,
+    yns_to_imm,
+)
 from qsc.tableaux import (INF, immaculate_reading_word, is_ssyct, is_standard, shape_of,
                           standard_tableaux)
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
@@ -636,6 +646,51 @@ def test_dominance_records_a_dirt_table_that_is_not_unitriangular(monkeypatch, c
     assert code == 1
     assert lines[:2] == [f"suite dominance: FAIL ({result.cases} cases, max_n=4)",
                          "  counterexample: diagonal coefficient is not 1 at (2, 1)"]
+
+
+def perturb_mexpr_diagonal(monkeypatch, basis):
+    # 2 on the diagonal of basis's monomial expansion at (2, 1), as the peel
+    # reads it: (lex index, coefficient) terms.
+    real = qsym._mexpr_row
+    diagonal = qsym._lex_index(3, None)[(2, 1)]
+
+    def perturbed(b, alpha):
+        row = real(b, alpha)
+        if (b, alpha) == (basis, (2, 1)):
+            row = tuple((j, 2 if j == diagonal else x) for j, x in row)
+        return row
+
+    monkeypatch.setattr(qsym, "_mexpr_row", perturbed)
+
+
+def test_positivity_records_an_expansion_that_is_not_unitriangular(monkeypatch, capsys):
+    # Exactly the products whose Young qs table has a term at (2, 1) reach the
+    # bad element; the witness, in degree 4, does not.
+    expected = [
+        f"young-qs element at 2,1 is not unitriangular, expanding s_{lam} * {alpha}"
+        for lam, alpha in [((1,), (2,)), ((1,), (1, 1)), ((2,), (1,)), ((1, 1), (1,))]
+        if expand_in(quasi_shuffle(schur_m_expansion(lam), dual_immaculate_mexpr(alpha)),
+                     YOUNG_QS).coefficient((2, 1))]
+    assert expected
+    perturb_mexpr_diagonal(monkeypatch, YOUNG_QS)
+    result = run_suite("positivity", 4)
+    assert result.failures == expected
+    code, lines = verify_cli(capsys, "positivity", 4)
+    assert code == 1
+    assert lines[:2] == [f"suite positivity: FAIL ({result.cases} cases, max_n=4)",
+                         f"  counterexample: {expected[0]}"]
+
+
+def test_dominance_records_an_expansion_that_is_not_unitriangular(monkeypatch, capsys):
+    # Of the Young qs elements of degree 3, only (2, 1) has a dual immaculate
+    # term at (2, 1), so only its peel reaches the bad element.
+    perturb_mexpr_diagonal(monkeypatch, DUAL_IMMACULATE)
+    result = run_suite("dominance", 3)
+    assert result.failures == [
+        "DIRT counts times the peeled table is not the identity at (2, 1)"]
+    code, lines = verify_cli(capsys, "dominance", 3)
+    assert code == 1
+    assert lines[1] == f"  counterexample: {result.failures[0]}"
 
 
 def test_dominance_records_a_perturbed_peeled_table(monkeypatch):
