@@ -4,11 +4,11 @@ Everything reduces to the monomial basis.  One type, BasisExpansion, holds
 every element: integer coefficients on the compositions of one degree,
 tagged with the basis they are taken against.  Fundamental expansions come
 from standard fillings counted by descent set, monomial ones from those
-counts by one subset-sum pass, products from the quasi-shuffle rule, and
-changes of basis from one integer leading-term peel over a dense list
-indexed by lexicographic position: both Schur-like bases are
-unitriangular in monomial coordinates under lexicographic order, and
-unitriangularity is checked on every element used rather than assumed.
+counts by subset sums over only the masks the result has, products from
+the quasi-shuffle rule, and changes of basis from one integer leading-term
+peel over a dense list indexed by lexicographic position: both Schur-like
+bases are unitriangular in monomial coordinates under lexicographic order,
+and unitriangularity is checked on every element used rather than assumed.
 Between the two Schur-like bases the DIRT counts give the table directly,
 and the same checked peel inverts it, one length block at a time.  Bases
 dual to these live in the noncommutative world and are handled purely as
@@ -185,32 +185,44 @@ def m_to_f(f: BasisExpansion) -> BasisExpansion:
 _FILLINGS = {YOUNG_QS: "ssyct", DUAL_IMMACULATE: "immaculate"}
 
 
+@cache
+def _mask_composition(mask: int, n: int) -> Composition:
+    # The composition of n whose descent set the mask spells: bit n-1-i is
+    # descent i (see _descent_counts).  Degree 0 has the one composition ().
+    # Cached, so the expansions share one tuple per composition they use.
+    parts, prev = [], 0
+    for i in range(1, n):
+        if mask >> (n - 1 - i) & 1:
+            parts.append(i - prev)
+            prev = i
+    return (*parts, n - prev) if n else ()
+
+
 def _f_expansion(basis: str, alpha: Composition) -> tuple[int, dict[Composition, int]]:
     # (degree, fundamental coefficients) at alpha; alpha must be checked first.
     n = sum(alpha)
-    order = compositions(n)
-    return n, {order[m]: c for m, c in _descent_counts(alpha, _FILLINGS[basis]).items()}
+    return n, {_mask_composition(m, n): c
+               for m, c in _descent_counts(alpha, _FILLINGS[basis]).items()}
 
 
 @cache
 def _mexpr(basis: str, alpha: Composition) -> BasisExpansion:
     # alpha must be checked first: the cache takes (True, 1) for (1, 1).
     # F_beta is the sum of M_gamma over the gamma whose descent sets contain
-    # beta's.  A descent mask is its composition's index in compositions(n)
-    # (see _descent_counts), so the fundamental counts laid out densely by
-    # mask, summed over subsets one bit at a time, are the monomial
-    # coefficients in compositions(n) order.
+    # beta's, so the fundamental counts by descent mask are summed over
+    # subsets one bit at a time.  Only masks that contain some fundamental
+    # mask are ever written, so every pass touches at most as many entries
+    # as the result has terms, however many bits n - 1 has.  A larger mask
+    # is a lex-smaller composition, so ascending masks give the terms in
+    # compositions(n) order.
     n = sum(alpha)
-    order = compositions(n)
-    dense = [0] * len(order)
-    for m, c in _descent_counts(alpha, _FILLINGS[basis]).items():
-        dense[m] = c
+    sums = _descent_counts(alpha, _FILLINGS[basis])
     for b in range(n - 1):
         bit = 1 << b
-        for m in range(len(dense)):
-            if m & bit:
-                dense[m] += dense[m ^ bit]
-    return BasisExpansion._built(MONOMIAL, n, dict(zip(order, dense)))
+        for m in [m for m in sums if not m & bit]:
+            sums[m | bit] = sums.get(m | bit, 0) + sums[m]
+    return BasisExpansion._built(
+        MONOMIAL, n, {_mask_composition(m, n): sums[m] for m in sorted(sums)})
 
 
 def yqs_f_expansion(alpha: Composition) -> BasisExpansion:

@@ -51,6 +51,17 @@ def test_expand_young_qs_to_fundamental(capsys):
     assert json.loads(out)["coeffs"] == {"1,2,1": 1}
 
 
+@pytest.mark.parametrize("basis, alpha, term", [
+    ("dual-immaculate", "30", "30"),
+    ("young-qs", ",".join(["1"] * 25), ",".join(["1"] * 25)),
+], ids=["dual-immaculate-30", "young-qs-1^25"])
+def test_expand_a_long_one_filling_shape_to_fundamental(capsys, basis, alpha, term):
+    code, out, _ = run(capsys, "expand", "--from", basis, "--alpha", alpha,
+                       "--to", "fundamental")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == {term: 1}
+
+
 def test_expand_text_format(capsys):
     code, out, _ = run(capsys, "expand", "--from", "dual-immaculate",
                        "--alpha", "2,2", "--to", "young-qs",

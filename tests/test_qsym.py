@@ -209,6 +209,38 @@ def test_counted_f_expansion_buckets_the_listed_tableaux(f_expansion, kind, desc
             assert f_expansion(alpha) == BasisExpansion(FUNDAMENTAL, n, listed), alpha
 
 
+ONES_40 = (1,) * 40
+
+
+@pytest.mark.parametrize("expansion, alpha, term", [
+    (yqs_f_expansion, (40,), (40,)),
+    (dimm_f_expansion, (40,), (40,)),
+    (yqs_f_expansion, ONES_40, ONES_40),
+    (dimm_f_expansion, ONES_40, ONES_40),
+    (young_qs_mexpr, ONES_40, ONES_40),
+    (dual_immaculate_mexpr, ONES_40, ONES_40),
+])
+def test_one_filling_shapes_expand_to_one_term_at_degree_40(expansion, alpha, term):
+    # One filling, one term: the work follows the terms, not the 2**39
+    # compositions of 40.
+    assert dict(expansion(alpha).items()) == {term: 1}
+
+
+@pytest.mark.parametrize("f_expansion, mexpr", [
+    (yqs_f_expansion, young_qs_mexpr),
+    (dimm_f_expansion, dual_immaculate_mexpr),
+])
+@pytest.mark.parametrize("alpha", [(2,) + (1,) * 38, (1,) * 38 + (2,), (1,) * 19 + (2,) + (1,) * 19])
+def test_monomial_expansion_sums_the_refinements_at_degree_40(f_expansion, mexpr, alpha):
+    # The fundamental terms of these shapes share few descents, so the
+    # monomial terms are found without laying out the compositions of 40;
+    # they are checked against one refinement list per fundamental term.
+    expected = BasisExpansion(MONOMIAL, 40)
+    for beta, c in f_expansion(alpha).items():
+        expected = expected + c * f_to_m(beta)
+    assert mexpr(alpha) == expected
+
+
 # sha256 over the four expansions, as JSON lines, of every composition of 9,
 # as the enumerating route (listed standard tableaux, their descent sets and
 # one refinement list per fundamental term) printed them.
