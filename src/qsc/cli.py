@@ -8,7 +8,6 @@ All output is deterministic; identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -74,7 +73,11 @@ def _spell_inf(value):
 
 
 def _emit(obj) -> None:
-    # allow_nan=False: a stray INF is an error, not a silent Infinity.
+    # json is imported here and in _read_tableau only, so the text commands
+    # start without it.  allow_nan=False: a stray INF is an error, not a
+    # silent Infinity.
+    import json
+
     print(json.dumps(obj, allow_nan=False))
 
 
@@ -86,6 +89,8 @@ def integer(text: str) -> int:
 def _read_tableau(text: str):
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
+        import json
+
         try:
             obj = json.loads(stripped)
         except RecursionError:

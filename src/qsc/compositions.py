@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
+from operator import sub
 
 Composition = tuple[int, ...]
 
@@ -107,9 +108,10 @@ def compositions(n: int, length: int | None = None) -> tuple[Composition, ...]:
     if length == 0 or length > n:
         return ((),) if n == length else ()
     # A block is the sets of length - 1 cuts in {1..n-1}, in reverse lex
-    # order: cut tuples of one length order as their compositions do.
+    # order: cut tuples of one length order as their compositions do.  The
+    # parts are the differences of consecutive cuts, with 0 and n as ends.
     cuts = reversed(list(itertools.combinations(range(1, n), length - 1)))
-    return tuple(subset_to_composition(c, n) for c in cuts)
+    return tuple([tuple(map(sub, c + (n,), (0,) + c)) for c in cuts])
 
 
 @lru_cache(maxsize=None, typed=True)

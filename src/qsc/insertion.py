@@ -33,7 +33,7 @@ and the verify suites drive them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tableaux import (
     INF,
@@ -47,18 +47,10 @@ from .tableaux import (
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class InsertionResult:
-    rows: Rows
-    new_cell: Cell
-    path: tuple[Cell, ...]
-
-
-@dataclass(frozen=True)
-class RaptureResult:
-    rows: Rows
-    output: int | float
-    route: tuple[Cell, ...]
+# rows: Rows, new_cell: Cell, path: tuple[Cell, ...]
+InsertionResult = namedtuple("InsertionResult", "rows new_cell path")
+# rows: Rows, output: int | float, route: tuple[Cell, ...]
+RaptureResult = namedtuple("RaptureResult", "rows output route")
 
 
 def _insert_into(work: list[Row], k: int, events=None) -> tuple[Cell, tuple[Cell, ...]]:

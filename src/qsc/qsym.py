@@ -18,7 +18,6 @@ package builds from checked inputs are not validated again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 from types import MappingProxyType
@@ -53,32 +52,32 @@ class NotUnitriangularError(RuntimeError):
     built breaks the fact its basis changes rely on."""
 
 
-@dataclass(frozen=True)
 class BasisExpansion:
     """Integer coefficients of one element against one named basis of one
     degree, the package's one coefficient type.  Expansions of a basis and
     degree add and subtract, any expansion scales by an int, and monomial
-    expansions multiply by the quasi-shuffle.  coeffs is a read-only view,
-    so the cached expansions can be shared safely."""
+    expansions multiply by the quasi-shuffle.  The fields are frozen and
+    coeffs is a read-only view, so the cached expansions can be shared
+    safely; an omitted coeffs is the zero element."""
 
-    basis: str
-    degree: int
-    coeffs: MappingProxyType[Composition, int] = field(default_factory=dict)
+    __slots__ = ("basis", "degree", "coeffs")
 
-    def __post_init__(self):
-        if type(self.basis) is not str or self.basis not in BASES:
-            raise ValueError(f"unknown basis tag {self.basis!r}")
-        if type(self.degree) is not int or self.degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
+    def __init__(self, basis: str, degree: int, coeffs: dict[Composition, int] | None = None):
+        if type(basis) is not str or basis not in BASES:
+            raise ValueError(f"unknown basis tag {basis!r}")
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
         clean = {}
-        for alpha, c in self.coeffs.items():
+        for alpha, c in (coeffs.items() if coeffs is not None else ()):
             alpha = check_composition(alpha)
-            if sum(alpha) != self.degree:
-                raise ValueError(f"{alpha} is not a composition of {self.degree}")
+            if sum(alpha) != degree:
+                raise ValueError(f"{alpha} is not a composition of {degree}")
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
             if c:
                 clean[alpha] = c
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     @classmethod
@@ -97,6 +96,23 @@ class BasisExpansion:
 
     def items(self):
         return self.coeffs.items()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return BasisExpansion._built, (self.basis, self.degree, dict(self.coeffs))
+
+    def __repr__(self):
+        return f"BasisExpansion(basis={self.basis!r}, degree={self.degree!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, BasisExpansion):
+            return NotImplemented
+        return (self.basis, self.degree, self.coeffs) == (other.basis, other.degree, other.coeffs)
 
     def __hash__(self):
         return hash((self.basis, self.degree, frozenset(self.coeffs.items())))

@@ -24,7 +24,7 @@ serialize to JSON, built with an explicit stack, and to DOT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .compositions import Composition, check_composition
 from .qsym import IMMACULATE, YOUNG_QS, BasisExpansion
@@ -33,17 +33,14 @@ Cellvalue = int | None
 PartialRows = tuple[tuple[Cellvalue, ...], ...]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(namedtuple("Node", "filling children key", defaults=(None,))):
     """One tree node: a filling (bottom row first, None for an empty cell),
     its ordered children, and for a leaf (a completed filling) its
     coefficient key: the shape in the forward tree, the value multiplicities
     from the last level back to the first in the dual tree.  A node with no
     children and no key is a dead branch."""
 
-    filling: PartialRows
-    children: tuple["Node", ...]
-    key: Composition | None = None
+    __slots__ = ()
 
     @property
     def is_leaf(self) -> bool:

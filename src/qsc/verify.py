@@ -8,7 +8,6 @@ nothing is sampled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, permutations
 
@@ -40,12 +39,12 @@ from .tableaux import (
 )
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    max_n: int
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, suite: str, max_n: int):
+        self.suite = suite
+        self.max_n = max_n
+        self.cases = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

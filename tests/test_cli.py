@@ -562,3 +562,20 @@ def test_closed_stdout_exits_141_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert stderr == b""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # Every qsc process pays for what `import qsc.cli` loads; compare with a
+    # bare interpreter so that modules the site hooks load do not count.
+    src = str(Path(qsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+
+    def loaded(setup):
+        out = subprocess.run([sys.executable, "-c", f"{setup}; {show}"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return set(out.split())
+
+    added = loaded("import qsc.cli") - loaded("pass")
+    assert "qsc.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}

@@ -94,6 +94,21 @@ def test_rapture_eviction_example():
     assert result.route == ((2, 1), (2, 3), (3, 2))
 
 
+@pytest.mark.parametrize("result, fields", [
+    (insert(BUMP_START, 5), ("rows", "new_cell", "path")),
+    (rapture(BUMP_RESULT, (2, 1)), ("rows", "output", "route")),
+], ids=["insert", "rapture"])
+def test_results_are_immutable_values(result, fields):
+    values = [getattr(result, name) for name in fields]
+    twin = type(result)(*values)
+    assert twin == result and hash(twin) == hash(result)
+    assert type(result)(*values[:-1], ()) != result
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+    assert [getattr(result, name) for name in fields] == values
+
+
 def test_rapture_row_removal_example():
     result = rapture(((1, 2), (3,), (4, 5)), (1, 2))
     assert result.rows == ((1, 3), (4, 5))

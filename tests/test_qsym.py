@@ -1,8 +1,11 @@
+import copy
 import enum
 import hashlib
 import json
+import pickle
 from collections import Counter
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,6 +76,28 @@ def test_mexpr_validation():
         monomial((2,)) + monomial((3,))
     with pytest.raises(AttributeError):
         monomial((2,)).degree = 5
+
+
+@pytest.mark.parametrize("name", ["basis", "degree", "coeffs", "extra"])
+def test_expansions_are_immutable(name):
+    f = monomial((2,))
+    with pytest.raises(AttributeError):
+        setattr(f, name, getattr(f, name, None))
+    with pytest.raises(AttributeError):
+        delattr(f, name)
+    assert f == monomial((2,))
+
+
+def test_expansions_equal_only_expansions():
+    f = monomial((2,))
+    twin = SimpleNamespace(basis=f.basis, degree=f.degree, coeffs=f.coeffs)
+    assert f != twin and twin != f
+    assert f != (f.basis, f.degree, f.coeffs)
+    assert f != monomial((1, 1)) and f != BasisExpansion(FUNDAMENTAL, 2, {(2,): 1})
+    assert BasisExpansion(MONOMIAL, 2).coeffs == {}
+    assert BasisExpansion(MONOMIAL, 2) == BasisExpansion(MONOMIAL, 2, {})
+    assert repr(f) == "BasisExpansion(basis='monomial', degree=2, coeffs=mappingproxy({(2,): 1}))"
+    assert copy.copy(f) == f and pickle.loads(pickle.dumps(f)) == f
 
 
 def test_cached_expansions_are_read_only():

@@ -3,6 +3,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from qsc import rw
 from qsc.compositions import compositions
 from qsc.dirt import is_dirt
@@ -16,6 +18,20 @@ def _leaves(node: Node):
         yield node
     for child in node.children:
         yield from _leaves(child)
+
+
+def test_nodes_are_immutable_values():
+    leaf = Node(((1, 2),), (), (2,))
+    root = Node(((1, 2),), (leaf,))
+    assert root.key is None and not root.is_leaf
+    assert leaf.is_leaf and leaf.children == () and leaf.filling == ((1, 2),)
+    twin = Node(((1, 2),), (Node(((1, 2),), (), (2,)),))
+    assert twin == root and hash(twin) == hash(root)
+    assert Node(((1, 2),), (), (1, 1)) != leaf
+    for name in ("filling", "children", "key"):
+        with pytest.raises(AttributeError):
+            setattr(leaf, name, None)
+    assert leaf.key == (2,)
 
 
 def test_forward_tree_two_two():

@@ -52,6 +52,9 @@ def test_suite_result_mechanics():
     result.fail("broken at (2,1)")
     assert not result.passed
     assert result.failures == ["broken at (2,1)"]
+    fresh = SuiteResult("demo", 3)
+    assert fresh.passed and fresh.failures == [] and fresh.failures is not result.failures
+    assert (fresh.suite, fresh.max_n, fresh.cases) == ("demo", 3, 0)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
