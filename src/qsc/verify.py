@@ -1,20 +1,19 @@
 """Exhaustive verification suites for the package's structural guarantees.
 
-Each suite sweeps every composition up to a degree bound and reports counted
-cases plus any counterexamples.  All suites are deterministic and complete;
-nothing is sampled.
+Each suite sweeps every composition, reading word or standard tableau up to
+a degree bound and reports counted cases plus any counterexamples.  All
+suites are deterministic and complete; nothing is sampled.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import chain, permutations
+from itertools import chain
 
 from .compositions import compositions, dominates, partitions, rearrangements, reverse
 from .dirt import _dirt_strip_shape
 from .insertion import _insert_into, _is_virtuous, _rapture_from, _record
-from .insertion import insert_word, uninsert
 from .qsym import (
     DUAL_IMMACULATE,
     YOUNG_QS,
@@ -30,13 +29,7 @@ from .qsym import (
     yqs_to_dimm,
 )
 from .rw import _dual_counts, rw_forward
-from .tableaux import (
-    INF,
-    _young_descent_set,
-    is_ssyct,
-    is_standard,
-    shape_of,
-)
+from .tableaux import INF, _young_descent_set, is_ssyct, is_standard, shape_of
 
 
 class SuiteResult:
@@ -54,21 +47,33 @@ class SuiteResult:
         self.failures.append(message)
 
 
+def _insert_raised(p, v):
+    """(before, after, new_cell, path): before is the standard tableau p
+    with every letter >= v raised by one, after is v inserted into before
+    by the unchecked core.  The cores only compare letters, to each other
+    and to INF, so a step's cells and verdicts hold for its whole order
+    type: a word on 1..k+1 ending in v is its standardized prefix so
+    raised, then v, and its P is after from the prefix's P."""
+    before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
+    work = list(before)
+    new_cell, path = _insert_into(work, v)
+    return before, tuple(work), new_cell, path
+
+
 def _reading_words(max_n: int, step, root):
     """Yields (word, alpha, state) for every standard immaculate reading word
-    of degree 1..max_n, with alpha its tableau's shape, walked depth first as
-    a prefix tree over standardized prefixes: a word's parent is its prefix
-    one letter shorter, standardized, and its state is step(parent's state,
-    v), where v is its last letter.
+    of degree 1..max_n, alpha its tableau's shape, walked depth first as a
+    prefix tree: a word's parent is its prefix one letter shorter,
+    standardized, and its state is step(parent's state, v), v its last
+    letter.
 
-    A word on the letters 1..n is the reading word of a standard immaculate
-    tableau exactly when its maximal increasing runs, which are the rows
-    read top row first, have decreasing first letters.  Standardizing a
-    prefix keeps that, so every prefix of a word is a node.  A child
-    appends v and raises each earlier letter >= v by one; v either opens a
-    run below the current run's first letter f (v <= f), a new bottom row
-    of length 1, or extends the run above its last letter l (v > l), the
-    bottom row.  The root's one child is the word 1."""
+    A word on 1..n is such a reading word exactly when its maximal
+    increasing runs, its rows read top row first, have decreasing first
+    letters, which standardizing a prefix keeps, so every prefix is a node.
+    A child appends v and raises each earlier letter >= v by one; v either
+    opens a run below the current run's first letter f (v <= f), a new
+    bottom row of length 1, or extends the run above its last letter l
+    (v > l), the bottom row.  The root's one child is the word 1."""
     stack = [((), (), root, 1, 1)]
     while stack:
         word, alpha, state, f, l = stack.pop()
@@ -83,18 +88,11 @@ def _reading_words(max_n: int, step, root):
 
 
 def _inverse_checks():
-    """The inverse suite's checks as cached functions of standardized
-    tableaux; returns step.  A failure is a record (kind, rows, x) on the
-    letters of the tableau checked, x a letter or a cell (see _MESSAGES)."""
+    """The inverse suite's checks as cached functions of standard tableaux;
+    returns step.  A failure is a record (kind, rows, x) on the letters of
+    the tableau checked, x a letter or a cell (see _MESSAGES)."""
     ssyct = cache(is_ssyct)
-
-    @cache
-    def insert(rows, k):
-        """(after, new_cell, path) of inserting k into rows with the
-        unchecked core."""
-        work = list(rows)
-        new_cell, path = _insert_into(work, k)
-        return tuple(work), new_cell, path
+    insert = cache(_insert_raised)
 
     @cache
     def raptures(rows):
@@ -102,9 +100,8 @@ def _inverse_checks():
         in row order: insert after rapture must return rows with the route
         mirrored, looked up among the same insertions.  undos holds
         (cell, output, route, after) per cell.  Unless the output is INF,
-        after skips the output's letter, so it is checked standardized,
-        each letter above the output lowered by one: is_ssyct only compares
-        letters, and the walk has checked that standard tableau already."""
+        after skips the output's letter, so it is checked and re-inserted
+        standardized, each letter above the output lowered by one."""
         cases, failures, undos = 0, [], []
         for r, row in enumerate(rows, start=1):
             cell = (len(row), r)
@@ -123,27 +120,24 @@ def _inverse_checks():
             else:
                 cases += 1
                 # Equal to rows, the insert result is a tableau; no separate check.
-                back, _, path = insert(after, output)
-                if back != rows or path != tuple(reversed(route)):
+                _, back, _, path = insert(std, output)
+                if back != rows or path != route[::-1]:
                     failures.append(("reinsert", rows, cell))
         return cases, tuple(failures), tuple(undos)
 
     @cache
     def step(p, v):
         """(after, cases, failures) of the step from a word with tableau p
-        to its child with last letter v: v inserted into p with every
-        letter >= v raised by one.  after is None when it is not a tableau.
-        The insertion counts as a case and adds after's rapture total;
-        rapture at new_cell, the cell it added, must undo it: return v, the
-        bumping path mirrored and the tableau before.  That rapture's own
-        check, re-inserting v, is this insertion, so it passes within the
-        total."""
-        before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
-        after, new_cell, path = insert(before, v)
+        to its child with last letter v (see _insert_raised); after is None
+        when it is not a tableau.  The insertion is a case, plus after's
+        rapture total; rapture at new_cell must undo it (return v, the path
+        mirrored and before), and that rapture's own re-insert check is this
+        insertion, so it passes within the total."""
+        before, after, new_cell, path = insert(p, v)
         if not ssyct(after):
             return None, 1, (("insert", before, v),)
         cases, failures, undos = raptures(after)
-        if (new_cell, v, tuple(reversed(path)), before) not in undos:
+        if (new_cell, v, path[::-1], before) not in undos:
             failures += (("undo", before, v),)
         return after, 1 + cases, failures
 
@@ -179,18 +173,16 @@ def verify_inverse(max_n: int) -> SuiteResult:
     while inserting every immaculate reading word, letter by letter; a step
     that is not a tableau ends the word.  The unchecked cores run here.
 
-    The cores only compare letters, to each other and to INF, so each check
-    gives one verdict on all tableaux (and letters) of one order type.  The
-    suite therefore walks standardized prefixes (see _reading_words) with
-    one set of cached checks (see _inverse_checks): each insertion runs
-    once per standardized (tableau, letter), and each standard tableau's
-    raptures run once and are kept as one total of cases and failures.  A
-    word's state is its tableau, the sum of its steps' cases and its
-    steps' failure records; after a step that is not a tableau the state
-    stays as it is, so cases count every insertion of every word up to its
-    first broken one.  Each word renders its records with the letters of
-    its own prefixes, and failures are reported by degree, composition and
-    reading word."""
+    Each check gives one verdict per order type (see _insert_raised), so
+    the suite walks standardized prefixes (see _reading_words) with one set
+    of cached checks (see _inverse_checks): each insertion runs once per
+    standard (tableau, letter), and each standard tableau's raptures once,
+    kept as one total of cases and failures.  A word's state is its
+    tableau, its steps' summed cases and their failure records; after a
+    step that is not a tableau the state stays, so cases count every
+    insertion of every word up to its first broken one.  Each word renders
+    its records with its own prefixes' letters, and failures are reported
+    by degree, composition and reading word."""
     result = SuiteResult("inverse", max_n)
     step = _inverse_checks()
 
@@ -223,21 +215,18 @@ def _word_insertions(max_n: int):
     word of degree 1..max_n, with alpha its tableau's shape and (p, q)
     insert_word(word), from the walk of _reading_words.
 
-    A word's P is its parent's P with v inserted and every letter >= v
-    raised by one, as in the inverse suite: the word's letters are 1..n,
-    and _insert_into only compares letters.  One memo for the whole walk
-    maps each standard (P, v) to (P', new cell), so the core runs once per
-    pair, and interns the rows, tableaux and cells it holds through one
-    dict, so each is held once.  A word's Q is its parent's Q with n, the
-    word's length, at the new cell."""
+    A word's P is its parent's P through _insert_raised.  One memo for the
+    whole walk maps each standard (P, v) to (P', new cell), so the core
+    runs once per pair, and interns the rows, tableaux and cells it holds
+    through one dict, so each is held once.  A word's Q is its parent's Q
+    with n, the word's length, at the new cell."""
     memo, held = {}, {}
 
     def step(state, v):
         p, q, n = state
         found = memo.get((p, v))
         if found is None:
-            work = [tuple([x + (x >= v) for x in row]) for row in p]
-            cell = _insert_into(work, v)[0]
+            _, work, cell, _ = _insert_raised(p, v)
             after = tuple([held.setdefault(row, row) for row in work])
             found = memo[p, v] = held.setdefault(after, after), held.setdefault(cell, cell)
         p, cell = found
@@ -438,18 +427,27 @@ def verify_dominance(max_n: int) -> SuiteResult:
 
 
 def verify_round_trip(max_n: int) -> SuiteResult:
-    """uninsert inverts insert_word on every permutation of 1..n."""
+    """uninsert inverts insert_word on every duplicate-free word of length
+    at most max_n.  A case is a standard tableau p of size k < max_n and a
+    v in 1..k+1 (see _insert_raised): rapture at new_cell must return v,
+    the path mirrored and before.  Level k+1 holds level k's distinct
+    afters, the P's of the permutations of 1..k+1; uninsert first raptures
+    the cell the last insertion added, so induction on the word suffices."""
     result = SuiteResult("round-trip", max_n)
-    for n in range(1, max_n + 1):
-        for word in permutations(range(1, n + 1)):
-            result.cases += 1
-            try:
-                back = uninsert(*insert_word(word))
-            except ValueError as exc:
-                result.fail(f"uninsert rejected the insertion of {word}: {exc}")
-                continue
-            if back != word:
-                result.fail(f"uninsert(insert_word({word})) gave {back}")
+    level = [()]
+    for k in range(max_n):
+        grown = {}
+        for p in level:
+            for v in range(1, k + 2):
+                before, after, (col, row), path = _insert_raised(p, v)
+                result.cases += 1
+                work = list(after)
+                # A cell past its row's end is no cell the insertion added.
+                if not (0 < row <= len(work) and col == len(work[row - 1])) or (
+                        *_rapture_from(work, (col, row)), tuple(work)) != (v, path[::-1], before):
+                    result.fail(_MESSAGES["undo"].format(rows=before, x=v))
+                grown[after] = None
+        level = list(grown)
     return result
 
 
@@ -470,7 +468,7 @@ DEFAULT_MAX_N = {
     "symmetry": 8,
     "positivity": 8,
     "dominance": 8,
-    "round-trip": 7,
+    "round-trip": 9,
 }
 
 

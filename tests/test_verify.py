@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from qsc import qsym, rw, verify
-from qsc.cli import main
+from qsc.cli import DEGREE_GUARD, main
 from qsc.compositions import compositions, reverse
 from qsc.dirt import is_dirt, row_strip_shape
 from qsc.insertion import _is_virtuous, insert, insert_word
@@ -32,6 +32,9 @@ def test_registry_is_consistent():
     }
     assert set(DEFAULT_MAX_N) == set(SUITES)
     assert all(n >= 1 for n in DEFAULT_MAX_N.values())
+    # qsc verify checks the default against the guard too; above it, a bare
+    # --suite would exit 2.
+    assert all(n <= DEGREE_GUARD for n in DEFAULT_MAX_N.values())
 
 
 def test_run_suite_rejects_unknown_names():
@@ -195,6 +198,65 @@ def corrupt_one_rapture(monkeypatch):
         return output, route + ((0, 0),) if (before, cell) == (RAPTURED, (2, 2)) else route
 
     monkeypatch.setattr(verify, "_rapture_from", corrupt)
+
+
+def raise_outputs_from(monkeypatch):
+    # Rapture of a tableau of order type INSERTED_INTO outputs one more.
+    real = verify._rapture_from
+
+    def raised(work, cell, events=None):
+        before = order_type(work)
+        output, route = real(work, cell, events)
+        return output + (before == INSERTED_INTO), route
+
+    monkeypatch.setattr(verify, "_rapture_from", raised)
+
+
+def test_round_trip_counts_one_case_per_standard_tableau_and_letter():
+    for max_n in range(1, 8):
+        standard = [sum(len(standard_tableaux(alpha, "ssyct")) for alpha in compositions(k))
+                    for k in range(max_n)]
+        result = run_suite("round-trip", max_n)
+        assert result.passed
+        assert result.cases == sum(s * (k + 1) for k, s in enumerate(standard))
+
+
+@pytest.mark.parametrize("fault", [corrupt_paths_into, misreport_cells_into, raise_outputs_from])
+def test_round_trip_records_a_core_fault(monkeypatch, capsys, fault):
+    fault(monkeypatch)
+    result = run_suite("round-trip", 6)
+    undone = [literal_eval(re.fullmatch(r"rapture\(insert\) failed: (.*) \+ (\d+)", f)
+                           .expand(r"(\1, \2)")) for f in result.failures]
+    if fault is raise_outputs_from:
+        # The two (P, v) that insert to ((1,), (2, 3, 4)), which alone
+        # rapture a tableau of that order type.
+        assert len(undone) == 2
+        assert all(insert(before, v).rows == INSERTED_INTO for before, v in undone)
+    else:
+        # Each v inserted into ((1,), (2, 3, 4)) raised; a misreported cell
+        # past its row's end fails its case rather than ending the run.
+        assert undone == [(tuple(tuple(x + (x >= v) for x in row) for row in INSERTED_INTO), v)
+                          for v in range(1, 6)]
+    code, lines = verify_cli(capsys, "round-trip", 6)
+    assert code == 1
+    assert lines[:2] == ["suite round-trip: FAIL (231 cases, max_n=6)",
+                         f"  counterexample: {result.failures[0]}"]
+
+
+def test_inverse_inserts_exactly_the_round_trip_pairs(monkeypatch):
+    # Every standard tableau is the P of some standard immaculate reading
+    # word, so inverse's undo checks are round-trip's cases.
+    pairs = {"inverse": set(), "round-trip": set()}
+    real = verify._insert_raised
+    for name, seen in pairs.items():
+        def collected(p, v, seen=seen):
+            seen.add((p, v))
+            return real(p, v)
+
+        monkeypatch.setattr(verify, "_insert_raised", collected)
+        assert run_suite(name, 8).passed
+    assert pairs["inverse"] == pairs["round-trip"]
+    assert len(pairs["round-trip"]) == run_suite("round-trip", 8).cases == 2619
 
 
 def test_inverse_records_a_non_tableau_core_result(monkeypatch):
