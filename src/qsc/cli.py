@@ -3,6 +3,9 @@ rapture demos, tableau enumeration, derivation trees, and the exhaustive
 verification and conjecture suites.
 
 All output is deterministic; identical invocations print identical bytes.
+A run builds only the parsers on its own command path: the top-level one,
+then the chosen command's (and, under demo and enumerate, the chosen
+kind's) as argparse dispatches to it.
 """
 
 from __future__ import annotations
@@ -198,10 +201,15 @@ def _print_fillings(payload: dict, items, fmt: str) -> None:
 
 def cmd_enumerate_tableaux(args) -> int:
     shape = from_string(args.shape)
-    if args.standard:
-        items = standard_tableaux(shape, args.kind)
-    else:
-        items = semistandard_tableaux(shape, args.kind, args.max_entry)
+    # The filling search recurses once per cell.
+    try:
+        if args.standard:
+            items = standard_tableaux(shape, args.kind)
+        else:
+            items = semistandard_tableaux(shape, args.kind, args.max_entry)
+    except RecursionError:
+        raise ValueError(f"the filling search over {sum(shape)} cells"
+                         " is nested too deeply") from None
     payload = {
         "shape": shape,
         "kind": args.kind,
@@ -308,15 +316,33 @@ def cmd_conjectures(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qsc",
-        description="Exact calculator for Young composition tableau"
-        " insertion and the quasisymmetric function expansions it proves.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built only when one is chosen.
 
-    p = sub.add_parser("expand", help="expand one basis element in another basis")
+    add_parser records a command's name and help, all that usage, help and
+    the invalid-choice error read, with the fill function that adds its
+    arguments; the chosen command's parser is built and filled when argparse
+    dispatches to it.  So a run builds the parsers on its own command path
+    and no others.  Like argparse's own add_parser, it keeps its state in
+    the action's private fields; tests/test_cli_text.py pins the text.
+    """
+
+    def add_parser(self, name, *, help, fill):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = fill
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # argparse has already refused a name that is not a choice.
+        name = values[0]
+        fill = self._name_parser_map[name]
+        if not isinstance(fill, argparse.ArgumentParser):
+            chosen = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            fill(chosen)
+            self._name_parser_map[name] = chosen
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _expand_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="source", required=True,
                    choices=[DUAL_IMMACULATE, YOUNG_QS, YOUNG_NCSCHUR, FUNDAMENTAL])
     p.add_argument("--alpha", required=True, help="composition as 'a,b,c'")
@@ -326,46 +352,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("demo", help="step-by-step traces of the procedures")
-    dsub = p.add_subparsers(dest="demo_kind", required=True)
-    ins = dsub.add_parser("insert", help="trace one insertion")
-    ins.add_argument("--tableau", required=True, help=TABLEAU_HELP)
-    ins.add_argument("--k", type=integer, required=True, help="value to insert")
-    ins.set_defaults(func=cmd_demo_insert)
-    rap = dsub.add_parser("rapture", help="trace one rapture")
-    rap.add_argument("--tableau", required=True, help=TABLEAU_HELP)
-    rap.add_argument("--cell", required=True, help="cell as 'column,row'")
-    rap.set_defaults(func=cmd_demo_rapture)
-    wrd = dsub.add_parser("word", help="insert a duplicate-free word")
-    wrd.add_argument("--word", required=True, help="letters as 'a,b,c'")
-    wrd.set_defaults(func=cmd_demo_word)
 
-    p = sub.add_parser("enumerate", help="list fillings of a shape")
-    esub = p.add_subparsers(dest="what", required=True)
-    tab = esub.add_parser("tableaux", help="tableaux of a given kind")
-    tab.add_argument("--shape", required=True, help="composition as 'a,b,c'")
-    tab.add_argument("--kind", required=True, choices=["ssyct", "immaculate"])
-    group = tab.add_mutually_exclusive_group(required=True)
+def _demo_args(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="demo_kind", required=True, action=_Commands)
+    sub.add_parser("insert", help="trace one insertion", fill=_demo_insert_args)
+    sub.add_parser("rapture", help="trace one rapture", fill=_demo_rapture_args)
+    sub.add_parser("word", help="insert a duplicate-free word", fill=_demo_word_args)
+
+
+def _demo_insert_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tableau", required=True, help=TABLEAU_HELP)
+    p.add_argument("--k", type=integer, required=True, help="value to insert")
+    p.set_defaults(func=cmd_demo_insert)
+
+
+def _demo_rapture_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tableau", required=True, help=TABLEAU_HELP)
+    p.add_argument("--cell", required=True, help="cell as 'column,row'")
+    p.set_defaults(func=cmd_demo_rapture)
+
+
+def _demo_word_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--word", required=True, help="letters as 'a,b,c'")
+    p.set_defaults(func=cmd_demo_word)
+
+
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="what", required=True, action=_Commands)
+    sub.add_parser("tableaux", help="tableaux of a given kind",
+                   fill=_enumerate_tableaux_args)
+    sub.add_parser("dirts", help="recording tableaux by strip shape",
+                   fill=_enumerate_dirts_args)
+
+
+def _enumerate_tableaux_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--shape", required=True, help="composition as 'a,b,c'")
+    p.add_argument("--kind", required=True, choices=["ssyct", "immaculate"])
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--standard", action="store_true",
                        help="standard fillings (entries 1..n once each)")
     group.add_argument("--max-entry", dest="max_entry", type=integer,
                        help="semistandard fillings with entries at most this")
-    tab.add_argument("--format", choices=["json", "text"], default="json")
-    tab.set_defaults(func=cmd_enumerate_tableaux)
-    dts = esub.add_parser("dirts", help="recording tableaux by strip shape")
-    dts.add_argument("--shape", required=True, help="composition as 'a,b,c'")
-    dts.add_argument("--strips", required=True,
-                     help="row-strip shape as 'a,b,c'")
-    dts.add_argument("--format", choices=["json", "text"], default="json")
-    dts.set_defaults(func=cmd_enumerate_dirts)
+    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.set_defaults(func=cmd_enumerate_tableaux)
 
-    p = sub.add_parser("tree", help="emit a derivation tree")
+
+def _enumerate_dirts_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--shape", required=True, help="composition as 'a,b,c'")
+    p.add_argument("--strips", required=True,
+                   help="row-strip shape as 'a,b,c'")
+    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.set_defaults(func=cmd_enumerate_dirts)
+
+
+def _tree_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", required=True, help="composition as 'a,b,c'")
     p.add_argument("--direction", required=True, choices=["forward", "dual"])
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("verify", help="run an exhaustive verification suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--max-n", dest="max_n", type=integer, default=None,
                    help="largest degree to check (suite default otherwise)")
@@ -373,14 +420,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run past the size guard")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("conjectures",
-                       help="empirical report on the open conjectures")
+
+def _conjectures_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=integer, required=True, help="degree to survey")
     p.add_argument("--force", action="store_true",
                    help="run past the size guard")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_conjectures)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; each command's own parser is built only when
+    parsing reaches it."""
+    parser = argparse.ArgumentParser(
+        prog="qsc",
+        description="Exact calculator for Young composition tableau"
+        " insertion and the quasisymmetric function expansions it proves.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
+    sub.add_parser("expand", help="expand one basis element in another basis",
+                   fill=_expand_args)
+    sub.add_parser("demo", help="step-by-step traces of the procedures",
+                   fill=_demo_args)
+    sub.add_parser("enumerate", help="list fillings of a shape",
+                   fill=_enumerate_args)
+    sub.add_parser("tree", help="emit a derivation tree", fill=_tree_args)
+    sub.add_parser("verify", help="run an exhaustive verification suite",
+                   fill=_verify_args)
+    sub.add_parser("conjectures", help="empirical report on the open conjectures",
+                   fill=_conjectures_args)
     return parser
 
 
@@ -393,6 +461,11 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError):
+        # A size the standard library cannot index or allocate, such as
+        # the compositions of 10**20: bad input, like a ValueError.
+        print("error: input too large to compute", file=sys.stderr)
         return 2
     except NotUnitriangularError as exc:
         # A table the package built fails the check its basis changes rely

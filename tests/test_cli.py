@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc import insertion, qsym
+from qsc import cli, insertion, qsym
 from qsc.cli import _ROUTES, _spell_inf, main
 from qsc.verify import SUITES
 from qsc.qsym import BasisExpansion
@@ -83,6 +84,46 @@ def test_expand_bad_composition(capsys):
                        "--alpha", "2,0", "--to", "monomial")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_a_composition_too_large_to_list_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "--from", "dual-immaculate",
+                         "--to", "young-qs", "--alpha", "99999999999999999999")
+    assert (code, out, err) == (2, "", "error: input too large to compute\n")
+
+
+def test_a_filling_too_large_to_allocate_exits_2(capsys, monkeypatch):
+    # Raised, not allocated: a host that overcommits memory may not fail fast.
+    def too_large(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "semistandard_tableaux", too_large)
+    code, out, err = run(capsys, "enumerate", "tableaux", "--shape", "3",
+                         "--kind", "ssyct", "--max-entry", "99999999999")
+    assert (code, out, err) == (2, "", "error: input too large to compute\n")
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["--help"], ["qsc"]),
+    (["conjectures", "--n", "3"], ["qsc", "qsc conjectures"]),
+    (["demo", "insert", "--tableau", "2/3", "--k", "1"],
+     ["qsc", "qsc demo", "qsc demo insert"]),
+])
+def test_a_run_builds_only_the_parsers_on_its_command_path(capsys, monkeypatch,
+                                                           argv, progs):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert main(argv) == 0
+    except SystemExit as exc:
+        assert exc.code == 0
+    assert built == progs
 
 
 def test_demo_insert_trace(capsys):
@@ -304,6 +345,14 @@ def test_enumerate_dirts_refuses_a_tree_nested_too_deeply(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: the forward tree of 1200 strips is nested too deeply\n"
+
+
+@pytest.mark.parametrize("fill", [["--standard"], ["--max-entry", "1"]])
+def test_enumerate_tableaux_refuses_a_search_nested_too_deeply(capsys, fill):
+    code, out, err = run(capsys, "enumerate", "tableaux", "--shape", "2000",
+                         "--kind", "ssyct", *fill)
+    assert (code, out) == (2, "")
+    assert err == "error: the filling search over 2000 cells is nested too deeply\n"
 
 
 def test_tree_json(capsys):
