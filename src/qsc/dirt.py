@@ -8,8 +8,8 @@ characterized by: rows increase left to right, every row strip starts in
 column 1 and moves strictly right as its values grow, the leftmost column
 increases top to bottom, and a triple condition ties every pair of rows
 (see is_dirt).  enumerate_dirts lists the DIRTs of one shape and strip
-shape from the leaves of the forward tree (rw.rw_forward); the counting
-tables in qsym count the same tableaux by row lengths without listing them.
+shape from the leaves of the forward tree (rw.rw_forward); qsym counts the
+same tableaux, one strip shape on demand, by row lengths without listing them.
 Public functions validate their inputs; the `_`-prefixed cores _strips (on a
 positions map) and _dirt_strip_shape, which is_dirt wraps, check nothing.
 """

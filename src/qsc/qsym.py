@@ -9,15 +9,16 @@ the quasi-shuffle rule, and changes of basis from one integer leading-term
 peel over a dense list indexed by lexicographic position: both Schur-like
 bases are unitriangular in monomial coordinates under lexicographic order,
 and unitriangularity is checked on every element used rather than assumed.
-Between the two Schur-like bases the DIRT counts give the table directly,
-and the same checked peel inverts it, one length block at a time.  Bases
-dual to these live in the noncommutative world and are handled purely as
-coefficient tables.  Inputs are validated where they enter; expansions the
-package builds from checked inputs are not validated again.
+Between the two Schur-like bases the DIRT counts give each row directly,
+and the same checked peel inverts them, counting only the rows it pivots
+on.  Bases dual to these live in the noncommutative world and are handled
+purely as coefficient tables.  Inputs are validated where they enter;
+expansions the package builds from checked inputs are not validated again.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from math import comb
 from types import MappingProxyType
@@ -376,7 +377,7 @@ def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
     their monomial expansions over the dense lex index of compositions(n)
     (see _peel).  Each expansion is read as cached (index, coefficient)
     pairs, and the peel checks it is unitriangular every time it is used.
-    yqs_to_dimm peels the DIRT-count table instead, with no monomials.
+    yqs_to_dimm peels the DIRT rows instead, with no monomials.
     """
     _monomial_only(f)
     if basis == MONOMIAL:
@@ -406,37 +407,37 @@ def is_symmetric(f: BasisExpansion) -> bool:
 
 
 @cache
-def _dirt_counts(n: int, ell: int) -> dict[Composition, dict[Composition, int]]:
-    # Row alpha, over the compositions alpha of n with ell parts, is dual
-    # immaculate alpha in Young quasisymmetric Schur terms: the counts, by
-    # shape, of the recording tableaux whose row strip shape is
-    # reversed(alpha).  The placement rule reads only row lengths and the
-    # previous value's column, so each row carries {(lengths, last column):
-    # count} and lists no DIRT: strip s opens row ell - s - 1, and each
-    # later member ends row r at col = lengths[r] + 1 when col > last and no
-    # row below r ends at col (an unopened row offers col 1 <= last).
-    # rw_forward enumerates the same tableaux independently.
-    table = {}
-    for alpha in compositions(n, ell):
-        states = {(0,) * ell: 1}
-        for s, size in enumerate(reversed(alpha)):
-            anchor = ell - s - 1
-            grown = {(lengths[:anchor] + (1,) + lengths[anchor + 1:], 1): c
-                     for lengths, c in states.items()}
-            for _ in range(size - 1):
-                placed = {}
-                for (lengths, last), c in grown.items():
-                    for r, length in enumerate(lengths):
-                        col = length + 1
-                        if col > last and col not in lengths[:r]:
-                            key = (lengths[:r] + (col,) + lengths[r + 1:], col)
-                            placed[key] = placed.get(key, 0) + c
-                grown = placed
-            states = {}
-            for (lengths, _), c in grown.items():
-                states[lengths] = states.get(lengths, 0) + c
-        table[alpha] = states
-    return table
+def _dirt_row(alpha: Composition) -> dict[Composition, int]:
+    # Dual immaculate alpha in Young quasisymmetric Schur terms: the counts,
+    # by shape, of the recording tableaux whose row strip shape is
+    # reversed(alpha); alpha must be checked first.  The placement rule reads
+    # only row lengths and the previous value's column, so the count carries
+    # {(lengths, last column): count} and lists no DIRT: strip s opens row
+    # ell - s - 1, and each later member ends row r at col = lengths[r] + 1
+    # when col > last and no row below r ends at col (an unopened row offers
+    # col 1 <= last).  rw_forward enumerates the same tableaux independently.
+    # A step per cell: a degree past sys.maxsize is refused, not looped over.
+    if sum(alpha) > sys.maxsize:
+        raise OverflowError(f"degree {sum(alpha)} is too large to count")
+    ell = len(alpha)
+    states = {(0,) * ell: 1}
+    for s, size in enumerate(reversed(alpha)):
+        anchor = ell - s - 1
+        grown = {(lengths[:anchor] + (1,) + lengths[anchor + 1:], 1): c
+                 for lengths, c in states.items()}
+        for _ in range(size - 1):
+            placed = {}
+            for (lengths, last), c in grown.items():
+                for r, length in enumerate(lengths):
+                    col = length + 1
+                    if col > last and col not in lengths[:r]:
+                        key = (lengths[:r] + (col,) + lengths[r + 1:], col)
+                        placed[key] = placed.get(key, 0) + c
+            grown = placed
+        states = {}
+        for (lengths, _), c in grown.items():
+            states[lengths] = states.get(lengths, 0) + c
+    return states
 
 
 def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
@@ -444,23 +445,21 @@ def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     the coefficient at beta counts recording tableaux of shape beta whose row
     strip shape is the reverse of alpha."""
     alpha = check_composition(alpha)
-    n = sum(alpha)
-    return BasisExpansion._built(YOUNG_QS, n, _dirt_counts(n, len(alpha))[alpha])
+    return BasisExpansion._built(YOUNG_QS, sum(alpha), _dirt_row(alpha))
 
 
 def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
     """Dual immaculate expansion of a Young quasisymmetric Schur element:
-    the DIRT-count table of dimm_to_yqs inverted by peeling over the lex
-    index of compositions(n, len(alpha)).  The table's rows are read in
-    place, and the peel checks each row it uses is unitriangular (see
+    the DIRT counts of dimm_to_yqs inverted by peeling over the lex index of
+    compositions(n, len(alpha)).  A row is counted only when the peel pivots
+    on it, and the peel checks each row it uses is unitriangular (see
     _peel)."""
     alpha = check_composition(alpha)
     n, ell = sum(alpha), len(alpha)
-    table = _dirt_counts(n, ell)
     index = _lex_index(n, ell)
 
     def row(beta):
-        terms = table[beta]
+        terms = _dirt_row(beta)
         return zip(map(index.__getitem__, terms), terms.values())
 
     return BasisExpansion._built(
@@ -469,10 +468,10 @@ def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
 
 def yns_to_imm(alpha: Composition) -> BasisExpansion:
     """Immaculate expansion of a Young noncommutative Schur element: the
-    transpose of the dual immaculate coefficient table."""
+    column at alpha of the dual immaculate table, over every row of its length."""
     alpha = check_composition(alpha)
     n = sum(alpha)
-    out = {beta: row.get(alpha, 0) for beta, row in _dirt_counts(n, len(alpha)).items()}
+    out = {beta: _dirt_row(beta).get(alpha, 0) for beta in compositions(n, len(alpha))}
     return BasisExpansion._built(IMMACULATE, n, out)
 
 
@@ -494,14 +493,14 @@ def check_conjectures(n: int) -> dict:
     """Empirical report on the two open expansion conjectures at degree n.
 
     Computes every Young quasisymmetric Schur element in the dual immaculate
-    basis by inverting the DIRT-count table (yqs_to_dimm), so no monomial
+    basis by inverting the DIRT rows (yqs_to_dimm), so no monomial
     expansion is built.  Reports whether all coefficients stay in {-1, 0, 1},
     whether the coefficient sums are 1 exactly on reversed hooks (all parts 1
     except the last) and 0 elsewhere, and whether each distinct-part
     partition's table is the signed sum of its rearrangements; a violation
     of that rule reports, in monomial coordinates, that signed sum minus the
-    element.  Findings are returned, never raised; a DIRT-count table that
-    is not unitriangular raises NotUnitriangularError from yqs_to_dimm.
+    element.  Findings are returned, never raised; a DIRT row that is not
+    unitriangular raises NotUnitriangularError from yqs_to_dimm.
     """
     if type(n) is not int or n < 1:
         raise ValueError("degree must be a positive integer")

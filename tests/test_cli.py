@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc import cli, insertion, qsym
+from qsc import cli, insertion
 from qsc.cli import _ROUTES, _spell_inf, main
 from qsc.verify import SUITES
 from qsc.qsym import BasisExpansion
@@ -89,6 +89,18 @@ def test_expand_bad_composition(capsys):
 def test_a_composition_too_large_to_list_exits_2(capsys):
     code, out, err = run(capsys, "expand", "--from", "dual-immaculate",
                          "--to", "young-qs", "--alpha", "99999999999999999999")
+    assert (code, out, err) == (2, "", "error: input too large to compute\n")
+
+
+@pytest.mark.parametrize("source, target", [
+    ("dual-immaculate", "young-qs"),
+    ("young-qs", "dual-immaculate"),
+    ("young-ncschur", "immaculate"),
+])
+def test_every_dirt_route_refuses_a_part_of_10_to_the_20(capsys, source, target):
+    # A DIRT count takes one step per cell, so no route may loop over this part.
+    code, out, err = run(capsys, "expand", "--from", source, "--to", target,
+                         "--alpha", str(10 ** 20))
     assert (code, out, err) == (2, "", "error: input too large to compute\n")
 
 
@@ -453,28 +465,14 @@ def test_conjectures_report_lists_violations(capsys, monkeypatch):
         " no violations (checked: (2,1))"]
 
 
-def perturb_dirt_diagonal(monkeypatch):
-    real = qsym._dirt_counts
-
-    def perturbed(n, ell):
-        # 2 on the diagonal at (2, 1), in a copy of the cached table.
-        table = real(n, ell)
-        if (2, 1) in table:
-            table = {**table, (2, 1): {**table[(2, 1)], (2, 1): 2}}
-        return table
-
-    monkeypatch.setattr(qsym, "_dirt_counts", perturbed)
-
-
 @pytest.mark.parametrize("argv", [
     ["conjectures", "--n", "3"],
     ["conjectures", "--n", "3", "--format", "json"],
     ["expand", "--from", "young-qs", "--alpha", "2,1", "--to", "dual-immaculate"],
 ])
-def test_a_table_that_is_not_unitriangular_exits_3(capsys, monkeypatch, argv):
+def test_a_table_that_is_not_unitriangular_exits_3(capsys, dirt_diagonal_2, argv):
     # The peel's check failing is a fault in the package, not in the input,
     # so it has its own exit code, with one error line and no traceback.
-    perturb_dirt_diagonal(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -359,8 +359,7 @@ def test_indexed_peel_matches_the_dict_peel():
             assert list(expand_in(f, basis).items()) == list(want.items())
     for n in range(1, 10):
         for alpha in compositions(n):
-            table = qsym._dirt_counts(n, len(alpha))
-            want = dict_peel({alpha: 1}, lambda beta: table[beta], DUAL_IMMACULATE)
+            want = dict_peel({alpha: 1}, qsym._dirt_row, DUAL_IMMACULATE)
             assert list(yqs_to_dimm(alpha).items()) == list(want.items())
 
 
@@ -417,17 +416,22 @@ def test_inverted_dirt_table_matches_peeling():
                 young_qs_mexpr(alpha), DUAL_IMMACULATE)
 
 
-def test_inverted_dirt_table_checks_unitriangularity(monkeypatch):
-    real = qsym._dirt_counts
-
-    def doubled(n, ell):
-        table = {alpha: dict(row) for alpha, row in real(n, ell).items()}
-        table[(2, 1)][(2, 1)] = 2  # the diagonal entry of dual immaculate (2, 1)
-        return table
-
-    monkeypatch.setattr(qsym, "_dirt_counts", doubled)
+def test_inverted_dirt_table_checks_unitriangularity(dirt_diagonal_2):
     with pytest.raises(RuntimeError, match="at 2,1 is not unitriangular"):
         yqs_to_dimm((2, 1))
+
+
+@pytest.mark.parametrize("route, rows", [
+    pytest.param(lambda: dimm_to_yqs((4, 4, 4, 4, 4)), 1, id="dimm_to_yqs"),
+    pytest.param(lambda: yqs_to_dimm((4, 4, 4, 4, 4)), 96, id="yqs_to_dimm"),
+    pytest.param(lambda: check_conjectures(7), 64, id="check_conjectures"),
+])
+def test_each_dirt_route_counts_only_the_rows_it_reads(route, rows):
+    # One row for dimm_to_yqs, the rows the peel pivots on for yqs_to_dimm,
+    # and for the survey at 7 every composition of 7 once.
+    qsym._dirt_row.cache_clear()
+    route()
+    assert qsym._dirt_row.cache_info().currsize == rows
 
 
 def test_symmetry_characterization():

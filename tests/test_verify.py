@@ -692,17 +692,7 @@ def test_descents_records_a_p_that_is_not_standard(monkeypatch, capsys):
                          f"  counterexample: {expected[0]}"]
 
 
-def test_dominance_records_a_dirt_table_that_is_not_unitriangular(monkeypatch, capsys):
-    real = qsym._dirt_counts
-
-    def perturbed(n, ell):
-        # 2 on the diagonal at (2, 1), in a copy of the cached table.
-        table = real(n, ell)
-        if (2, 1) in table:
-            table = {**table, (2, 1): {**table[(2, 1)], (2, 1): 2}}
-        return table
-
-    monkeypatch.setattr(qsym, "_dirt_counts", perturbed)
+def test_dominance_records_a_dirt_table_that_is_not_unitriangular(dirt_diagonal_2, capsys):
     result = run_suite("dominance", 4)
     assert result.failures[:2] == [
         "diagonal coefficient is not 1 at (2, 1)",
