@@ -1,8 +1,9 @@
 """Exhaustive verification suites for the package's structural guarantees.
 
-Each suite sweeps every composition, reading word or standard tableau up to
-a degree bound and reports counted cases plus any counterexamples.  All
-suites are deterministic and complete; nothing is sampled.
+Each suite sweeps every composition, reading word (_reading_words) or
+standard tableau step (_standard_steps) up to a degree bound and reports
+counted cases plus any counterexamples.  All suites are deterministic and
+complete; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -48,24 +49,41 @@ class SuiteResult:
 
 
 def _insert_raised(p, v):
-    """(before, after, new_cell, path): before is the standard tableau p
-    with every letter >= v raised by one, after is v inserted into before
-    by the unchecked core.  The cores only compare letters, to each other
-    and to INF, so a step's cells and verdicts hold for its whole order
-    type: a word on 1..k+1 ending in v is its standardized prefix so
-    raised, then v, and its P is after from the prefix's P."""
+    """(before, after, new_cell, path), the step of every walk: before is p,
+    standard, with each letter >= v raised by one, after is v inserted into
+    before by the unchecked core.  The cores only compare letters, to each
+    other and to INF, so a step's cells and verdicts hold for its order
+    type: a word on 1..k+1 ending in v is its standardized prefix so raised,
+    then v, and its P is after from the prefix's P.  inverse's checks,
+    _word_insertions and _standard_steps read it."""
     before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
     work = list(before)
     new_cell, path = _insert_into(work, v)
     return before, tuple(work), new_cell, path
 
 
+def _standard_steps(max_n: int):
+    """round-trip's and descents' walk: (p, v, _insert_raised(p, v)) for
+    every standard tableau p of size k < max_n and v in 1..k+1.  Level k+1
+    holds level k's distinct afters, the P's of the permutations of 1..k+1;
+    an after that is not standard grows as it stands."""
+    level = [()]
+    for k in range(max_n):
+        grown = {}
+        for p in level:
+            for v in range(1, k + 2):
+                step = _insert_raised(p, v)
+                yield p, v, step
+                grown[step[1]] = None
+        level = list(grown)
+
+
 def _reading_words(max_n: int, step, root):
-    """Yields (word, alpha, state) for every standard immaculate reading word
-    of degree 1..max_n, alpha its tableau's shape, walked depth first as a
-    prefix tree: a word's parent is its prefix one letter shorter,
-    standardized, and its state is step(parent's state, v), v its last
-    letter.
+    """inverse's and, through _word_insertions, triple-agreement's walk:
+    (word, alpha, state) for every standard immaculate reading word of
+    degree 1..max_n, alpha its tableau's shape, depth first as a prefix
+    tree: a word's parent is its prefix one letter shorter, standardized,
+    and its state is step(parent's state, v), v its last letter.
 
     A word on 1..n is such a reading word exactly when its maximal
     increasing runs, its rows read top row first, have decreasing first
@@ -213,7 +231,7 @@ def verify_inverse(max_n: int) -> SuiteResult:
 def _word_insertions(max_n: int):
     """Yields (word, alpha, (p, q)) for every standard immaculate reading
     word of degree 1..max_n, with alpha its tableau's shape and (p, q)
-    insert_word(word), from the walk of _reading_words.
+    insert_word(word), from the walk of _reading_words, for triple-agreement.
 
     A word's P is its parent's P through _insert_raised.  One memo for the
     whole walk maps each standard (P, v) to (P', new cell), so the core
@@ -246,35 +264,6 @@ def _tableau_of(word, alpha):
         rows.append(tuple(word[end - part:end]))
         end -= part
     return tuple(rows)
-
-
-def _word_descent_set(word) -> frozenset[int]:
-    """The immaculate descent set of the standard immaculate tableau whose
-    reading word is word.  The word reads the rows top row first and each
-    row increases, so i + 1 sits in a strictly higher row than i exactly
-    when it comes before i in the word."""
-    # at[i - 1] is the position of letter i in word.
-    at = sorted(range(len(word)), key=word.__getitem__)
-    return frozenset([i for i in range(1, len(word)) if at[i] < at[i - 1]])
-
-
-def verify_descents(max_n: int) -> SuiteResult:
-    """Insertion carries the immaculate descent set of the input tableau to
-    the Young descent set of the inserted tableau.  The (word, P) pairs come
-    from _word_insertions, the input's descent set is read off its word,
-    and failures are reported by degree, composition and reading word.  A P
-    that is not standard has no descent set and fails as it stands."""
-    result = SuiteResult("descents", max_n)
-    failed = []
-    for word, alpha, (p, _) in _word_insertions(max_n):
-        result.cases += 1
-        # p is the output under test.
-        if not is_standard(p):
-            failed.append((alpha, word, f"P is not standard for {_tableau_of(word, alpha)}"))
-        elif _young_descent_set(p) != _word_descent_set(word):
-            failed.append((alpha, word, f"descents differ for {_tableau_of(word, alpha)}"))
-    result.failures += _in_report_order(failed, max_n)
-    return result
 
 
 def verify_triple_agreement(max_n: int) -> SuiteResult:
@@ -426,28 +415,38 @@ def verify_dominance(max_n: int) -> SuiteResult:
     return result
 
 
+def verify_descents(max_n: int) -> SuiteResult:
+    """A duplicate-free word's descent set {i : i + 1 comes before i}, for a
+    reading word its tableau's immaculate one, is its P's Young descent set.
+    Per step of _standard_steps, v appended to a word on 1..k with descent
+    set D gives {i in D : i < v - 1}, v if v <= k, and {i + 1 : i in D,
+    i >= v}; after's set must be that update of p's, and induction does
+    the rest.  An after that is not standard fails as it stands."""
+    result = SuiteResult("descents", max_n)
+    for p, v, (before, after, _, _) in _standard_steps(max_n):
+        result.cases += 1
+        if not is_standard(after):
+            result.fail(f"insert of {v} into {before} is not standard")
+            continue
+        # The cores move letters without changing them, so p is standard too.
+        want = {i + (i >= v) for i in _young_descent_set(p) if i != v - 1}
+        if _young_descent_set(after) != (want | {v} if v <= sum(map(len, p)) else want):
+            result.fail(f"descents differ for insert of {v} into {before}")
+    return result
+
+
 def verify_round_trip(max_n: int) -> SuiteResult:
     """uninsert inverts insert_word on every duplicate-free word of length
-    at most max_n.  A case is a standard tableau p of size k < max_n and a
-    v in 1..k+1 (see _insert_raised): rapture at new_cell must return v,
-    the path mirrored and before.  Level k+1 holds level k's distinct
-    afters, the P's of the permutations of 1..k+1; uninsert first raptures
-    the cell the last insertion added, so induction on the word suffices."""
+    at most max_n: per step of _standard_steps, rapture at new_cell returns
+    v, the path mirrored and before, and uninsert raptures that cell first."""
     result = SuiteResult("round-trip", max_n)
-    level = [()]
-    for k in range(max_n):
-        grown = {}
-        for p in level:
-            for v in range(1, k + 2):
-                before, after, (col, row), path = _insert_raised(p, v)
-                result.cases += 1
-                work = list(after)
-                # A cell past its row's end is no cell the insertion added.
-                if not (0 < row <= len(work) and col == len(work[row - 1])) or (
-                        *_rapture_from(work, (col, row)), tuple(work)) != (v, path[::-1], before):
-                    result.fail(_MESSAGES["undo"].format(rows=before, x=v))
-                grown[after] = None
-        level = list(grown)
+    for _, v, (before, after, (col, row), path) in _standard_steps(max_n):
+        result.cases += 1
+        work = list(after)
+        # A cell past its row's end is no cell the insertion added.
+        if not (0 < row <= len(work) and col == len(work[row - 1])) or (
+                *_rapture_from(work, (col, row)), tuple(work)) != (v, path[::-1], before):
+            result.fail(_MESSAGES["undo"].format(rows=before, x=v))
     return result
 
 

@@ -20,8 +20,8 @@ from qsc.qsym import (
     schur_m_expansion,
     yns_to_imm,
 )
-from qsc.tableaux import (INF, immaculate_reading_word, is_ssyct, is_standard, shape_of,
-                          standard_tableaux)
+from qsc.tableaux import (INF, immaculate_descent_set, immaculate_reading_word, is_ssyct,
+                          shape_of, standard_tableaux, young_descent_set)
 from qsc.verify import DEFAULT_MAX_N, SUITES, SuiteResult, run_suite
 
 
@@ -245,8 +245,9 @@ def test_round_trip_records_a_core_fault(monkeypatch, capsys, fault):
 
 def test_inverse_inserts_exactly_the_round_trip_pairs(monkeypatch):
     # Every standard tableau is the P of some standard immaculate reading
-    # word, so inverse's undo checks are round-trip's cases.
-    pairs = {"inverse": set(), "round-trip": set()}
+    # word, so inverse's undo checks are round-trip's cases, and descents
+    # reads round-trip's walk.
+    pairs = {"inverse": set(), "round-trip": set(), "descents": set()}
     real = verify._insert_raised
     for name, seen in pairs.items():
         def collected(p, v, seen=seen):
@@ -255,7 +256,7 @@ def test_inverse_inserts_exactly_the_round_trip_pairs(monkeypatch):
 
         monkeypatch.setattr(verify, "_insert_raised", collected)
         assert run_suite(name, 8).passed
-    assert pairs["inverse"] == pairs["round-trip"]
+    assert pairs["inverse"] == pairs["round-trip"] == pairs["descents"]
     assert len(pairs["round-trip"]) == run_suite("round-trip", 8).cases == 2619
 
 
@@ -611,19 +612,40 @@ def test_triple_agreement_builds_no_dual_tree(monkeypatch):
     assert result.passed and result.cases == 256
 
 
+def raised(rows, v):
+    """rows with every letter >= v raised by one."""
+    return tuple(tuple(x + (x >= v) for x in row) for row in rows)
+
+
 def test_descents_reports_in_report_order(monkeypatch):
-    real = verify._word_insertions
+    real = verify._insert_raised
 
-    def one_row(max_n):
-        # A one-row P has no Young descents, so every u with two rows fails.
-        for word, alpha, (_, q) in real(max_n):
-            yield word, alpha, ((tuple(sorted(word)),), q)
+    def one_row(p, v):
+        # A one-row after is standard and has no Young descents, so every
+        # step whose update adds the descent v (v <= k) fails.
+        before, after, new_cell, path = real(p, v)
+        return before, (tuple(sorted(x for row in after for x in row)),), new_cell, path
 
-    monkeypatch.setattr(verify, "_word_insertions", one_row)
+    monkeypatch.setattr(verify, "_insert_raised", one_row)
     result = run_suite("descents", 5)
+    # Only one-row tableaux grow: one p of each size k, k + 1 steps each.
+    assert result.cases == 15
     assert result.failures == [
-        f"descents differ for {u}" for n in range(1, 6) for alpha in compositions(n)
-        for u in standard_tableaux(alpha, "immaculate") if len(u) >= 2]
+        f"descents differ for insert of {v} into {raised((tuple(range(1, k + 1)),), v)}"
+        for k in range(1, 5) for v in range(1, k + 1)]
+
+
+def test_descents_bridge_immaculate_descents_to_the_young_descents_of_p():
+    # The walk's descent set {i : i + 1 comes before i} of a reading word is
+    # its tableau's immaculate descent set, and insertion carries it.
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            for u in standard_tableaux(alpha, "immaculate"):
+                word = immaculate_reading_word(u)
+                at = {x: j for j, x in enumerate(word)}
+                descents = {i for i in range(1, n) if at[i + 1] < at[i]}
+                assert immaculate_descent_set(u) == descents
+                assert young_descent_set(insert_word(word)[0]) == descents
 
 
 def verify_cli(capsys, suite, max_n):
@@ -649,7 +671,7 @@ def test_word_suites_report_a_cell_above_the_top_row(monkeypatch, capsys):
     assert len(result.failures) == 45
     assert result.failures == triple_agreement_word_by_word(6, replayed)
     descents = run_suite("descents", 6)
-    assert descents.passed and descents.cases == 278
+    assert descents.passed and descents.cases == 231
     code, lines = verify_cli(capsys, "triple-agreement", 6)
     assert code == 1
     assert lines[:2] == ["suite triple-agreement: FAIL (128 cases, max_n=6)",
@@ -673,22 +695,25 @@ def repeat_a_letter_into(monkeypatch):
 
 def test_descents_records_a_p_that_is_not_standard(monkeypatch, capsys):
     repeat_a_letter_into(monkeypatch)
-    expected = []
-    for n in range(1, 7):
-        for alpha in compositions(n):
-            for u in sorted(standard_tableaux(alpha, "immaculate"), key=immaculate_reading_word):
-                p = []
-                for k in immaculate_reading_word(u):
-                    verify._insert_into(p, k)
-                if not is_standard(tuple(p)):
-                    expected.append(f"P is not standard for {u}")
+    # Each v inserted into INSERTED_INTO raised fails, and so does every
+    # step from the afters, which keep their repeated letter as they grow.
+    expected, grown = [], {}
+    for v in range(1, 6):
+        before = raised(INSERTED_INTO, v)
+        work = list(before)
+        verify._insert_into(work, v)
+        expected.append(f"insert of {v} into {before} is not standard")
+        grown[tuple(work)] = None
+    expected += [f"insert of {v} into {raised(p, v)} is not standard"
+                 for p in grown for v in range(1, 7)]
     result = run_suite("descents", 6)
-    assert len(result.failures) == 45
-    assert result.failures == expected
+    # The 5 afters are 5 more tableaux of size 5, with 6 steps each.
+    assert result.cases == 231 + 30
+    assert len(expected) == 35 and result.failures == expected
     # Not exit 2, which means bad input.
     code, lines = verify_cli(capsys, "descents", 6)
     assert code == 1
-    assert lines[:2] == ["suite descents: FAIL (278 cases, max_n=6)",
+    assert lines[:2] == ["suite descents: FAIL (261 cases, max_n=6)",
                          f"  counterexample: {expected[0]}"]
 
 
