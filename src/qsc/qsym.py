@@ -11,8 +11,9 @@ bases are unitriangular in monomial coordinates under lexicographic order,
 and unitriangularity is checked on every element used rather than assumed.
 Between the two Schur-like bases the DIRT counts give each row directly,
 and the same checked peel inverts them, counting only the rows it pivots
-on.  Bases dual to these live in the noncommutative world and are handled
-purely as coefficient tables.  Inputs are validated where they enter;
+on.  In the dual, noncommutative world, a Young noncommutative Schur element
+expands in the immaculate basis by the paper's dual rule, counted over
+row-length states as the DIRTs are.  Inputs are validated where they enter;
 expansions the package builds from checked inputs are not validated again.
 """
 
@@ -440,6 +441,72 @@ def _dirt_row(alpha: Composition) -> dict[Composition, int]:
     return states
 
 
+def _lowest_ends(lens: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """Maps each row length to the lowest row of that length, so a column c
+    maps to the lowest row ending in it."""
+    return dict(zip(reversed(lens), range(len(lens) - 1, -1, -1)))
+
+
+def _open_rows(alpha: Composition, lens: list[int] | tuple[int, ...], top: int,
+               lowest: dict[int, int], last_col: int) -> list[int]:
+    """The dual tree's placement rule: the started rows top..ell-1 whose
+    next cell may take a level's next value after column last_col, in
+    (next column, row) order.  That cell must lie right of last_col, inside
+    alpha, and not in a column where a row below ended when the level began
+    (lowest, see _lowest_ends)."""
+    ell = len(alpha)
+    rows = []
+    for r in range(top, ell):
+        c = lens[r]
+        if last_col <= c < alpha[r] and lowest.get(c + 1, ell) > r:
+            rows.append(r)
+    # A stable sort keeps row order within a column.
+    rows.sort(key=lens.__getitem__)
+    return rows
+
+
+def _dual_row(alpha: Composition) -> dict[Composition, int]:
+    # rw_dual's complete fillings by value multiplicities, last level first,
+    # over row-length states (_open_rows reads no more); alpha must be checked
+    # first.  A forward pass lists each state's placements, and a backward
+    # pass folds tails {state: (cells, {later levels' multiplicities: count})}.
+    # A step per cell: a degree past sys.maxsize is refused, not looped over.
+    if sum(alpha) > sys.maxsize:
+        raise OverflowError(f"degree {sum(alpha)} is too large to count")
+    ell = len(alpha)
+    levels, states = [], [(0,) * ell]
+    for top in reversed(range(ell)):
+        steps, reached = {}, {}
+        for lens in states:
+            lowest = _lowest_ends(lens)
+            afters = []
+            stack = [(lens[:top] + (1,) + lens[top + 1:], 1)]
+            while stack:
+                now, last = stack.pop()
+                # The last level holds only the complete filling, not dead ends.
+                if top or now == alpha:
+                    afters.append(reached.setdefault(now, now))
+                for r in _open_rows(alpha, now, top, lowest, last):
+                    col = now[r] + 1
+                    stack.append((now[:r] + (col,) + now[r + 1:], col))
+            if afters:
+                steps[lens] = afters
+        levels.append(steps)
+        states = reached
+    tails = {alpha: (sum(alpha), {(): 1})}
+    for steps in reversed(levels):
+        folded = {}
+        for lens, afters in steps.items():
+            size, row = sum(lens), {}
+            for placed, tail in (tails[after] for after in afters if after in tails):
+                for gamma, m in tail.items():
+                    beta = gamma + (placed - size,)
+                    row[beta] = row.get(beta, 0) + m
+            folded[lens] = (size, row)
+        tails = folded
+    return tails[(0,) * ell][1]
+
+
 def dimm_to_yqs(alpha: Composition) -> BasisExpansion:
     """Young quasisymmetric Schur expansion of a dual immaculate element:
     the coefficient at beta counts recording tableaux of shape beta whose row
@@ -468,11 +535,10 @@ def yqs_to_dimm(alpha: Composition) -> BasisExpansion:
 
 def yns_to_imm(alpha: Composition) -> BasisExpansion:
     """Immaculate expansion of a Young noncommutative Schur element: the
-    column at alpha of the dual immaculate table, over every row of its length."""
+    dual tree's complete fillings counted by value multiplicities (the
+    paper's dual rule), over row-length states."""
     alpha = check_composition(alpha)
-    n = sum(alpha)
-    out = {beta: _dirt_row(beta).get(alpha, 0) for beta in compositions(n, len(alpha))}
-    return BasisExpansion._built(IMMACULATE, n, out)
+    return BasisExpansion._built(IMMACULATE, sum(alpha), _dual_row(alpha))
 
 
 def principal_specialization(f: BasisExpansion, m: int) -> int:

@@ -16,9 +16,8 @@ row ends; one map per level, from a column to the lowest row that ended
 there when the level began, answers that.  In the forward tree the rows a
 level has changed end left of its next placement, so the rows that end in
 that column are the same ones as when the level began.  The dual tree's
-placement rule reads only row lengths, and lives in _open_rows; the
-private _dual_counts reads the same rule to count the dual tree's leaves
-by row lengths, building no node and no dead branch.  Both trees
+placement rule reads only row lengths and lives in qsym._open_rows, which
+qsym._dual_row reads too to count the leaves for yns_to_imm.  Both trees
 serialize to JSON, built with an explicit stack, and to DOT.
 """
 
@@ -26,8 +25,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import qsym
 from .compositions import Composition, check_composition
-from .qsym import IMMACULATE, YOUNG_QS, BasisExpansion
+from .qsym import IMMACULATE, YOUNG_QS, BasisExpansion, _lowest_ends
 
 Cellvalue = int | None
 PartialRows = tuple[tuple[Cellvalue, ...], ...]
@@ -45,12 +45,6 @@ class Node(namedtuple("Node", "filling children key", defaults=(None,))):
     @property
     def is_leaf(self) -> bool:
         return self.key is not None
-
-
-def _lowest_ends(lens: list[int]) -> dict[int, int]:
-    """Maps each row length to the lowest row of that length, so a column c
-    maps to the lowest row ending in it."""
-    return dict(zip(reversed(lens), range(len(lens) - 1, -1, -1)))
 
 
 def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
@@ -139,7 +133,7 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
     def options(level: int, beta: Composition, top: int, lowest: dict[int, int],
                 children: list[Node], last_col: int, count: int) -> None:
         children.append(build(level + 1, (count,) + beta))
-        for r in _open_rows(alpha, lens, top, lowest, last_col):
+        for r in qsym._open_rows(alpha, lens, top, lowest, last_col):
             c = lens[r]
             # The free cell is column c + 1, at index c of the padded row.
             row = rows[r]
@@ -149,67 +143,6 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
             rows[r], lens[r] = row, c
 
     return build(1, ()), BasisExpansion._built(IMMACULATE, sum(alpha), counts)
-
-
-def _open_rows(alpha: Composition, lens: list[int], top: int,
-               lowest: dict[int, int], last_col: int) -> list[int]:
-    """The dual tree's placement rule: the started rows top..ell-1 whose
-    next cell may take a level's next value after column last_col, in
-    (next column, row) order.  That cell must lie right of last_col, inside
-    alpha, and not in a column where a row below ended when the level began
-    (lowest, see _lowest_ends)."""
-    ell = len(alpha)
-    rows = []
-    for r in range(top, ell):
-        c = lens[r]
-        if last_col <= c < alpha[r] and lowest.get(c + 1, ell) > r:
-            rows.append(r)
-    # A stable sort keeps row order within a column.
-    rows.sort(key=lens.__getitem__)
-    return rows
-
-
-def _dual_counts(alpha: Composition) -> dict[Composition, int]:
-    """rw_dual(alpha)[1].coeffs, counted without building the tree.
-
-    The placement rule reads only row lengths, so the leaves below a node
-    depend only on its level and row lengths.  complete(level, lens) maps
-    the value multiplicities of levels ell..level, read from the last level
-    back, to the number of complete fillings that reach them from there.
-    Its memo is keyed by lens alone, since rows ell-level+1..ell-1 are the
-    started ones, and lives for this call only.  alpha is not checked."""
-    ell = len(alpha)
-    full = list(alpha)
-    memo: dict[tuple[int, ...], dict[Composition, int]] = {}
-
-    def complete(level: int, lens: tuple[int, ...]) -> dict[Composition, int]:
-        top = ell - level
-        lowest = _lowest_ends(list(lens))
-        work = list(lens)
-        work[top] = 1
-        out: dict[Composition, int] = {}
-
-        def options(last_col: int, count: int) -> None:
-            if top:
-                after = tuple(work)
-                tails = memo[after] if after in memo else complete(level + 1, after)
-                for gamma, m in tails.items():
-                    beta = gamma + (count,)
-                    out[beta] = out.get(beta, 0) + m
-            elif work == full:
-                # After the last level only a complete filling counts.
-                out[(count,)] = out.get((count,), 0) + 1
-            for r in _open_rows(alpha, work, top, lowest, last_col):
-                c = work[r]
-                work[r] = c + 1
-                options(c + 1, count + 1)
-                work[r] = c
-
-        options(1, 1)
-        memo[lens] = out
-        return out
-
-    return complete(1, (0,) * ell) if ell else {(): 1}
 
 
 def tree_to_json(node: Node, direction: str) -> dict:

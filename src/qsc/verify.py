@@ -19,6 +19,7 @@ from .qsym import (
     DUAL_IMMACULATE,
     YOUNG_QS,
     NotUnitriangularError,
+    _dirt_row,
     dimm_to_yqs,
     dual_immaculate_mexpr,
     expand_in,
@@ -29,7 +30,7 @@ from .qsym import (
     young_qs_mexpr,
     yqs_to_dimm,
 )
-from .rw import _dual_counts, rw_forward
+from .rw import rw_forward
 from .tableaux import INF, _young_descent_set, is_ssyct, is_standard, shape_of
 
 
@@ -269,13 +270,12 @@ def _tableau_of(word, alpha):
 def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
     shape multisets, direct recording-tableau counts, and forward tree
-    leaves; dually, the dual tree's leaf counts match the transposed counts.
-    Each distinct recording tableau is checked once to be a DIRT of row
-    strip shape reverse(alpha), reported for the least word that records
-    it, and its shape is read once for both the per-word shape check and
-    the insertion table.  The dual tree's leaves are counted by row lengths
-    with the tree's own placement rule (rw._dual_counts), so no dual tree
-    is built; the forward tree is built.
+    leaves; dually, yns_to_imm (the dual rule, counted by row lengths, so
+    no dual tree is built) matches the DIRT column at alpha, read through
+    _dirt_row.  Each distinct recording tableau is checked once to be a
+    DIRT of row strip shape reverse(alpha), reported for the least word
+    that records it, and its shape is read once for both the per-word
+    shape check and the insertion table.
 
     The insertions come from _word_insertions, whose walk is not grouped by
     composition: each composition's distinct recording tableaux are held
@@ -320,7 +320,8 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
                                      for table in (by_insertion, counted, forward))
                 failed.append((alpha, after, f"coefficient tables differ at {alpha}: {tables}"))
             result.cases += 1
-            if _dual_counts(alpha) != yns_to_imm(alpha).coeffs:
+            column = {beta: _dirt_row(beta).get(alpha, 0) for beta in compositions(n, len(alpha))}
+            if yns_to_imm(alpha).coeffs != {beta: c for beta, c in column.items() if c}:
                 failed.append((alpha, after, f"dual tree disagrees at {alpha}"))
     result.failures += _in_report_order(failed, max_n)
     return result

@@ -400,6 +400,20 @@ def test_coefficient_maps():
          (2, 1, 3): 1, (1, 3, 2): 1, (1, 2, 3): 1})
 
 
+def test_yns_to_imm_is_the_transposed_dirt_table():
+    # The old definition, the column at alpha of the DIRT rows of its
+    # length, is the oracle for the dual rule's count.
+    for n in range(9):
+        for alpha in compositions(n):
+            column = {beta: qsym._dirt_row(beta).get(alpha, 0) for beta in compositions(n, len(alpha))}
+            assert yns_to_imm(alpha) == BasisExpansion(IMMACULATE, n, column), alpha
+
+
+@pytest.mark.parametrize("alpha", [(5000,), (1,) * 1000], ids=["5000", "1^1000"])
+def test_yns_to_imm_counts_deep_diagrams_without_recursion(alpha):
+    assert yns_to_imm(alpha).coeffs == {alpha: 1}
+
+
 def test_coefficient_maps_match_linear_algebra():
     for n in range(1, 8):
         for alpha in compositions(n):
@@ -425,10 +439,12 @@ def test_inverted_dirt_table_checks_unitriangularity(dirt_diagonal_2):
     pytest.param(lambda: dimm_to_yqs((4, 4, 4, 4, 4)), 1, id="dimm_to_yqs"),
     pytest.param(lambda: yqs_to_dimm((4, 4, 4, 4, 4)), 96, id="yqs_to_dimm"),
     pytest.param(lambda: check_conjectures(7), 64, id="check_conjectures"),
+    pytest.param(lambda: yns_to_imm((4, 4, 4, 4, 4)), 0, id="yns_to_imm"),
 ])
 def test_each_dirt_route_counts_only_the_rows_it_reads(route, rows):
     # One row for dimm_to_yqs, the rows the peel pivots on for yqs_to_dimm,
-    # and for the survey at 7 every composition of 7 once.
+    # for the survey at 7 every composition of 7 once, and none for
+    # yns_to_imm, which counts the dual rule.
     qsym._dirt_row.cache_clear()
     route()
     assert qsym._dirt_row.cache_info().currsize == rows

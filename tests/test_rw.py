@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from qsc import rw
+from qsc import qsym
 from qsc.compositions import compositions
 from qsc.dirt import is_dirt
-from qsc.qsym import IMMACULATE, YOUNG_QS, dimm_to_yqs, yns_to_imm
-from qsc.rw import Node, _dual_counts, rw_dual, rw_forward, tree_to_dot, tree_to_json
+from qsc.qsym import IMMACULATE, YOUNG_QS, _dual_row, dimm_to_yqs, yns_to_imm
+from qsc.rw import Node, rw_dual, rw_forward, tree_to_dot, tree_to_json
 from qsc.verify import run_suite
 
 
@@ -97,10 +97,11 @@ def test_trees_agree_with_coefficient_maps():
 
 
 def test_dual_counts_match_the_dual_tree():
-    assert _dual_counts(()) == {(): 1}
+    # qsym._dual_row, yns_to_imm's count, against the leaves of the tree.
+    assert _dual_row(()) == {(): 1}
     for n in range(1, 9):
         for alpha in compositions(n):
-            assert _dual_counts(alpha) == rw_dual(alpha)[1].coeffs, alpha
+            assert _dual_row(alpha) == rw_dual(alpha)[1].coeffs, alpha
 
 
 def test_empty_composition():
@@ -223,10 +224,10 @@ def test_tree_dot_bytes_at_degree_eight():
 
 def test_dual_tree_and_counts_read_one_placement_rule(monkeypatch):
     # A fault in the shared rule: a value may end a row in a column where a
-    # lower row ended.  The counts then disagree with yns_to_imm, and the
-    # tree's bytes change, so both paths read the one rule.
-    real = rw._open_rows
-    monkeypatch.setattr(rw, "_open_rows", lambda alpha, lens, top, lowest, last_col:
+    # lower row ended.  yns_to_imm then disagrees with the DIRT column, and
+    # the tree's bytes change, so both paths read the one rule.
+    real = qsym._open_rows
+    monkeypatch.setattr(qsym, "_open_rows", lambda alpha, lens, top, lowest, last_col:
                         real(alpha, lens, top, {}, last_col))
     assert run_suite("triple-agreement", 4).passed
     assert run_suite("triple-agreement", 5).failures == ["dual tree disagrees at (1, 2, 2)"]

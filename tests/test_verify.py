@@ -542,7 +542,8 @@ def triple_agreement_word_by_word(max_n, recorded):
                     t, key=lambda beta: compositions(sum(beta)).index(beta))} for t in tables]
                 failures.append(f"coefficient tables differ at {alpha}: "
                                 f"{tables[0]} vs {tables[1]} vs {tables[2]}")
-            if rw.rw_dual(alpha)[1].coeffs != yns_to_imm(alpha).coeffs:
+            column = {beta: qsym._dirt_row(beta).get(alpha, 0) for beta in compositions(n, len(alpha))}
+            if yns_to_imm(alpha).coeffs != {beta: c for beta, c in column.items() if c}:
                 failures.append(f"dual tree disagrees at {alpha}")
     return failures
 
