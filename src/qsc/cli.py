@@ -201,15 +201,10 @@ def _print_fillings(payload: dict, items, fmt: str) -> None:
 
 def cmd_enumerate_tableaux(args) -> int:
     shape = from_string(args.shape)
-    # The filling search recurses once per cell.
-    try:
-        if args.standard:
-            items = standard_tableaux(shape, args.kind)
-        else:
-            items = semistandard_tableaux(shape, args.kind, args.max_entry)
-    except RecursionError:
-        raise ValueError(f"the filling search over {sum(shape)} cells"
-                         " is nested too deeply") from None
+    if args.standard:
+        items = standard_tableaux(shape, args.kind)
+    else:
+        items = semistandard_tableaux(shape, args.kind, args.max_entry)
     payload = {
         "shape": shape,
         "kind": args.kind,

@@ -92,15 +92,25 @@ def _insert_into(work: list[Row], k: int, events=None) -> tuple[Cell, tuple[Cell
     return new_cell, tuple(path)
 
 
-def _record(q: list[Row], cell: Cell, j: int) -> None:
-    # Put j at cell, the cell an insertion added, in the recording tableau q
-    # being built: a new row when cell is in column 1 or above q's top row
-    # (which only a faulty core reports), else its row's end.
+def _landing(height: int, cell: Cell) -> tuple[int, bool]:
+    """Where _record puts the next value for cell, the cell an insertion
+    added, in a recording tableau of height rows: (r, opens), r a 0-based
+    row.  It opens a new row r when cell is in column 1 or outside rows
+    1..height (which only a faulty core reports; r is then clamped into
+    0..height), else it ends row r."""
     col, row = cell
-    if col == 1 or row > len(q):
-        q.insert(row - 1, (j,))
+    if col == 1 or not 0 < row <= height:
+        return min(max(row, 1), height + 1) - 1, True
+    return row - 1, False
+
+
+def _record(q: list[Row], cell: Cell, j: int) -> None:
+    # Put j in the recording tableau q being built where _landing says.
+    r, opens = _landing(len(q), cell)
+    if opens:
+        q.insert(r, (j,))
     else:
-        q[row - 1] += (j,)
+        q[r] += (j,)
 
 
 def insert(rows: Rows, k: int, events=None) -> InsertionResult:

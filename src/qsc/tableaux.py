@@ -176,11 +176,15 @@ def _search(shape, kind, budget):
     budget[v-1], go to the ends of the rows _open_ends offers, from the bottom
     up.  A row opens only above one whose first entry is smaller than v, and
     for "ssyct" a cell at 0-based column p needs no lower row holding v at
-    column p+1.  Results are sorted by row word, top row first."""
+    column p+1.  Results are sorted by row word, top row first.  The search
+    keeps an explicit stack, one frame per placed cell, so its depth is not
+    bounded by the interpreter's recursion limit."""
     rows: list[Row] = [()] * len(shape)
     lens = [0] * len(shape)
     reach = list(accumulate(reversed(budget), initial=0))[::-1]  # sum(budget[v:])
-    results: list[Rows] = []
+    total = sum(shape)
+    if not total:
+        return (tuple(rows),)
 
     def fits(r, v):
         # The part of the rule that reads values.
@@ -190,11 +194,11 @@ def _search(shape, kind, budget):
         return kind == "immaculate" or not any(
             len(lower) > p + 1 and lower[p + 1] == v for lower in rows[:r])
 
-    def grow(v, low, spare, empty):
-        # The last cell placed holds v (0: none yet) in row `low`; `spare` more may follow.
-        if not empty:
-            results.append(tuple(rows))
-            return
+    def moves(v, low, spare, empty):
+        # The next cells (w, r, copies of w left) after the last cell placed,
+        # holding v (0: none yet) in row `low`, with `spare` more copies of v
+        # allowed and `empty` cells to fill.  Read lazily: the frame resumes
+        # only after the cells above it are taken back.
         for w in range(v, len(budget) + 1):
             if w > v and empty > reach[w - 1]:
                 break
@@ -204,14 +208,31 @@ def _search(shape, kind, budget):
             first = low if w == v else 0
             for r in _open_ends(shape, lens, kind):
                 if r >= first and fits(r, w):
-                    row = rows[r]
-                    rows[r] = row + (w,)
-                    lens[r] += 1
-                    grow(w, r, left - 1, empty - 1)
-                    rows[r] = row
-                    lens[r] -= 1
+                    yield w, r, left - 1
 
-    grow(0, 0, 0, sum(shape))
+    results: list[Rows] = []
+    stack = [moves(0, 0, 0, total)]
+    placed = []  # (row, that row before the cell) per frame above the first
+    while stack:
+        cell = next(stack[-1], None)
+        if cell is None:
+            stack.pop()
+            if placed:
+                r, row = placed.pop()
+                rows[r] = row
+                lens[r] -= 1
+            continue
+        w, r, left = cell
+        row = rows[r]
+        rows[r] = row + (w,)
+        lens[r] += 1
+        if len(placed) + 1 == total:
+            results.append(tuple(rows))
+            rows[r] = row
+            lens[r] -= 1
+        else:
+            placed.append((r, row))
+            stack.append(moves(w, r, left, total - len(placed)))
     return tuple(sorted(results, key=lambda t: t[::-1]))
 
 

@@ -8,13 +8,11 @@ complete; nothing is sampled.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import namedtuple
 from functools import cache
-from itertools import chain
 
-from .compositions import compositions, dominates, partitions, rearrangements, reverse
-from .dirt import _dirt_strip_shape
-from .insertion import _insert_into, _is_virtuous, _rapture_from, _record
+from .compositions import compositions, dominates, partitions, rearrangements
+from .insertion import _insert_into, _is_virtuous, _landing, _rapture_from
 from .qsym import (
     DUAL_IMMACULATE,
     YOUNG_QS,
@@ -56,7 +54,7 @@ def _insert_raised(p, v):
     other and to INF, so a step's cells and verdicts hold for its order
     type: a word on 1..k+1 ending in v is its standardized prefix so raised,
     then v, and its P is after from the prefix's P.  inverse's checks,
-    _word_insertions and _standard_steps read it."""
+    _recording_walk and _standard_steps read it."""
     before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
     work = list(before)
     new_cell, path = _insert_into(work, v)
@@ -79,12 +77,18 @@ def _standard_steps(max_n: int):
         level = list(grown)
 
 
+def _child_word(prefix, v):
+    """The word of _reading_words' node (prefix, v): prefix with each letter
+    >= v raised by one, then v."""
+    return tuple([x + (x >= v) for x in prefix]) + (v,)
+
+
 def _reading_words(max_n: int, step, root):
-    """inverse's and, through _word_insertions, triple-agreement's walk:
-    (word, alpha, state) for every standard immaculate reading word of
-    degree 1..max_n, alpha its tableau's shape, depth first as a prefix
-    tree: a word's parent is its prefix one letter shorter, standardized,
-    and its state is step(parent's state, v), v its last letter.
+    """inverse's and triple-agreement's walk: (prefix, v, alpha, state) for
+    every standard immaculate reading word _child_word(prefix, v) of degree
+    1..max_n, alpha its tableau's shape, depth first as a prefix tree: a
+    word's parent is prefix, its prefix one letter shorter, standardized,
+    and its state is step(parent's state, v, v opens a run).
 
     A word on 1..n is such a reading word exactly when its maximal
     increasing runs, its rows read top row first, have decreasing first
@@ -92,18 +96,24 @@ def _reading_words(max_n: int, step, root):
     A child appends v and raises each earlier letter >= v by one; v either
     opens a run below the current run's first letter f (v <= f), a new
     bottom row of length 1, or extends the run above its last letter l
-    (v > l), the bottom row.  The root's one child is the word 1."""
-    stack = [((), (), root, 1, 1)]
+    (v > l), the bottom row.  The root's one child is the word 1.  A word
+    is built only as its children's prefix: the leaves, the words of degree
+    max_n and most of the walk, are not, and a reader builds the words it
+    needs."""
+    stack = [((), 1, (1,), step(root, 1, True), 1, 1)] if max_n > 0 else []
     while stack:
-        word, alpha, state, f, l = stack.pop()
-        j = len(word)
-        if j:
-            yield word, alpha, state
+        prefix, v, alpha, state, f, l = stack.pop()
+        yield prefix, v, alpha, state
+        j = len(prefix) + 1
         if j < max_n:
-            for v in chain(range(1, f + 1), range(l + 1, j + 2)):
-                child = tuple([x + (x >= v) for x in word]) + (v,)
-                shape = (1,) + alpha if v <= f else (alpha[0] + 1,) + alpha[1:]
-                stack.append((child, shape, step(state, v), min(v, f), v))
+            word = _child_word(prefix, v)
+            # Siblings share their shape.
+            below = (1,) + alpha
+            for w in range(1, f + 1):
+                stack.append((word, w, below, step(state, w, True), w, w))
+            longer = (alpha[0] + 1,) + alpha[1:]
+            for w in range(l + 1, j + 2):
+                stack.append((word, w, longer, step(state, w, False), f, w))
 
 
 def _inverse_checks():
@@ -205,7 +215,7 @@ def verify_inverse(max_n: int) -> SuiteResult:
     result = SuiteResult("inverse", max_n)
     step = _inverse_checks()
 
-    def grow(state, v):
+    def grow(state, v, _):
         p, cases, records = state
         if p is None:
             return state
@@ -216,8 +226,10 @@ def verify_inverse(max_n: int) -> SuiteResult:
         return after, cases + more, records
 
     failed = []
-    for word, alpha, (_, cases, records) in _reading_words(max_n, grow, ((), 0, ())):
+    for prefix, v, alpha, (_, cases, records) in _reading_words(max_n, grow, ((), 0, ())):
         result.cases += cases
+        if records:
+            word = _child_word(prefix, v)
         for j, failures in records:
             letters = (0,) + tuple(sorted(word[:j]))
             for kind, rows, x in failures:
@@ -229,32 +241,89 @@ def verify_inverse(max_n: int) -> SuiteResult:
     return result
 
 
-def _word_insertions(max_n: int):
-    """Yields (word, alpha, (p, q)) for every standard immaculate reading
-    word of degree 1..max_n, with alpha its tableau's shape and (p, q)
-    insert_word(word), from the walk of _reading_words, for triple-agreement.
+def _one_cell(shape, last, r, opens):
+    """(grown, col, ok) for n + 1 put at the landing (r, opens) (see
+    _landing) in a recording tableau Q of shape shape whose n is in column
+    last (0 for the empty Q): the shape of Q with n + 1, the column n + 1
+    lands in, and the one-cell rule: Q with n + 1 is a DIRT exactly when Q
+    is one and ok.
+
+    n + 1, the largest value, may open the bottom row, or end row r at a
+    column right of n's, so that the strips stay in column order, with no
+    lower row ending in that column, where the triple condition would fail.
+    Nothing else about Q changes, and removing n + 1 from a DIRT leaves a
+    DIRT (see dirt._dirt_strip_shape)."""
+    if opens:
+        return shape[:r] + (1,) + shape[r:], 1, r == 0
+    col = shape[r] + 1
+    return shape[:r] + (col,) + shape[r + 1:], col, col > last and col not in shape[:r]
+
+
+# The recording walk's tables, lists indexed by the ids of Ps (p_rows,
+# p_shape) and of (alpha, Q) pairs (q_alpha, q_shape, q_good).
+_Tables = namedtuple("_Tables", "p_rows p_shape q_alpha q_shape q_good")
+
+
+def _recording_walk(max_n: int):
+    """(words, tables) for triple-agreement: words yields (prefix, v, alpha,
+    (p, q)) for every word of _reading_words, with p the id of its P and q
+    the id of (alpha, Q), (P, Q) being insert_word of the word; tables (see
+    _Tables) fills in as words runs.  Shapes are interned, one object each.
 
     A word's P is its parent's P through _insert_raised.  One memo for the
-    whole walk maps each standard (P, v) to (P', new cell), so the core
-    runs once per pair, and interns the rows, tableaux and cells it holds
-    through one dict, so each is held once.  A word's Q is its parent's Q
-    with n, the word's length, at the new cell."""
-    memo, held = {}, {}
+    whole walk maps each (P, v) to (P', new cell), so the core runs once
+    per standard (P, v).  No Q is built: Q' is Q with n + 1 at the cell's
+    _landing, so (alpha', Q') is fixed by (alpha, Q), whether v opens a run
+    and the landing, and one id per such triple is one id per distinct
+    (alpha, Q).  A new id takes its shape and verdict, Q a DIRT of row
+    strip shape reverse(alpha), from its parent's by _one_cell: a DIRT's
+    strips gain a strip exactly when its new value is in column 1, and
+    reverse(alpha) a part exactly when v opens a run."""
+    width = max_n + 1
+    interned = {(): ()}
+    p_ids = {(): 0}
+    tables = _Tables([()], [()], [()], [()], [True])
+    p_rows, p_shape, q_alpha, q_shape, q_good = tables
+    q_col = [0]
+    moves, children = {}, {}
 
-    def step(state, v):
-        p, q, n = state
-        found = memo.get((p, v))
+    def move(p, v):
+        _, after, cell, _ = _insert_raised(p_rows[p], v)
+        after = tuple([interned.setdefault(row, row) for row in after])
+        found = p_ids.get(after)
         if found is None:
-            _, work, cell, _ = _insert_raised(p, v)
-            after = tuple([held.setdefault(row, row) for row in work])
-            found = memo[p, v] = held.setdefault(after, after), held.setdefault(cell, cell)
-        p, cell = found
-        q = list(q)
-        _record(q, cell, n + 1)
-        return p, tuple(q), n + 1
+            found = p_ids[after] = len(p_rows)
+            p_rows.append(after)
+            shape = shape_of(after)
+            p_shape.append(interned.setdefault(shape, shape))
+        return found, interned.setdefault(cell, cell)
 
-    for word, alpha, (p, q, _) in _reading_words(max_n, step, ((), (), 0)):
-        yield word, alpha, (p, q)
+    def grow(q, r, opens, new_run):
+        shape, col, ok = _one_cell(q_shape[q], q_col[q], r, opens)
+        alpha = q_alpha[q]
+        alpha = (1,) + alpha if new_run else (alpha[0] + 1,) + alpha[1:]
+        q_alpha.append(interned.setdefault(alpha, alpha))
+        q_shape.append(interned.setdefault(shape, shape))
+        q_col.append(col)
+        q_good.append(q_good[q] and ok and (col == 1) == new_run)
+        return len(q_col) - 1
+
+    def step(state, v, new_run):
+        p, q = state
+        key = p * width + v
+        found = moves.get(key)
+        if found is None:
+            found = moves[key] = move(p, v)
+        p, cell = found
+        r, opens = _landing(len(q_shape[q]), cell)
+        # r < width: Q has fewer than max_n values.
+        key = ((q * width + r) * 2 + opens) * 2 + new_run
+        child = children.get(key)
+        if child is None:
+            child = children[key] = grow(q, r, opens, new_run)
+        return p, child
+
+    return _reading_words(max_n, step, (0, 0)), tables
 
 
 def _tableau_of(word, alpha):
@@ -271,46 +340,52 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
     shape multisets, direct recording-tableau counts, and forward tree
     leaves; dually, yns_to_imm (the dual rule, counted by row lengths, so
-    no dual tree is built) matches the DIRT column at alpha, read through
-    _dirt_row.  Each distinct recording tableau is checked once to be a
-    DIRT of row strip shape reverse(alpha), reported for the least word
-    that records it, and its shape is read once for both the per-word
-    shape check and the insertion table.
+    no dual tree is built) matches the DIRT column at alpha, read from the
+    transposed _dirt_row rows of its degree.  Each distinct recording
+    tableau of each composition must be a DIRT of row strip shape
+    reverse(alpha), reported for the least word that records it, and each
+    word's P must have its Q's shape.
 
-    The insertions come from _word_insertions, whose walk is not grouped by
-    composition: each composition's distinct recording tableaux are held
-    until it ends, and then the table checks run over compositions(n) for
-    n in 0..max_n.  Failures are sorted back into report order (see
-    _in_report_order) by their keys: (least word, 0) for a bad recording
-    tableau, (word, 1) for a shape mismatch, so a least word's bad
-    recording comes before its shape mismatch, and ((n + 1,),) for a table
-    check, after every word of degree n.  Each table in a table check's
-    message is in compositions(n) order."""
+    The words come from _recording_walk, which keeps one shape and one
+    verdict per distinct (alpha, Q), so the table checks run after the
+    walk, over compositions(n) for n in 0..max_n.  Failures are sorted
+    back into report order (see _in_report_order) by their keys: (least
+    word, 0) for a bad recording tableau, (word, 1) for a shape mismatch,
+    so a least word's bad recording comes before its shape mismatch, and
+    ((n + 1,),) for a table check, after every word of degree n.  Each
+    table in a table check's message is in compositions(n) order."""
     result = SuiteResult("triple-agreement", max_n)
     failed = []
-    # Each composition's distinct recording tableaux, mapped to their
-    # shapes; the walk starts below the empty word.
-    recording = {(): {(): ()}}
-    # The least word that records each bad recording tableau.
+    words, (_, p_shape, q_alpha, q_shape, q_good) = _recording_walk(max_n)
+    # The least word that records each bad (alpha, Q).
     bad = {}
-    for word, alpha, (p, q) in _word_insertions(max_n):
-        shapes = recording.setdefault(alpha, {})
-        shape = shapes.get(q)
-        if shape is None:
-            shape = shapes[q] = shape_of(q)
-            if _dirt_strip_shape(q) != reverse(alpha):
-                bad[alpha, q] = word
-        elif bad and (alpha, q) in bad:
-            bad[alpha, q] = min(bad[alpha, q], word)
-        if shape_of(p) != shape:
+    for prefix, v, alpha, (p, q) in words:
+        if not q_good[q]:
+            word = _child_word(prefix, v)
+            if bad.get(q, word) >= word:
+                bad[q] = word
+        # Interned shapes: equal exactly when the same object.
+        if p_shape[p] is not q_shape[q]:
+            word = _child_word(prefix, v)
             failed.append((alpha, (word, 1), f"shape mismatch for {_tableau_of(word, alpha)}"))
-    failed += [(alpha, (word, 0), f"bad recording tableau for {_tableau_of(word, alpha)}")
-               for (alpha, _), word in bad.items()]
+    failed += [(q_alpha[q], (word, 0), f"bad recording tableau for {_tableau_of(word, q_alpha[q])}")
+               for q, word in bad.items()]
+    # Each composition's distinct recording tableaux counted by shape; the
+    # root is the empty word's.
+    recording = {}
+    for alpha, shape in zip(q_alpha, q_shape):
+        counts = recording.setdefault(alpha, {})
+        counts[shape] = counts.get(shape, 0) + 1
     for n in range(max_n + 1):
         # After every word of degree n, whose letters are at most n.
         after = ((n + 1,),)
+        columns = {}
+        for beta in compositions(n):
+            for alpha, c in _dirt_row(beta).items():
+                if c:
+                    columns.setdefault(alpha, {})[beta] = c
         for alpha in compositions(n):
-            by_insertion = dict(Counter(recording.pop(alpha).values()))
+            by_insertion = recording.pop(alpha)
             counted = dimm_to_yqs(alpha).coeffs
             forward = rw_forward(alpha)[1].coeffs
             result.cases += 1
@@ -320,8 +395,7 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
                                      for table in (by_insertion, counted, forward))
                 failed.append((alpha, after, f"coefficient tables differ at {alpha}: {tables}"))
             result.cases += 1
-            column = {beta: _dirt_row(beta).get(alpha, 0) for beta in compositions(n, len(alpha))}
-            if yns_to_imm(alpha).coeffs != {beta: c for beta, c in column.items() if c}:
+            if yns_to_imm(alpha).coeffs != columns.get(alpha, {}):
                 failed.append((alpha, after, f"dual tree disagrees at {alpha}"))
     result.failures += _in_report_order(failed, max_n)
     return result

@@ -360,11 +360,16 @@ def test_enumerate_dirts_refuses_a_tree_nested_too_deeply(capsys):
 
 
 @pytest.mark.parametrize("fill", [["--standard"], ["--max-entry", "1"]])
-def test_enumerate_tableaux_refuses_a_search_nested_too_deeply(capsys, fill):
+def test_enumerate_tableaux_fills_a_2000_cell_row(capsys, fill):
+    # The filling search keeps its own stack, so a shape past the recursion
+    # limit still gets its one filling.
     code, out, err = run(capsys, "enumerate", "tableaux", "--shape", "2000",
-                         "--kind", "ssyct", *fill)
-    assert (code, out) == (2, "")
-    assert err == "error: the filling search over 2000 cells is nested too deeply\n"
+                         "--kind", "ssyct", "--format", "json", *fill)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    row = list(range(1, 2001)) if fill == ["--standard"] else [1] * 2000
+    assert obj["count"] == 1
+    assert obj["tableaux"] == [[row]]
 
 
 def test_tree_json(capsys):

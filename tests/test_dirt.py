@@ -20,7 +20,6 @@ from qsc.tableaux import (
     shape_of,
     standard_tableaux,
 )
-from qsc.verify import _word_insertions
 
 # Recording tableau with three strips of lengths 1, 3, 3.
 STRIP_EXAMPLE = ((5,), (2, 3, 4, 7), (1, 6))
@@ -124,7 +123,9 @@ def test_dirt_strip_shape_matches_the_reference():
     fillings += [u for n in range(8) for alpha in compositions(n)
                  for kind in ("ssyct", "immaculate")
                  for u in standard_tableaux(alpha, kind)]
-    fillings += [q for _, _, (_, q) in _word_insertions(8)]
+    # The recording tableaux of the reading words up to degree 8, DIRTs all.
+    fillings += [insert_word(immaculate_reading_word(u))[1] for n in range(1, 9)
+                 for alpha in compositions(n) for u in standard_tableaux(alpha, "immaculate")]
     dirts = 0
     for filling in fillings:
         strips = _dirt_strip_shape(filling)

@@ -7,8 +7,8 @@ import pytest
 from qsc import qsym, rw, verify
 from qsc.cli import DEGREE_GUARD, main
 from qsc.compositions import compositions, reverse
-from qsc.dirt import is_dirt, row_strip_shape
-from qsc.insertion import _is_virtuous, insert, insert_word
+from qsc.dirt import _dirt_strip_shape, is_dirt, row_strip_shape
+from qsc.insertion import _is_virtuous, _landing, _record, insert, insert_word
 from qsc.qsym import (
     DUAL_IMMACULATE,
     YOUNG_QS,
@@ -80,9 +80,16 @@ def word_of(codes):
 
 def test_reading_words_walk_each_standard_immaculate_reading_word_once():
     walked = []
-    for word, alpha, codes in verify._reading_words(7, lambda codes, v: codes + (v,), ()):
-        # Each word's state is threaded through its standardized prefixes.
-        assert word_of(codes) == word
+    steps = verify._reading_words(7, lambda state, v, new_run: state + ((v, new_run),), ())
+    for prefix, v, alpha, state in steps:
+        word = verify._child_word(prefix, v)
+        # Each word's state is threaded through its standardized prefixes,
+        # and a letter that opens a run puts a new bottom row under alpha.
+        assert word_of([v for v, _ in state]) == word
+        shape = ()
+        for _, new_run in state:
+            shape = (1,) + shape if new_run else (shape[0] + 1,) + shape[1:]
+        assert shape == alpha
         walked.append((alpha, word))
     assert len(set(walked)) == len(walked)
     assert sorted(walked) == sorted(
@@ -415,7 +422,7 @@ def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "_insert_into", counted)
-    assert sum(1 for _ in verify._word_insertions(7)) == 1155
+    assert sum(1 for _ in verify._recording_walk(7)[0]) == 1155
     # One per (standard P, v) a reading word's prefixes reach, against 1,148
     # when each bottom-row prefix was inserted once per tail entry.
     steps = {(order_type(insert_word(w[:k - 1])[0]), sorted(w[:k]).index(w[k - 1]) + 1)
@@ -423,13 +430,89 @@ def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
     assert calls == len(steps) == 557
 
 
+def walked_records(max_n):
+    """Per word of the recording walk, (word, alpha, P, P's shape, Q's
+    shape, Q's verdict), sorted, and each word's (alpha, Q) id."""
+    words, tables = verify._recording_walk(max_n)
+    records, ids = [], []
+    for prefix, v, alpha, (p, q) in words:
+        word = verify._child_word(prefix, v)
+        records.append((word, alpha, tables.p_rows[p], tables.p_shape[p], tables.q_shape[q],
+                        tables.q_good[q]))
+        ids.append((word, q))
+    # Every id but the empty word's is some word's.
+    assert len({q for _, q in ids}) == len(tables.q_shape) - 1
+    return sorted(records), dict(ids)
+
+
+def plain_records(max_n, insertion):
+    """walked_records from insertion(word) = (P, Q), word by word, and each
+    word's (alpha, Q)."""
+    records, pairs = [], {}
+    for n in range(1, max_n + 1):
+        for alpha in compositions(n):
+            for u in standard_tableaux(alpha, "immaculate"):
+                word = immaculate_reading_word(u)
+                p, q = insertion(word)
+                records.append((word, alpha, p, shape_of(p), shape_of(q),
+                                _dirt_strip_shape(q) == reverse(alpha)))
+                pairs[word] = (alpha, q)
+    return sorted(records), pairs
+
+
+def assert_one_id_per_distinct_q(ids, pairs):
+    # Words share an id exactly when they share alpha and Q.
+    assert ids.keys() == pairs.keys()
+    assert len(set(ids.values())) == len(set(pairs.values()))
+    assert len({(ids[word], pairs[word]) for word in ids}) == len(set(ids.values()))
+
+
 def test_word_insertions_yield_each_reading_word_with_its_insertion():
-    walked = sorted(verify._word_insertions(7))
-    assert len(walked) == 1155
-    assert walked == sorted(
-        (immaculate_reading_word(u), alpha, insert_word(immaculate_reading_word(u)))
-        for n in range(1, 8) for alpha in compositions(n)
-        for u in standard_tableaux(alpha, "immaculate"))
+    # Each word's P is insert_word's, and its Q's shape and verdict, read off
+    # the landing path, are those of insert_word's Q.
+    walked, ids = walked_records(8)
+    assert len(walked) == 5295
+    plain, pairs = plain_records(8, insert_word)
+    assert walked == plain
+    assert all(good for *_, good in walked)
+    assert_one_id_per_distinct_q(ids, pairs)
+    assert len(set(ids.values())) == 1593
+
+
+def test_one_cell_rule_matches_the_dirt_checker():
+    # Every row-increasing standard filling of 1..7 cells, grown by _record
+    # from its parent (its largest value removed) at every landing _record
+    # takes: a new row at each height and an append to each row.  Along the
+    # landing path, the shape, the verdict (the parent's and the one-cell
+    # rule) and the strip shape (a new strip exactly at column 1) are those
+    # of the filling.
+    level = [((), (), 0, True, ())]
+    landings = 0
+    for n in range(7):
+        grown = []
+        for q, shape, last, dirt, strips in level:
+            cells = [(1, h) for h in range(1, len(q) + 2)]
+            cells += [(len(row) + 1, r) for r, row in enumerate(q, start=1)]
+            for cell in cells:
+                work = list(q)
+                _record(work, cell, n + 1)
+                child = tuple(work)
+                shape2, col, ok = verify._one_cell(shape, last, *_landing(len(q), cell))
+                dirt2 = dirt and ok
+                strips2 = strips + (1,) if col == 1 else strips[:-1] + (strips[-1] + 1,)
+                assert shape2 == shape_of(child)
+                assert col == len(next(row for row in child if row[-1] == n + 1))
+                assert _dirt_strip_shape(child) == (strips2 if dirt2 else None)
+                grown.append((child, shape2, col, dirt2, strips2))
+        landings += len(grown)
+        level = grown
+    # Each row-increasing standard filling once: as many as the ordered set
+    # partitions of 1..n, for n = 1..7.
+    assert landings == 52609
+    assert len({q for q, *_ in level}) == len(level) == 47293
+    # The DIRTs of 7 cells, as the DIRT counts have them.
+    assert sum(dirt for *_, dirt, _ in level) == sum(
+        sum(qsym._dirt_row(alpha).values()) for alpha in compositions(7))
 
 
 # Two more faults on insertions from a tableau of order type INSERTED_INTO,
@@ -461,57 +544,63 @@ def swap_lowest_row_ends(monkeypatch):
     monkeypatch.setattr(verify, "_insert_into", swapped)
 
 
+def replay(word):
+    """(P, Q) of word through verify's core, which a test may patch."""
+    p, q = [], []
+    for j, k in enumerate(word, start=1):
+        _record(q, verify._insert_into(p, k)[0], j)
+    return tuple(p), tuple(q)
+
+
+def replayed(word, q):
+    """triple_agreement_word_by_word's recording tableau under a patched core."""
+    return replay(word)[1]
+
+
 @pytest.mark.parametrize("fault", [move_cells_to_the_corner, swap_lowest_row_ends])
 def test_insertions_match_a_plain_word_loop_under_a_core_fault(monkeypatch, fault):
     # Every letter of every word goes through the core, letter 1 too: a
     # fault there shows in the walk as in the loop.
     fault(monkeypatch)
-    plain = []
-    for n in range(1, 7):
-        for alpha in compositions(n):
-            for u in standard_tableaux(alpha, "immaculate"):
-                word = immaculate_reading_word(u)
-                p, q = [], []
-                for j, k in enumerate(word, start=1):
-                    verify._record(q, verify._insert_into(p, k)[0], j)
-                plain.append((word, alpha, (tuple(p), tuple(q))))
-    walked = sorted(verify._word_insertions(6))
-    assert walked == sorted(plain)
+    walked, ids = walked_records(6)
+    plain, pairs = plain_records(6, replay)
+    assert walked == plain
+    assert_one_id_per_distinct_q(ids, pairs)
     # The fault changes some entries, so the comparison is not vacuous.
-    assert sum(pq != insert_word(word) for word, _, pq in walked) > 0
+    assert any(replay(word) != insert_word(word) for word in pairs)
+
+
+def record_in_one_row(monkeypatch):
+    # Every insertion reports the cell (2, 1): P is right, and Q is the one
+    # row 1..n, a DIRT of strip shape (n,).
+    real = verify._insert_into
+
+    def in_one_row(work, k, events=None):
+        return (2, 1), real(work, k, events)[1]
+
+    monkeypatch.setattr(verify, "_insert_into", in_one_row)
+
+
+def least_reading_words(alphas):
+    """The tableau of each alpha's least reading word."""
+    return [min(standard_tableaux(alpha, "immaculate"), key=immaculate_reading_word)
+            for alpha in alphas]
 
 
 def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
-    real = verify._word_insertions
-
-    def all_ones(max_n):
-        # Same shapes, but no filling with two or more cells is standard.
-        for word, alpha, (p, q) in real(max_n):
-            yield word, alpha, (p, tuple((1,) * len(row) for row in q))
-
-    monkeypatch.setattr(verify, "_word_insertions", all_ones)
+    record_in_one_row(monkeypatch)
     result = run_suite("triple-agreement", 4)
-    assert not result.passed
-    assert all(f.startswith("bad recording tableau for ") for f in result.failures)
-    # One report per distinct fake tableau, that is per shape the words of
-    # alpha insert to, not one per word (13 reports against 15 words at n = 4).
-    assert len(result.failures) == sum(
-        len(dimm_to_yqs(alpha).coeffs) for n in (2, 3, 4) for alpha in compositions(n))
-    # Reported by degree, then composition, then for the least reading word
-    # that inserts to each shape.
-    expected = []
-    for n in (2, 3, 4):
-        for alpha in compositions(n):
-            shapes = set()
-            for u in standard_tableaux(alpha, "immaculate"):
-                shape = shape_of(insert_word(immaculate_reading_word(u))[1])
-                if shape not in shapes:
-                    shapes.add(shape)
-                    expected.append(f"bad recording tableau for {u}")
-    # The words 3124 and 4123 of alpha = (3, 1) both insert to shape (3, 1).
-    assert "bad recording tableau for ((1, 2, 4), (3,))" in result.failures
-    assert "bad recording tableau for ((1, 2, 3), (4,))" not in result.failures
-    assert result.failures == expected
+    # Every word of alpha records the one row, a DIRT of strip shape (n,):
+    # one report per composition other than (n,), not one per word (7
+    # reports against 14 words at n = 4), for its least reading word.
+    bad = [f for f in result.failures if f.startswith("bad recording tableau for ")]
+    alphas = [alpha for n in (2, 3, 4) for alpha in compositions(n) if len(alpha) > 1]
+    assert bad == [f"bad recording tableau for {u}" for u in least_reading_words(alphas)]
+    assert len(bad) == 11
+    # The words 2134, 3124 and 4123 of alpha = (3, 1) record the same row.
+    assert "bad recording tableau for ((1, 3, 4), (2,))" in result.failures
+    assert "bad recording tableau for ((1, 2, 4), (3,))" not in result.failures
+    assert result.failures == triple_agreement_word_by_word(4, replayed)
 
 
 def triple_agreement_word_by_word(max_n, recorded):
@@ -549,33 +638,31 @@ def triple_agreement_word_by_word(max_n, recorded):
 
 
 def test_triple_agreement_keeps_the_word_order_under_a_two_check_fault(monkeypatch):
-    real = verify._word_insertions
-
-    def grown(word, q):
-        # One cell too many: Q is no DIRT of the right strips, and has
-        # another shape than P.
-        return (q[0] + (len(word) + 1,),) + q[1:]
-
-    def grow_bottom_rows(max_n):
-        for word, alpha, (p, q) in real(max_n):
-            yield word, alpha, (p, grown(word, q))
-
-    monkeypatch.setattr(verify, "_word_insertions", grow_bottom_rows)
-    result = run_suite("triple-agreement", 5)
-    # The walk meets a recording tableau first at a word other than its
-    # least, yet its report comes first among the least word's failures.
-    assert result.failures[:2] == ["bad recording tableau for ((1,),)",
-                                   "shape mismatch for ((1,),)"]
-    assert len(result.failures) == 163
-    assert result.failures == triple_agreement_word_by_word(5, grown)
+    # Q opens a bottom row where P does not: no DIRT of the right strips,
+    # and of another shape than P.
+    move_cells_to_the_corner(monkeypatch)
+    result = run_suite("triple-agreement", 7)
+    assert result.failures[:2] == ["bad recording tableau for ((1, 3, 4, 5), (2,))",
+                                   "shape mismatch for ((1, 3, 4, 5), (2,))"]
+    assert len(result.failures) == 152
+    assert result.failures == triple_agreement_word_by_word(7, replayed)
+    # The walk meets one such Q first at a word other than its least, yet
+    # its report comes first among the least word's failures.
+    words, tables = verify._recording_walk(7)
+    first, least = {}, {}
+    for prefix, v, alpha, (_, q) in words:
+        word = verify._child_word(prefix, v)
+        first.setdefault(q, word)
+        least[q] = min(least.get(q, word), word)
+    late = [q for q, word in least.items() if first[q] != word]
+    assert len(late) == 1 and not tables.q_good[late[0]]
+    u = verify._tableau_of(least[late[0]], tables.q_alpha[late[0]])
+    at = result.failures.index(f"bad recording tableau for {u}")
+    assert result.failures[at + 1] == f"shape mismatch for {u}"
 
 
 def test_triple_agreement_reports_a_table_after_its_words_in_composition_order(monkeypatch):
-    real_insertions, real_counts = verify._word_insertions, verify.dimm_to_yqs
-
-    def all_ones(max_n):
-        for word, alpha, (p, q) in real_insertions(max_n):
-            yield word, alpha, (p, tuple((1,) * len(row) for row in q))
+    real_counts = verify.dimm_to_yqs
 
     def miscounted(alpha):
         # (2, 1)'s table, reversed and with its diagonal raised by one.
@@ -585,22 +672,21 @@ def test_triple_agreement_reports_a_table_after_its_words_in_composition_order(m
         coeffs = {beta: c + (beta == alpha) for beta, c in reversed(table.coeffs.items())}
         return BasisExpansion(table.basis, table.degree, coeffs)
 
-    monkeypatch.setattr(verify, "_word_insertions", all_ones)
+    record_in_one_row(monkeypatch)
     monkeypatch.setattr(verify, "dimm_to_yqs", miscounted)
-    # At degree 7 the walk also meets some tableaux first at a word other
-    # than their least.
     result = run_suite("triple-agreement", 7)
-    # The walk meets shape (1, 2) before (2, 1), but each table prints in
+    # The count holds (1, 2) before (2, 1), but each table prints in
     # compositions(3) order.
     message = ("coefficient tables differ at (2, 1): "
-               "{(2, 1): 1, (1, 2): 1} vs {(2, 1): 2, (1, 2): 1} vs {(2, 1): 1, (1, 2): 1}")
-    # After (2, 1)'s two bad recording reports and before (1, 2)'s.
+               "{(3,): 1} vs {(2, 1): 2, (1, 2): 1} vs {(2, 1): 1, (1, 2): 1}")
+    # After (2, 1)'s bad recording report and its words' shape mismatches,
+    # and before (1, 2)'s report.
     at = result.failures.index(message)
-    assert result.failures[at - 2:at] == ["bad recording tableau for ((1, 3), (2,))",
-                                          "bad recording tableau for ((1, 2), (3,))"]
+    assert result.failures[at - 3:at] == ["bad recording tableau for ((1, 3), (2,))",
+                                          "shape mismatch for ((1, 3), (2,))",
+                                          "shape mismatch for ((1, 2), (3,))"]
     assert result.failures[at + 1] == "bad recording tableau for ((1,), (2, 3))"
-    assert result.failures == triple_agreement_word_by_word(
-        7, lambda word, q: tuple((1,) * len(row) for row in q))
+    assert result.failures == triple_agreement_word_by_word(7, replayed)
 
 
 def test_triple_agreement_builds_no_dual_tree(monkeypatch):
@@ -661,12 +747,6 @@ def test_word_suites_report_a_cell_above_the_top_row(monkeypatch, capsys):
     # Some of the misreported cells lie past Q's top row: Q opens a row
     # there, and only triple-agreement, which reads Q, fails.
     misreport_cells_into(monkeypatch)
-
-    def replayed(word, q):
-        p, q = [], []
-        for j, k in enumerate(word, start=1):
-            verify._record(q, verify._insert_into(p, k)[0], j)
-        return tuple(q)
 
     result = run_suite("triple-agreement", 6)
     assert len(result.failures) == 45
