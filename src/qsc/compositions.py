@@ -98,12 +98,15 @@ def subset_to_composition(subset, n: int) -> Composition:
 @lru_cache(maxsize=None, typed=True)
 def compositions(n: int, length: int | None = None) -> tuple[Composition, ...]:
     """All compositions of n, largest-first-part first (lexicographically
-    decreasing).  With length given, only those with that many parts: the
-    length blocks are the unit enumerated, and all of n is their merge."""
+    decreasing).  With length given, only those with that many parts,
+    enumerated as one block; without, each first part k from n down to 1
+    followed by the compositions of n - k, cached, so each smaller n is
+    built once."""
     _check_count("n", n)
     if length is None:
-        blocks = (compositions(n, ell) for ell in range(n + 1))
-        return tuple(sorted(itertools.chain.from_iterable(blocks), reverse=True))
+        if n == 0:
+            return ((),)
+        return tuple([(k,) + rest for k in range(n, 0, -1) for rest in compositions(n - k)])
     _check_count("length", length)
     if length == 0 or length > n:
         return ((),) if n == length else ()

@@ -407,7 +407,11 @@ def is_symmetric(f: BasisExpansion) -> bool:
     return True
 
 
-@cache
+# The DIRT rows counted so far, by alpha (see _dirt_row); a route reads a
+# row through _dirt_row, and _dirt_row looks a tail's row up here.
+_DIRT_ROWS: dict[Composition, dict[Composition, int]] = {}
+
+
 def _dirt_row(alpha: Composition) -> dict[Composition, int]:
     # Dual immaculate alpha in Young quasisymmetric Schur terms: the counts,
     # by shape, of the recording tableaux whose row strip shape is
@@ -417,16 +421,26 @@ def _dirt_row(alpha: Composition) -> dict[Composition, int]:
     # ell - s - 1, and each later member ends row r at col = lengths[r] + 1
     # when col > last and no row below r ends at col (an unopened row offers
     # col 1 <= last).  rw_forward enumerates the same tableaux independently.
+    # The strips before the last are alpha[1:]'s, one row higher, and the
+    # unopened bottom row takes none of them, so when alpha[1:]'s row is
+    # cached the count starts from it, a 0 put in front of each state, and
+    # places only the last strip; no row is counted that no caller asked for.
     # A step per cell: a degree past sys.maxsize is refused, not looped over.
+    row = _DIRT_ROWS.get(alpha)
+    if row is not None:
+        return row
     if sum(alpha) > sys.maxsize:
         raise OverflowError(f"degree {sum(alpha)} is too large to count")
     ell = len(alpha)
-    states = {(0,) * ell: 1}
-    for s, size in enumerate(reversed(alpha)):
-        anchor = ell - s - 1
+    tail = _DIRT_ROWS.get(alpha[1:]) if alpha else None
+    if tail is None:
+        states, anchors = {(0,) * ell: 1}, reversed(range(ell))
+    else:
+        states, anchors = {(0,) + lengths: c for lengths, c in tail.items()}, (0,)
+    for anchor in anchors:
         grown = {(lengths[:anchor] + (1,) + lengths[anchor + 1:], 1): c
                  for lengths, c in states.items()}
-        for _ in range(size - 1):
+        for _ in range(alpha[anchor] - 1):
             placed = {}
             for (lengths, last), c in grown.items():
                 for r, length in enumerate(lengths):
@@ -438,36 +452,40 @@ def _dirt_row(alpha: Composition) -> dict[Composition, int]:
         states = {}
         for (lengths, _), c in grown.items():
             states[lengths] = states.get(lengths, 0) + c
+    _DIRT_ROWS[alpha] = states
     return states
 
 
-def _lowest_ends(lens: list[int] | tuple[int, ...]) -> dict[int, int]:
-    """Maps each row length to the lowest row of that length, so a column c
-    maps to the lowest row ending in it."""
-    return dict(zip(reversed(lens), range(len(lens) - 1, -1, -1)))
-
-
-def _open_rows(alpha: Composition, lens: list[int] | tuple[int, ...], top: int,
-               lowest: dict[int, int], last_col: int) -> list[int]:
-    """The dual tree's placement rule: the started rows top..ell-1 whose
-    next cell may take a level's next value after column last_col, in
-    (next column, row) order.  That cell must lie right of last_col, inside
-    alpha, and not in a column where a row below ended when the level began
-    (lowest, see _lowest_ends)."""
-    ell = len(alpha)
-    rows = []
-    for r in range(top, ell):
-        c = lens[r]
-        if last_col <= c < alpha[r] and lowest.get(c + 1, ell) > r:
-            rows.append(r)
-    # A stable sort keeps row order within a column.
-    rows.sort(key=lens.__getitem__)
-    return rows
+def _row_runs(alpha: Composition, lens: list[int] | tuple[int, ...],
+              top: int) -> list[tuple[int, int]]:
+    """The dual tree's placement rule for one level, read as row runs:
+    (r, end) for each started row r in top..ell-1, in row order, whose next
+    cell may take one of the level's values, with lens the row lengths once
+    the level's first value is in column 1 of row top.  A later value may
+    go in the cell right of row r's end when that cell lies right of the
+    previous value's, inside alpha, and not in a column where a row below
+    ended when the level began.  Only the first of these tests changes
+    within a level, and filling a cell moves the row's next cell one column
+    right, so row r is open to the next value after column last exactly
+    when last <= lens[r] < end, end the first length whose next cell the
+    rule refuses.  The readers take the open rows in (next column, row)
+    order, a stable sort of the row lengths."""
+    runs, ended = [], set()
+    for r in range(top, len(alpha)):
+        start = end = lens[r]
+        # ended holds row top's 1, not its 0, but no started row's next
+        # cell is in column 1.
+        while end < alpha[r] and end + 1 not in ended:
+            end += 1
+        if end > start:
+            runs.append((r, end))
+        ended.add(start)
+    return runs
 
 
 def _dual_row(alpha: Composition) -> dict[Composition, int]:
     # rw_dual's complete fillings by value multiplicities, last level first,
-    # over row-length states (_open_rows reads no more); alpha must be checked
+    # over row-length states (_row_runs reads no more); alpha must be checked
     # first.  A forward pass lists each state's placements, and a backward
     # pass folds tails {state: (cells, {later levels' multiplicities: count})}.
     # A step per cell: a degree past sys.maxsize is refused, not looped over.
@@ -478,15 +496,19 @@ def _dual_row(alpha: Composition) -> dict[Composition, int]:
     for top in reversed(range(ell)):
         steps, reached = {}, {}
         for lens in states:
-            lowest = _lowest_ends(lens)
+            first = lens[:top] + (1,) + lens[top + 1:]
+            runs = _row_runs(alpha, first, top)
             afters = []
-            stack = [(lens[:top] + (1,) + lens[top + 1:], 1)]
+            stack = [(first, 1)]
             while stack:
                 now, last = stack.pop()
                 # The last level holds only the complete filling, not dead ends.
                 if top or now == alpha:
                     afters.append(reached.setdefault(now, now))
-                for r in _open_rows(alpha, now, top, lowest, last):
+                rows = [r for r, end in runs if last <= now[r] < end]
+                if len(rows) > 1:
+                    rows.sort(key=now.__getitem__)
+                for r in rows:
                     col = now[r] + 1
                     stack.append((now[:r] + (col,) + now[r + 1:], col))
             if afters:

@@ -12,13 +12,15 @@ of the row lengths, so children come out in the order of the cells they
 fill.  Each builder defines its recursion once per call: build makes a node
 and a second function places the node's next values, taking the level's
 state as arguments.  A value may not end a row in a column where a lower
-row ends; one map per level, from a column to the lowest row that ended
-there when the level began, answers that.  In the forward tree the rows a
-level has changed end left of its next placement, so the rows that end in
-that column are the same ones as when the level began.  The dual tree's
-placement rule reads only row lengths and lives in qsym._open_rows, which
-qsym._dual_row reads too to count the leaves for yns_to_imm.  Both trees
-serialize to JSON, built with an explicit stack, and to DOT.
+row ends.  In the forward tree one map per level, from a column to the
+lowest row that ended there when the level began, answers that: the rows
+a level has changed end left of its next placement, so the rows that end
+in that column are the same ones as when the level began.  The dual
+tree's placement rule reads only row lengths and lives in qsym._row_runs,
+which gives once per level each started row's run, the columns its next
+cells may take; qsym._dual_row reads the same runs to count the leaves
+for yns_to_imm.  Both trees serialize to JSON, built with an explicit
+stack, and to DOT.
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ from collections import namedtuple
 
 from . import qsym
 from .compositions import Composition, check_composition
-from .qsym import IMMACULATE, YOUNG_QS, BasisExpansion, _lowest_ends
+from .qsym import IMMACULATE, YOUNG_QS, BasisExpansion
 
 Cellvalue = int | None
 PartialRows = tuple[tuple[Cellvalue, ...], ...]
+
+
+def _lowest_ends(lens: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """Maps each row length to the lowest row of that length, so a column c
+    maps to the lowest row ending in it."""
+    return dict(zip(reversed(lens), range(len(lens) - 1, -1, -1)))
 
 
 class Node(namedtuple("Node", "filling children key", defaults=(None,))):
@@ -59,21 +67,24 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
     alpha = check_composition(alpha)
     ell = len(alpha)
     counts: dict[Composition, int] = {}
-    # The root row, or no row for (): that root is then its only leaf.
+    # The root row, or no row for (): that root is then its only leaf.  lens
+    # holds the row lengths, in step with rows.
     rows = [tuple(range(1, last + 1)) for last in alpha[-1:]]
+    lens = list(alpha[-1:])
 
     def build() -> Node:
         filling = tuple(rows)
         if len(rows) == ell:
-            shape = tuple(map(len, rows))
+            shape = tuple(lens)
             counts[shape] = counts.get(shape, 0) + 1
             return Node(filling, (), shape)
         children: list[Node] = []
-        start = sum(map(len, rows)) + 1
+        start = sum(lens) + 1
         rows.insert(0, (start,))
-        lowest = _lowest_ends(list(map(len, rows)))
+        lens.insert(0, 1)
+        lowest = _lowest_ends(lens)
         extend(start + 1, 1, start + alpha[ell - len(rows)], lowest, children)
-        del rows[0]
+        del rows[0], lens[0]
         return Node(filling, tuple(children))
 
     def extend(value: int, last_col: int, stop: int, lowest: dict[int, int],
@@ -81,14 +92,13 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
         if value == stop:
             children.append(build())
             return
-        lens = list(map(len, rows))
         for r in sorted(range(len(lens)), key=lens.__getitem__):
             col = lens[r] + 1
             if col > last_col and lowest.get(col, ell) > r:
                 old = rows[r]
-                rows[r] = old + (value,)
+                rows[r], lens[r] = old + (value,), col
                 extend(value + 1, col, stop, lowest, children)
-                rows[r] = old
+                rows[r], lens[r] = old, col - 1
 
     return build(), BasisExpansion._built(YOUNG_QS, sum(alpha), counts)
 
@@ -122,24 +132,25 @@ def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:
         # Level writes row top first, so rows top..ell-1 are the started
         # ones; row r may not end where a row below ended before the level.
         top = ell - level
-        lowest = _lowest_ends(lens)
         children: list[Node] = []
         row = rows[top]
         rows[top], lens[top] = (level,) + row[1:], 1
-        options(level, beta, top, lowest, children, 1, 1)
+        options(level, beta, qsym._row_runs(alpha, lens, top), children, 1, 1)
         rows[top], lens[top] = row, 0
         return Node(filling, tuple(children))
 
-    def options(level: int, beta: Composition, top: int, lowest: dict[int, int],
+    def options(level: int, beta: Composition, runs: list[tuple[int, int]],
                 children: list[Node], last_col: int, count: int) -> None:
         children.append(build(level + 1, (count,) + beta))
-        for r in qsym._open_rows(alpha, lens, top, lowest, last_col):
+        open_rows = [r for r, end in runs if last_col <= lens[r] < end]
+        open_rows.sort(key=lens.__getitem__)
+        for r in open_rows:
             c = lens[r]
             # The free cell is column c + 1, at index c of the padded row.
             row = rows[r]
             rows[r] = row[:c] + (level,) + row[c + 1:]
             lens[r] = c + 1
-            options(level, beta, top, lowest, children, c + 1, count + 1)
+            options(level, beta, runs, children, c + 1, count + 1)
             rows[r], lens[r] = row, c
 
     return build(1, ()), BasisExpansion._built(IMMACULATE, sum(alpha), counts)

@@ -88,7 +88,8 @@ def _reading_words(max_n: int, step, root):
     every standard immaculate reading word _child_word(prefix, v) of degree
     1..max_n, alpha its tableau's shape, depth first as a prefix tree: a
     word's parent is prefix, its prefix one letter shorter, standardized,
-    and its state is step(parent's state, v, v opens a run).
+    and its state is step(parent's state, v, v opens a run, the word is a
+    leaf).
 
     A word on 1..n is such a reading word exactly when its maximal
     increasing runs, its rows read top row first, have decreasing first
@@ -99,8 +100,10 @@ def _reading_words(max_n: int, step, root):
     (v > l), the bottom row.  The root's one child is the word 1.  A word
     is built only as its children's prefix: the leaves, the words of degree
     max_n and most of the walk, are not, and a reader builds the words it
-    needs."""
-    stack = [((), 1, (1,), step(root, 1, True), 1, 1)] if max_n > 0 else []
+    needs.  Leaves are not stacked: a node steps its leaf children in the
+    order other nodes stack their children and yields them in the order
+    those are popped."""
+    stack = [((), 1, (1,), step(root, 1, True, max_n == 1), 1, 1)] if max_n > 0 else []
     while stack:
         prefix, v, alpha, state, f, l = stack.pop()
         yield prefix, v, alpha, state
@@ -109,11 +112,16 @@ def _reading_words(max_n: int, step, root):
             word = _child_word(prefix, v)
             # Siblings share their shape.
             below = (1,) + alpha
-            for w in range(1, f + 1):
-                stack.append((word, w, below, step(state, w, True), w, w))
             longer = (alpha[0] + 1,) + alpha[1:]
-            for w in range(l + 1, j + 2):
-                stack.append((word, w, longer, step(state, w, False), f, w))
+            if j + 1 < max_n:
+                for w in range(1, f + 1):
+                    stack.append((word, w, below, step(state, w, True, False), w, w))
+                for w in range(l + 1, j + 2):
+                    stack.append((word, w, longer, step(state, w, False, False), f, w))
+                continue
+            leaves = [(word, w, below, step(state, w, True, True)) for w in range(1, f + 1)]
+            leaves += [(word, w, longer, step(state, w, False, True)) for w in range(l + 1, j + 2)]
+            yield from reversed(leaves)
 
 
 def _inverse_checks():
@@ -215,7 +223,7 @@ def verify_inverse(max_n: int) -> SuiteResult:
     result = SuiteResult("inverse", max_n)
     step = _inverse_checks()
 
-    def grow(state, v, _):
+    def grow(state, v, *_):
         p, cases, records = state
         if p is None:
             return state
@@ -260,67 +268,103 @@ def _one_cell(shape, last, r, opens):
 
 
 # The recording walk's tables, lists indexed by the ids of Ps (p_rows,
-# p_shape) and of (alpha, Q) pairs (q_alpha, q_shape, q_good).
+# p_shape) and of (alpha, Q) pairs (q_alpha, q_shape, q_good).  A leaf's P
+# keeps only its shape: its rows are None.
 _Tables = namedtuple("_Tables", "p_rows p_shape q_alpha q_shape q_good")
+
+# A memo value or child key packs an id into its low _ID_BITS bits; a walk
+# with 2**40 ids would not fit in memory.
+_ID_BITS = 40
+_ID_MASK = (1 << _ID_BITS) - 1
 
 
 def _recording_walk(max_n: int):
     """(words, tables) for triple-agreement: words yields (prefix, v, alpha,
-    (p, q)) for every word of _reading_words, with p the id of its P and q
-    the id of (alpha, Q), (P, Q) being insert_word of the word; tables (see
+    (p, q)) for every word of _reading_words, with p the id of its P (of
+    P's shape at a leaf) and q the id of (alpha, Q), (P, Q) being
+    insert_word of the word; tables (see
     _Tables) fills in as words runs.  Shapes are interned, one object each.
 
     A word's P is its parent's P through _insert_raised.  One memo for the
-    whole walk maps each (P, v) to (P', new cell), so the core runs once
-    per standard (P, v).  No Q is built: Q' is Q with n + 1 at the cell's
-    _landing, so (alpha', Q') is fixed by (alpha, Q), whether v opens a run
-    and the landing, and one id per such triple is one id per distinct
-    (alpha, Q).  A new id takes its shape and verdict, Q a DIRT of row
-    strip shape reverse(alpha), from its parent's by _one_cell: a DIRT's
-    strips gain a strip exactly when its new value is in column 1, and
-    reverse(alpha) a part exactly when v opens a run."""
+    whole walk maps each (P, v) to P' and the new cell's code, one code per
+    distinct cell, so the core runs once per standard (P, v).  A leaf's P'
+    is never inserted into again, so a leaf step inserts v - 1/2 into P as
+    it stands: the cores only compare letters, and v - 1/2 sits among P's
+    letters as v does among them raised.  Only the shape of that P' is
+    kept, one id per distinct leaf shape.
+
+    No Q is built: Q' is Q with n + 1 at the cell's _landing, so (alpha',
+    Q') is fixed by (alpha, Q), whether v opens a run and the landing, and
+    one id per such triple is one id per distinct (alpha, Q).  A child is
+    looked up by its cell's code, and only a miss computes the landing and
+    looks the child up by it, so two cells with one landing, which only a
+    faulty core reports, share the id.  A new id takes its shape and
+    verdict, Q a DIRT of row strip shape reverse(alpha), from its parent's
+    by _one_cell: a DIRT's strips gain a strip exactly when its new value
+    is in column 1, and reverse(alpha) a part exactly when v opens a run."""
     width = max_n + 1
     interned = {(): ()}
     p_ids = {(): 0}
+    leaf_ids = {}
     tables = _Tables([()], [()], [()], [()], [True])
     p_rows, p_shape, q_alpha, q_shape, q_good = tables
     q_col = [0]
-    moves, children = {}, {}
+    codes, cells = {}, []
+    moves, children, landed = {}, {}, {}
 
-    def move(p, v):
-        _, after, cell, _ = _insert_raised(p_rows[p], v)
-        after = tuple([interned.setdefault(row, row) for row in after])
-        found = p_ids.get(after)
-        if found is None:
-            found = p_ids[after] = len(p_rows)
-            p_rows.append(after)
-            shape = shape_of(after)
-            p_shape.append(interned.setdefault(shape, shape))
-        return found, interned.setdefault(cell, cell)
+    def move(p, v, leaf):
+        if leaf:
+            work = list(p_rows[p])
+            cell, _ = _insert_into(work, v - 0.5)
+            shape = shape_of(work)
+            found = leaf_ids.get(shape)
+            if found is None:
+                found = leaf_ids[shape] = len(p_rows)
+                p_rows.append(None)
+                p_shape.append(interned.setdefault(shape, shape))
+        else:
+            _, after, cell, _ = _insert_raised(p_rows[p], v)
+            after = tuple([interned.setdefault(row, row) for row in after])
+            found = p_ids.get(after)
+            if found is None:
+                found = p_ids[after] = len(p_rows)
+                p_rows.append(after)
+                shape = shape_of(after)
+                p_shape.append(interned.setdefault(shape, shape))
+        code = codes.get(cell)
+        if code is None:
+            code = codes[cell] = len(cells)
+            cells.append(cell)
+        return code << _ID_BITS | found
 
-    def grow(q, r, opens, new_run):
-        shape, col, ok = _one_cell(q_shape[q], q_col[q], r, opens)
-        alpha = q_alpha[q]
-        alpha = (1,) + alpha if new_run else (alpha[0] + 1,) + alpha[1:]
-        q_alpha.append(interned.setdefault(alpha, alpha))
-        q_shape.append(interned.setdefault(shape, shape))
-        q_col.append(col)
-        q_good.append(q_good[q] and ok and (col == 1) == new_run)
-        return len(q_col) - 1
+    def land(q, cell, new_run):
+        r, opens = _landing(len(q_shape[q]), cell)
+        # r < width: Q has fewer than max_n values.
+        key = ((q * width + r) * 2 + opens) * 2 + new_run
+        child = landed.get(key)
+        if child is None:
+            shape, col, ok = _one_cell(q_shape[q], q_col[q], r, opens)
+            alpha = q_alpha[q]
+            alpha = (1,) + alpha if new_run else (alpha[0] + 1,) + alpha[1:]
+            q_alpha.append(interned.setdefault(alpha, alpha))
+            q_shape.append(interned.setdefault(shape, shape))
+            q_col.append(col)
+            q_good.append(q_good[q] and ok and (col == 1) == new_run)
+            child = landed[key] = len(q_col) - 1
+        return child
 
-    def step(state, v, new_run):
+    def step(state, v, new_run, leaf):
         p, q = state
         key = p * width + v
         found = moves.get(key)
         if found is None:
-            found = moves[key] = move(p, v)
-        p, cell = found
-        r, opens = _landing(len(q_shape[q]), cell)
-        # r < width: Q has fewer than max_n values.
-        key = ((q * width + r) * 2 + opens) * 2 + new_run
+            found = moves[key] = move(p, v, leaf)
+        p = found & _ID_MASK
+        # found with q for p: the cell's code, q and new_run in one int.
+        key = (found ^ p | q) << 1 | new_run
         child = children.get(key)
         if child is None:
-            child = children[key] = grow(q, r, opens, new_run)
+            child = children[key] = land(q, cells[found >> _ID_BITS], new_run)
         return p, child
 
     return _reading_words(max_n, step, (0, 0)), tables

@@ -44,6 +44,15 @@ def test_compositions_counts():
         assert compositions(n) == tuple(sorted(compositions(n), reverse=True))
 
 
+def test_compositions_by_first_part_are_the_merged_length_blocks():
+    # The first-part recursion gives the tuples the sorted merge of the
+    # length blocks gave.
+    for n in range(15):
+        merged = tuple(sorted(itertools.chain.from_iterable(
+            compositions(n, length) for length in range(n + 1)), reverse=True))
+        assert compositions(n) == merged
+
+
 def test_compositions_by_length():
     assert compositions(4, length=2) == ((3, 1), (2, 2), (1, 3))
     assert compositions(3, length=4) == ()

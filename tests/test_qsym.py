@@ -445,9 +445,26 @@ def test_each_dirt_route_counts_only_the_rows_it_reads(route, rows):
     # One row for dimm_to_yqs, the rows the peel pivots on for yqs_to_dimm,
     # for the survey at 7 every composition of 7 once, and none for
     # yns_to_imm, which counts the dual rule.
-    qsym._dirt_row.cache_clear()
+    qsym._DIRT_ROWS.clear()
     route()
-    assert qsym._dirt_row.cache_info().currsize == rows
+    assert len(qsym._DIRT_ROWS) == rows
+
+
+def test_a_dirt_row_from_its_cached_tail_is_the_row_counted_from_scratch():
+    # Each row alone is counted from scratch.  Filled in ascending degree,
+    # every row's tail alpha[1:] is cached first, so the count starts from
+    # it; filled in reverse, none is.  Both give the same rows, keys in the
+    # same order.
+    alphas = [alpha for n in range(9) for alpha in compositions(n)]
+    scratch = {}
+    for alpha in alphas:
+        qsym._DIRT_ROWS.clear()
+        scratch[alpha] = list(qsym._dirt_row(alpha).items())
+    for order in (alphas, alphas[::-1]):
+        qsym._DIRT_ROWS.clear()
+        for alpha in order:
+            assert (alpha[1:] in qsym._DIRT_ROWS) == (order is alphas and alpha != ())
+            assert list(qsym._dirt_row(alpha).items()) == scratch[alpha], alpha
 
 
 def test_symmetry_characterization():

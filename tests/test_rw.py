@@ -226,9 +226,8 @@ def test_dual_tree_and_counts_read_one_placement_rule(monkeypatch):
     # A fault in the shared rule: a value may end a row in a column where a
     # lower row ended.  yns_to_imm then disagrees with the DIRT column, and
     # the tree's bytes change, so both paths read the one rule.
-    real = qsym._open_rows
-    monkeypatch.setattr(qsym, "_open_rows", lambda alpha, lens, top, lowest, last_col:
-                        real(alpha, lens, top, {}, last_col))
+    monkeypatch.setattr(qsym, "_row_runs", lambda alpha, lens, top: [
+        (r, alpha[r]) for r in range(top, len(alpha)) if lens[r] < alpha[r]])
     assert run_suite("triple-agreement", 4).passed
     assert run_suite("triple-agreement", 5).failures == ["dual tree disagrees at (1, 2, 2)"]
     digest = hashlib.sha256()

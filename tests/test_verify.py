@@ -80,8 +80,13 @@ def word_of(codes):
 
 def test_reading_words_walk_each_standard_immaculate_reading_word_once():
     walked = []
-    steps = verify._reading_words(7, lambda state, v, new_run: state + ((v, new_run),), ())
-    for prefix, v, alpha, state in steps:
+
+    def step(state, v, new_run, leaf):
+        # Exactly the words of degree max_n are leaves.
+        assert leaf == (len(state) + 1 == 7)
+        return state + ((v, new_run),)
+
+    for prefix, v, alpha, state in verify._reading_words(7, step, ()):
         word = verify._child_word(prefix, v)
         # Each word's state is threaded through its standardized prefixes,
         # and a letter that opens a run puts a new bottom row under alpha.
@@ -432,16 +437,21 @@ def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
 
 def walked_records(max_n):
     """Per word of the recording walk, (word, alpha, P, P's shape, Q's
-    shape, Q's verdict), sorted, and each word's (alpha, Q) id."""
+    shape, Q's verdict), sorted, and each word's (alpha, Q) id.  A leaf, a
+    word of degree max_n, keeps only P's shape: its P is None."""
     words, tables = verify._recording_walk(max_n)
-    records, ids = [], []
+    records, ids, leaves = [], [], set()
     for prefix, v, alpha, (p, q) in words:
         word = verify._child_word(prefix, v)
         records.append((word, alpha, tables.p_rows[p], tables.p_shape[p], tables.q_shape[q],
                         tables.q_good[q]))
         ids.append((word, q))
-    # Every id but the empty word's is some word's.
+        if len(word) == max_n:
+            leaves.add(p)
+    # Every id but the empty word's is some word's, and the leaves have one
+    # P id per distinct shape.
     assert len({q for _, q in ids}) == len(tables.q_shape) - 1
+    assert len(leaves) == len({tables.p_shape[p] for p in leaves})
     return sorted(records), dict(ids)
 
 
@@ -454,7 +464,7 @@ def plain_records(max_n, insertion):
             for u in standard_tableaux(alpha, "immaculate"):
                 word = immaculate_reading_word(u)
                 p, q = insertion(word)
-                records.append((word, alpha, p, shape_of(p), shape_of(q),
+                records.append((word, alpha, p if n < max_n else None, shape_of(p), shape_of(q),
                                 _dirt_strip_shape(q) == reverse(alpha)))
                 pairs[word] = (alpha, q)
     return sorted(records), pairs
@@ -477,6 +487,28 @@ def test_word_insertions_yield_each_reading_word_with_its_insertion():
     assert all(good for *_, good in walked)
     assert_one_id_per_distinct_q(ids, pairs)
     assert len(set(ids.values())) == 1593
+
+
+def test_a_leaf_step_inserts_half_a_letter_into_p_unraised():
+    # The recording walk inserts v - 1/2 into a leaf's parent P as it
+    # stands: the cell, path and shape of v inserted into P raised.  Every
+    # (P, v) of a word of degree at most 8, so every leaf step of a walk
+    # with max_n <= 8.
+    steps = set()
+
+    def step(p, v, new_run, leaf):
+        steps.add((p, v))
+        return verify._insert_raised(p, v)[1]
+
+    for _ in verify._reading_words(8, step, ()):
+        pass
+    # 557 steps reach degree at most 7, and 1,310 reach degree 8.
+    assert len(steps) == 1867
+    for p, v in steps:
+        work = list(p)
+        cell, path = verify._insert_into(work, v - 0.5)
+        _, after, raised_cell, raised_path = verify._insert_raised(p, v)
+        assert (cell, path, shape_of(tuple(work))) == (raised_cell, raised_path, shape_of(after))
 
 
 def test_one_cell_rule_matches_the_dirt_checker():
@@ -560,14 +592,16 @@ def replayed(word, q):
 @pytest.mark.parametrize("fault", [move_cells_to_the_corner, swap_lowest_row_ends])
 def test_insertions_match_a_plain_word_loop_under_a_core_fault(monkeypatch, fault):
     # Every letter of every word goes through the core, letter 1 too: a
-    # fault there shows in the walk as in the loop.
+    # fault there shows in the walk as in the loop.  A leaf keeps only P's
+    # shape, so the P rows of degree 6 are compared at max_n 7.
     fault(monkeypatch)
-    walked, ids = walked_records(6)
-    plain, pairs = plain_records(6, replay)
-    assert walked == plain
-    assert_one_id_per_distinct_q(ids, pairs)
-    # The fault changes some entries, so the comparison is not vacuous.
-    assert any(replay(word) != insert_word(word) for word in pairs)
+    for max_n in (6, 7):
+        walked, ids = walked_records(max_n)
+        plain, pairs = plain_records(max_n, replay)
+        assert walked == plain
+        assert_one_id_per_distinct_q(ids, pairs)
+        # The fault changes some entries, so the comparison is not vacuous.
+        assert any(replay(word) != insert_word(word) for word in pairs)
 
 
 def record_in_one_row(monkeypatch):
