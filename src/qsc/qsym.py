@@ -483,40 +483,84 @@ def _row_runs(alpha: Composition, lens: list[int] | tuple[int, ...],
     return runs
 
 
-def _dual_row(alpha: Composition) -> dict[Composition, int]:
-    # rw_dual's complete fillings by value multiplicities, last level first,
-    # over row-length states (_row_runs reads no more); alpha must be checked
-    # first.  A forward pass lists each state's placements, and a backward
-    # pass folds tails {state: (cells, {later levels' multiplicities: count})}.
-    # A step per cell: a degree past sys.maxsize is refused, not looped over.
-    if sum(alpha) > sys.maxsize:
-        raise OverflowError(f"degree {sum(alpha)} is too large to count")
-    ell = len(alpha)
-    levels, states = [], [(0,) * ell]
-    for top in reversed(range(ell)):
+# The dual rule's levels by composition sigma, for the compositions that have
+# sigma as their tail (see _dual_row): (steps, reached, tail), with steps
+# sigma's own bottom-row level as {tail state: [states reached]}, each
+# reached state once in reached, and tail sigma[1:]'s entry.  The empty
+# composition's entry is _NO_LEVELS and is not stored.
+_DUAL_LEVELS: dict[Composition, tuple] = {}
+_NO_LEVELS = ({}, {(): ()}, None)
+
+
+def _dual_levels(sigma: Composition) -> tuple:
+    # sigma's entry in _DUAL_LEVELS, built after its missing tails' entries,
+    # shortest first, with no recursion.  Each level fills the bottom row
+    # from column 1 and then every placement _row_runs allows, dead ends
+    # included: a composition with tail sigma fills more cells later.
+    missing = []
+    while sigma and sigma not in _DUAL_LEVELS:
+        missing.append(sigma)
+        sigma = sigma[1:]
+    entry = _DUAL_LEVELS[sigma] if sigma else _NO_LEVELS
+    for sigma in reversed(missing):
         steps, reached = {}, {}
-        for lens in states:
-            first = lens[:top] + (1,) + lens[top + 1:]
-            runs = _row_runs(alpha, first, top)
+        for lens in entry[1]:
+            first = (1,) + lens
+            runs = _row_runs(sigma, first, 0)
             afters = []
             stack = [(first, 1)]
             while stack:
                 now, last = stack.pop()
-                # The last level holds only the complete filling, not dead ends.
-                if top or now == alpha:
-                    afters.append(reached.setdefault(now, now))
+                afters.append(reached.setdefault(now, now))
                 rows = [r for r, end in runs if last <= now[r] < end]
                 if len(rows) > 1:
                     rows.sort(key=now.__getitem__)
                 for r in rows:
                     col = now[r] + 1
                     stack.append((now[:r] + (col,) + now[r + 1:], col))
-            if afters:
-                steps[lens] = afters
-        levels.append(steps)
-        states = reached
-    tails = {alpha: (sum(alpha), {(): 1})}
-    for steps in reversed(levels):
+            steps[lens] = afters
+        entry = _DUAL_LEVELS[sigma] = (steps, reached, entry)
+    return entry
+
+
+def _dual_row(alpha: Composition) -> dict[Composition, int]:
+    # rw_dual's complete fillings by value multiplicities, last level first,
+    # over row-length states (_row_runs reads no more); alpha must be checked
+    # first.  The levels before the last fill rows ell-1 .. 1, and the rule
+    # reads only the started rows, so they are alpha[1:]'s levels, one row
+    # higher, read from _dual_levels.  The last level must fill every empty
+    # cell, in strictly increasing columns, so from a state it has one path
+    # at most: it has one when the empty cells' column intervals are
+    # disjoint and each row with empty cells has a run to its end.  A
+    # backward fold then takes tails {state: (cells, {later levels'
+    # multiplicities: count})} from alpha along the chain of tails' levels.
+    # A step per cell: a degree past sys.maxsize is refused, not looped over.
+    n = sum(alpha)
+    if n > sys.maxsize:
+        raise OverflowError(f"degree {n} is too large to count")
+    if not alpha:
+        return {(): 1}
+    entry = _dual_levels(alpha[1:])
+    tails = {}
+    for lens in entry[1]:
+        first = (1,) + lens
+        # Row r's empty cells are columns first[r] + 1 .. alpha[r]; taken in
+        # order of their first columns, the rows' spans are disjoint when
+        # each starts past the end of the one before.
+        end = 0
+        for length, part in sorted(zip(first, alpha)):
+            if length < part:
+                if length < end:
+                    break
+                end = part
+        else:
+            ends = dict(_row_runs(alpha, first, 0))
+            if all(ends.get(r) == part
+                   for r, (length, part) in enumerate(zip(first, alpha)) if length < part):
+                size = sum(lens)
+                tails[lens] = (size, {(n - size,): 1})
+    while entry is not _NO_LEVELS:
+        steps, _, entry = entry
         folded = {}
         for lens, afters in steps.items():
             size, row = sum(lens), {}
@@ -526,7 +570,7 @@ def _dual_row(alpha: Composition) -> dict[Composition, int]:
                     row[beta] = row.get(beta, 0) + m
             folded[lens] = (size, row)
         tails = folded
-    return tails[(0,) * ell][1]
+    return tails[()][1]
 
 
 def dimm_to_yqs(alpha: Composition) -> BasisExpansion:

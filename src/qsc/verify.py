@@ -295,10 +295,12 @@ def _recording_walk(max_n: int):
 
     No Q is built: Q' is Q with n + 1 at the cell's _landing, so (alpha',
     Q') is fixed by (alpha, Q), whether v opens a run and the landing, and
-    one id per such triple is one id per distinct (alpha, Q).  A child is
-    looked up by its cell's code, and only a miss computes the landing and
-    looks the child up by it, so two cells with one landing, which only a
-    faulty core reports, share the id.  A new id takes its shape and
+    one id per such triple is one id per distinct (alpha, Q).  _landing
+    reads a cell only by its row and whether it is in column 1, so cells
+    get one code per such pair, and a child is looked up by its cell's
+    code.  A cell off Q's rows, which only a faulty core reports, lands
+    where an in-range cell reads; a miss on it looks the child up by that
+    cell's code, so the two share the id.  A new id takes its shape and
     verdict, Q a DIRT of row strip shape reverse(alpha), from its parent's
     by _one_cell: a DIRT's strips gain a strip exactly when its new value
     is in column 1, and reverse(alpha) a part exactly when v opens a run."""
@@ -310,7 +312,14 @@ def _recording_walk(max_n: int):
     p_rows, p_shape, q_alpha, q_shape, q_good = tables
     q_col = [0]
     codes, cells = {}, []
-    moves, children, landed = {}, {}, {}
+    moves, children = {}, {}
+
+    def code_of(read):
+        code = codes.get(read)
+        if code is None:
+            code = codes[read] = len(cells)
+            cells.append(read)
+        return code
 
     def move(p, v, leaf):
         if leaf:
@@ -331,27 +340,29 @@ def _recording_walk(max_n: int):
                 p_rows.append(after)
                 shape = shape_of(after)
                 p_shape.append(interned.setdefault(shape, shape))
-        code = codes.get(cell)
-        if code is None:
-            code = codes[cell] = len(cells)
-            cells.append(cell)
-        return code << _ID_BITS | found
+        col, row = cell
+        return code_of((row, col == 1)) << _ID_BITS | found
 
-    def land(q, cell, new_run):
-        r, opens = _landing(len(q_shape[q]), cell)
-        # r < width: Q has fewer than max_n values.
-        key = ((q * width + r) * 2 + opens) * 2 + new_run
-        child = landed.get(key)
-        if child is None:
-            shape, col, ok = _one_cell(q_shape[q], q_col[q], r, opens)
-            alpha = q_alpha[q]
-            alpha = (1,) + alpha if new_run else (alpha[0] + 1,) + alpha[1:]
-            q_alpha.append(interned.setdefault(alpha, alpha))
-            q_shape.append(interned.setdefault(shape, shape))
-            q_col.append(col)
-            q_good.append(q_good[q] and ok and (col == 1) == new_run)
-            child = landed[key] = len(q_col) - 1
-        return child
+    def land(q, code, new_run):
+        row, first = cells[code]
+        # Column 2 stands for every column but 1.
+        r, opens = _landing(len(q_shape[q]), (1 if first else 2, row))
+        if (r + 1, opens) != (row, first):
+            # Off Q's rows: the child of the cell that lands there.
+            code = code_of((r + 1, opens))
+            key = (code << _ID_BITS | q) << 1 | new_run
+            child = children.get(key)
+            if child is None:
+                child = children[key] = land(q, code, new_run)
+            return child
+        shape, col, ok = _one_cell(q_shape[q], q_col[q], r, opens)
+        alpha = q_alpha[q]
+        alpha = (1,) + alpha if new_run else (alpha[0] + 1,) + alpha[1:]
+        q_alpha.append(interned.setdefault(alpha, alpha))
+        q_shape.append(interned.setdefault(shape, shape))
+        q_col.append(col)
+        q_good.append(q_good[q] and ok and (col == 1) == new_run)
+        return len(q_col) - 1
 
     def step(state, v, new_run, leaf):
         p, q = state
@@ -364,7 +375,7 @@ def _recording_walk(max_n: int):
         key = (found ^ p | q) << 1 | new_run
         child = children.get(key)
         if child is None:
-            child = children[key] = land(q, cells[found >> _ID_BITS], new_run)
+            child = children[key] = land(q, found >> _ID_BITS, new_run)
         return p, child
 
     return _reading_words(max_n, step, (0, 0)), tables
@@ -384,8 +395,9 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
     shape multisets, direct recording-tableau counts, and forward tree
     leaves; dually, yns_to_imm (the dual rule, counted by row lengths, so
-    no dual tree is built) matches the DIRT column at alpha, read from the
-    transposed _dirt_row rows of its degree.  Each distinct recording
+    no dual tree is built, from alpha[1:]'s levels, kept once per tail,
+    and one forced last level) matches the DIRT column at alpha, read from
+    the transposed _dirt_row rows of its degree.  Each distinct recording
     tableau of each composition must be a DIRT of row strip shape
     reverse(alpha), reported for the least word that records it, and each
     word's P must have its Q's shape.

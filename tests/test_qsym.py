@@ -414,6 +414,47 @@ def test_yns_to_imm_counts_deep_diagrams_without_recursion(alpha):
     assert yns_to_imm(alpha).coeffs == {alpha: 1}
 
 
+def test_a_dual_row_from_its_cached_tails_is_the_row_counted_from_scratch():
+    # Each row alone is counted from scratch.  Filled in ascending degree,
+    # alpha[1:]'s levels are cached by (1,) + alpha[1:] unless that is
+    # alpha; filled in reverse, the first rows count the tails of later
+    # ones.  Both give the same rows, keys in the same order.
+    alphas = [alpha for n in range(9) for alpha in compositions(n)]
+    scratch = {}
+    for alpha in alphas:
+        qsym._DUAL_LEVELS.clear()
+        scratch[alpha] = list(qsym._dual_row(alpha).items())
+    for order in (alphas, alphas[::-1]):
+        qsym._DUAL_LEVELS.clear()
+        for alpha in order:
+            if order is alphas:
+                assert (alpha[1:] in qsym._DUAL_LEVELS) == (len(alpha) > 1 and alpha[0] > 1)
+            assert list(qsym._dual_row(alpha).items()) == scratch[alpha], alpha
+
+
+def test_the_dual_rules_last_level_reads_the_shared_rule(monkeypatch):
+    # The last level has one path at most, but it still reads the rule
+    # from _row_runs: "ignore the lower-row rule" at the counted
+    # composition's last level alone, not at its tails' levels, changes
+    # the count.
+    alphas = [alpha for n in range(6) for alpha in compositions(n)]
+    clean = {alpha: yns_to_imm(alpha) for alpha in alphas}
+    real, counted = qsym._row_runs, []
+
+    def faulty(alpha, lens, top):
+        if top == 0 and alpha == counted[-1]:
+            return [(r, alpha[r]) for r in range(len(alpha)) if lens[r] < alpha[r]]
+        return real(alpha, lens, top)
+
+    monkeypatch.setattr(qsym, "_row_runs", faulty)
+    changed = []
+    for alpha in alphas:
+        counted.append(alpha)
+        if yns_to_imm(alpha) != clean[alpha]:
+            changed.append(alpha)
+    assert changed == [(1, 2, 2)]
+
+
 def test_coefficient_maps_match_linear_algebra():
     for n in range(1, 8):
         for alpha in compositions(n):
