@@ -130,11 +130,14 @@ def insert(rows: Rows, k: int, events=None) -> InsertionResult:
 
 def _is_virtuous(rows, cell: Cell) -> bool:
     col, row = cell
-    if col != len(rows[row - 1]):
+    entries = rows[row - 1]
+    if col != len(entries):
         return False
-    v = rows[row - 1][col - 1]
-    return not any(len(below) >= col and (len(below) == col or below[col - 1] >= v)
-                   for below in rows[:row - 1])
+    v = entries[col - 1]
+    for below in rows[:row - 1]:
+        if len(below) >= col and (len(below) == col or below[col - 1] >= v):
+            return False
+    return True
 
 
 def _check_cell(rows: Rows, cell: Cell) -> None:

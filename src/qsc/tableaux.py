@@ -58,11 +58,17 @@ def shape_of(rows: Rows) -> Composition:
 def is_immaculate(rows: Rows) -> bool:
     """Rows weakly increase left to right and the leftmost column strictly
     increases bottom to top."""
+    first = None
     for row in rows:
-        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+        x = row[0]
+        if first is not None and x <= first:
             return False
-    first = [row[0] for row in rows]
-    return all(first[i] < first[i + 1] for i in range(len(first) - 1))
+        first = x
+        for y in row:
+            if y < x:
+                return False
+            x = y
+    return True
 
 
 def _triple_ok(rows: Rows) -> bool:
@@ -72,10 +78,14 @@ def _triple_ok(rows: Rows) -> bool:
     # lower[i+1] both exist, so upper[i+1] is the one read that can fall off
     # a row.
     for j, lower in enumerate(rows):
+        m = len(lower) - 1
+        if not m:
+            continue
         for upper in rows[j + 1:]:
-            for i in range(min(len(upper), len(lower) - 1)):
+            k = len(upper)
+            for i in range(k if k < m else m):
                 bound = lower[i + 1]
-                if upper[i] <= bound and not (i + 1 < len(upper) and upper[i + 1] < bound):
+                if upper[i] <= bound and (i + 1 == k or upper[i + 1] >= bound):
                     return False
     return True
 

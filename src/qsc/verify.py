@@ -53,8 +53,10 @@ def _insert_raised(p, v):
     before by the unchecked core.  The cores only compare letters, to each
     other and to INF, so a step's cells and verdicts hold for its order
     type: a word on 1..k+1 ending in v is its standardized prefix so raised,
-    then v, and its P is after from the prefix's P.  inverse's checks,
-    _recording_walk and _standard_steps read it."""
+    then v, and its P is after from the prefix's P.  inverse's steps,
+    _recording_walk and _standard_steps read it; inverse's re-inserts build
+    the same entry from a rapture result that is before already (see
+    _inverse_checks)."""
     before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
     work = list(before)
     new_cell, path = _insert_into(work, v)
@@ -127,18 +129,31 @@ def _reading_words(max_n: int, step, root):
 def _inverse_checks():
     """The inverse suite's checks as cached functions of standard tableaux;
     returns step.  A failure is a record (kind, rows, x) on the letters of
-    the tableau checked, x a letter or a cell (see _MESSAGES)."""
+    the tableau checked, x a letter or a cell (see _MESSAGES).  One memo,
+    inserted, maps each standard (p, v) to _insert_raised(p, v), for the
+    steps and the re-inserts alike."""
     ssyct = cache(is_ssyct)
-    insert = cache(_insert_raised)
+    inserted = {}
+
+    def insert(p, v):
+        found = inserted.get((p, v))
+        if found is None:
+            found = inserted[p, v] = _insert_raised(p, v)
+        return found
 
     @cache
     def raptures(rows):
         """(cases, failures, undos) of rapture at each virtuous cell of rows,
         in row order: insert after rapture must return rows with the route
-        mirrored, looked up among the same insertions.  undos holds
-        (cell, output, route, after) per cell.  Unless the output is INF,
-        after skips the output's letter, so it is checked and re-inserted
-        standardized, each letter above the output lowered by one."""
+        mirrored.  undos holds (cell, output, route, after) per cell.
+        Unless the output is INF, after skips the output's letter, so it is
+        checked standardized, as std with each letter above the output
+        lowered by one, and the re-insert is the memo's entry for (std,
+        output).  On a miss the output is inserted into after as it stands:
+        after is std raised, so the entry is _insert_raised(std, output)
+        with after as its before, and nothing is lowered and raised back.
+        Only a faulty core outputs a letter that after still holds; after
+        is then not std raised, and the output goes into std raised."""
         cases, failures, undos = 0, [], []
         for r, row in enumerate(rows, start=1):
             cell = (len(row), r)
@@ -156,8 +171,15 @@ def _inverse_checks():
                 failures.append(("inf", rows, cell))
             else:
                 cases += 1
+                found = inserted.get((std, output))
+                if found is None:
+                    if any(output in row for row in after):
+                        found = insert(std, output)
+                    else:
+                        new_cell, path = _insert_into(work, output)
+                        found = inserted[std, output] = after, tuple(work), new_cell, path
                 # Equal to rows, the insert result is a tableau; no separate check.
-                _, back, _, path = insert(std, output)
+                _, back, _, path = found
                 if back != rows or path != route[::-1]:
                     failures.append(("reinsert", rows, cell))
         return cases, tuple(failures), tuple(undos)

@@ -5,6 +5,7 @@ import json
 import pickle
 from collections import Counter
 from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -430,6 +431,22 @@ def test_a_dual_row_from_its_cached_tails_is_the_row_counted_from_scratch():
             if order is alphas:
                 assert (alpha[1:] in qsym._DUAL_LEVELS) == (len(alpha) > 1 and alpha[0] > 1)
             assert list(qsym._dual_row(alpha).items()) == scratch[alpha], alpha
+
+
+DUAL_ROWS = json.loads((Path(__file__).parent / "golden" / "dual_rows.json").read_text())
+
+
+def test_dual_row_item_order_is_pinned():
+    # Items in the order the dual rule's fold emits them, recorded for every
+    # alpha with n <= 6; the tests above compare dicts, or the count with
+    # itself, so none of them sees the order.
+    alphas = [alpha for n in range(1, 7) for alpha in compositions(n)]
+    keys = [",".join(map(str, alpha)) for alpha in alphas]
+    assert list(DUAL_ROWS) == keys
+    for alpha, key in zip(alphas, keys):
+        want = [(tuple(beta), c) for beta, c in DUAL_ROWS[key]]
+        assert list(qsym._dual_row(alpha).items()) == want, alpha
+        assert list(yns_to_imm(alpha).coeffs.items()) == want, alpha
 
 
 def test_the_dual_rules_last_level_reads_the_shared_rule(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsc.compositions import compositions, partitions, rearrangements
+from qsc.insertion import _is_virtuous
 from qsc.tableaux import (
     INF,
     from_json_obj,
@@ -128,6 +129,73 @@ def test_enumerators_are_complete():
                 for gamma in compositions(n):
                     assert weighted_tableaux(shape, kind, gamma) == tuple(
                         rows for rows in valid if weight(rows) == gamma)
+
+
+# The predicates as any/all over generator expressions, the forms their
+# plain loops replaced, kept as the oracle for them.
+def oracle_is_immaculate(rows):
+    for row in rows:
+        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            return False
+    first = [row[0] for row in rows]
+    return all(first[i] < first[i + 1] for i in range(len(first) - 1))
+
+
+def oracle_triple_ok(rows):
+    return all(upper[i] > lower[i + 1] or (i + 1 < len(upper) and upper[i + 1] < lower[i + 1])
+               for j, lower in enumerate(rows) for upper in rows[j + 1:]
+               for i in range(min(len(upper), len(lower) - 1)))
+
+
+def oracle_is_virtuous(rows, cell):
+    col, row = cell
+    if col != len(rows[row - 1]):
+        return False
+    v = rows[row - 1][col - 1]
+    return not any(len(below) >= col and (len(below) == col or below[col - 1] >= v)
+                   for below in rows[:row - 1])
+
+
+def row_increasing_fillings(shape):
+    """Every standard filling of shape whose rows increase, tableau or not."""
+    def fill(letters, parts):
+        if not parts:
+            yield ()
+            return
+        for row in itertools.combinations(letters, parts[0]):
+            rest = [x for x in letters if x not in row]
+            for rows in fill(rest, parts[1:]):
+                yield (row,) + rows
+
+    return fill(range(1, sum(shape) + 1), shape)
+
+
+def test_predicates_match_their_any_all_oracles():
+    def check(rows):
+        immaculate = oracle_is_immaculate(rows)
+        assert is_immaculate(rows) == immaculate, rows
+        assert is_ssyct(rows) == (immaculate and oracle_triple_ok(rows)), rows
+        for r, row in enumerate(rows, start=1):
+            for c in range(1, len(row) + 1):
+                assert _is_virtuous(rows, (c, r)) == oracle_is_virtuous(rows, (c, r)), (rows, c, r)
+        return immaculate and oracle_triple_ok(rows)
+
+    standard = [rows for n in range(7) for shape in compositions(n)
+                for rows in row_increasing_fillings(shape)]
+    # The ordered set partitions of 1..n, n <= 6.
+    assert len(standard) == 1 + 1 + 3 + 13 + 75 + 541 + 4683
+    assert sum(map(check, standard)) == sum(
+        len(standard_tableaux(shape, "ssyct")) for n in range(7) for shape in compositions(n))
+    # Every filling with n <= 5 and entries <= 3: rows that fall or repeat,
+    # and among them every semistandard tableau of that range.
+    ssyct = 0
+    for n in range(6):
+        for shape in compositions(n):
+            for entries in itertools.product((1, 2, 3), repeat=n):
+                it = iter(entries)
+                ssyct += check(tuple(tuple(next(it) for _ in range(w)) for w in shape))
+    assert ssyct == sum(len(semistandard_tableaux(shape, "ssyct", 3))
+                        for n in range(6) for shape in compositions(n))
 
 
 def test_semistandard_enumeration():

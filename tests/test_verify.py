@@ -258,18 +258,64 @@ def test_round_trip_records_a_core_fault(monkeypatch, capsys, fault):
 def test_inverse_inserts_exactly_the_round_trip_pairs(monkeypatch):
     # Every standard tableau is the P of some standard immaculate reading
     # word, so inverse's undo checks are round-trip's cases, and descents
-    # reads round-trip's walk.
-    pairs = {"inverse": set(), "round-trip": set(), "descents": set()}
-    real = verify._insert_raised
-    for name, seen in pairs.items():
-        def collected(p, v, seen=seen):
-            seen.add((p, v))
-            return real(p, v)
+    # reads round-trip's walk.  inverse re-inserts a rapture's output into
+    # the rapture's result as it stands, so each suite's core insertions are
+    # counted by order type: (before, letter) relabelled onto 1, 2, ...
+    counts = {"inverse": Counter(), "round-trip": Counter(), "descents": Counter()}
+    real = verify._insert_into
+    for name, seen in counts.items():
+        def collected(work, k, events=None, seen=seen):
+            *before, (v,) = order_type(tuple(work) + ((k,),))
+            seen[tuple(before), v] += 1
+            return real(work, k, events)
 
-        monkeypatch.setattr(verify, "_insert_raised", collected)
+        monkeypatch.setattr(verify, "_insert_into", collected)
         assert run_suite(name, 8).passed
-    assert pairs["inverse"] == pairs["round-trip"] == pairs["descents"]
-    assert len(pairs["round-trip"]) == run_suite("round-trip", 8).cases == 2619
+    assert counts["inverse"] == counts["round-trip"] == counts["descents"]
+    assert set(counts["round-trip"].values()) == {1}
+    assert len(counts["round-trip"]) == run_suite("round-trip", 8).cases == 2619
+
+
+def raised_from(before, k):
+    """_insert_raised(std, k) for the standard std that before, which skips
+    k, is std raised from: the step its core insertion of k must be."""
+    std = tuple(tuple(x - (x > k) for x in row) for row in before)
+    return verify._insert_raised(std, k)
+
+
+@pytest.mark.parametrize("fault", [None, raise_outputs_from])
+def test_inverse_memo_holds_only_raised_insertions(monkeypatch, fault):
+    # A re-insert goes into the rapture's result as it stands and is kept
+    # under (std, output), where the steps look insertions up, so its entry
+    # must be _insert_raised(std, output).  Under raise_outputs_from one
+    # rapture outputs 2 and leaves ((2, 3, 4),), which still holds 2: that
+    # result is not std raised, so its output is inserted into std raised.
+    if fault is not None:
+        fault(monkeypatch)
+    real_insert, real_rapture = verify._insert_into, verify._rapture_from
+    inserted, held = [], []
+
+    def recorded(work, k, events=None):
+        before = tuple(work)
+        new_cell, path = real_insert(work, k, events)
+        inserted.append(((before, tuple(work), new_cell, path), k))
+        return new_cell, path
+
+    def checked(work, cell, events=None):
+        output, route = real_rapture(work, cell, events)
+        if any(output in row for row in work):
+            held.append((tuple(work), output))
+        return output, route
+
+    monkeypatch.setattr(verify, "_insert_into", recorded)
+    monkeypatch.setattr(verify, "_rapture_from", checked)
+    verify.verify_inverse(6)
+    assert held == ([] if fault is None else [(((2, 3, 4),), 2)])
+    monkeypatch.setattr(verify, "_insert_into", real_insert)
+    for entry, k in inserted:
+        assert raised_from(entry[0], k) == entry
+    # Once per memo key: the befores differ exactly when their keys do.
+    assert len({(entry[0], k) for entry, k in inserted}) == len(inserted)
 
 
 def test_inverse_records_a_non_tableau_core_result(monkeypatch):
@@ -347,7 +393,7 @@ def plain_inverse(max_n):
 
 
 FAULTS = [None, break_top_rows, settle_raptures, corrupt_paths_into, misreport_cells_into,
-          corrupt_one_rapture]
+          corrupt_one_rapture, raise_outputs_from]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
