@@ -86,12 +86,11 @@ def _child_word(prefix, v):
 
 
 def _reading_words(max_n: int, step, root):
-    """inverse's and triple-agreement's walk: (prefix, v, alpha, state) for
-    every standard immaculate reading word _child_word(prefix, v) of degree
-    1..max_n, alpha its tableau's shape, depth first as a prefix tree: a
-    word's parent is prefix, its prefix one letter shorter, standardized,
-    and its state is step(parent's state, v, v opens a run, the word is a
-    leaf).
+    """inverse's and triple-agreement's walk: (prefix, v, alpha, state,
+    leaves) for every standard immaculate reading word _child_word(prefix,
+    v) of degree 1..max_n - 1, alpha its tableau's shape, depth first as a
+    prefix tree: a word's parent is prefix, its prefix one letter shorter,
+    standardized, and its state is step(parent's state, v, v opens a run).
 
     A word on 1..n is such a reading word exactly when its maximal
     increasing runs, its rows read top row first, have decreasing first
@@ -99,31 +98,47 @@ def _reading_words(max_n: int, step, root):
     A child appends v and raises each earlier letter >= v by one; v either
     opens a run below the current run's first letter f (v <= f), a new
     bottom row of length 1, or extends the run above its last letter l
-    (v > l), the bottom row.  The root's one child is the word 1.  A word
-    is built only as its children's prefix: the leaves, the words of degree
-    max_n and most of the walk, are not, and a reader builds the words it
-    needs.  Leaves are not stacked: a node steps its leaf children in the
-    order other nodes stack their children and yields them in the order
-    those are popped."""
-    stack = [((), 1, (1,), step(root, 1, True, max_n == 1), 1, 1)] if max_n > 0 else []
+    (v > l), the bottom row.  The root's one child is the word 1.
+
+    The words of degree max_n, the leaves, are not walked: a word of degree
+    max_n - 1, a frontier node, hands its leaves over as two letter ranges,
+    leaves = (opens, extends): opens is 1..f, each leaf's shape (1,) +
+    alpha, and extends is l+1..max_n, each leaf's shape (alpha[0] + 1,) +
+    alpha[1:].  A reader steps or groups the leaves itself; leaves is ()
+    at every other node.  At 9 that is 21,147 leaves, 80% of the words,
+    under 4,140 frontier nodes.  A frontier node is yielded from its
+    parent's loop, in the order a stack would pop it, so it is never
+    stacked and builds no word: a word is built only as its children's
+    prefix, and a reader builds the words it needs.  At max_n 1 the one
+    word, 1, is yielded with no leaves."""
+    if max_n < 2:
+        if max_n == 1:
+            yield (), 1, (1,), step(root, 1, True), ()
+        return
+    stack = [((), 1, (1,), step(root, 1, True), 1, 1)]
     while stack:
         prefix, v, alpha, state, f, l = stack.pop()
-        yield prefix, v, alpha, state
         j = len(prefix) + 1
-        if j < max_n:
-            word = _child_word(prefix, v)
-            # Siblings share their shape.
-            below = (1,) + alpha
-            longer = (alpha[0] + 1,) + alpha[1:]
-            if j + 1 < max_n:
-                for w in range(1, f + 1):
-                    stack.append((word, w, below, step(state, w, True, False), w, w))
-                for w in range(l + 1, j + 2):
-                    stack.append((word, w, longer, step(state, w, False, False), f, w))
-                continue
-            leaves = [(word, w, below, step(state, w, True, True)) for w in range(1, f + 1)]
-            leaves += [(word, w, longer, step(state, w, False, True)) for w in range(l + 1, j + 2)]
-            yield from reversed(leaves)
+        if j + 1 == max_n:
+            # The word 1 at max_n 2, the one frontier node with no parent loop.
+            yield prefix, v, alpha, state, (range(1, f + 1), range(l + 1, max_n + 1))
+            continue
+        yield prefix, v, alpha, state, ()
+        word = _child_word(prefix, v)
+        # Siblings share their shape.
+        below = (1,) + alpha
+        longer = (alpha[0] + 1,) + alpha[1:]
+        if j + 2 < max_n:
+            for w in range(1, f + 1):
+                stack.append((word, w, below, step(state, w, True), w, w))
+            for w in range(l + 1, j + 2):
+                stack.append((word, w, longer, step(state, w, False), f, w))
+            continue
+        opens = range(1, f + 1)
+        for w in range(j + 1, l, -1):
+            yield word, w, longer, step(state, w, False), (opens, range(w + 1, max_n + 1))
+        for w in range(f, 0, -1):
+            yield word, w, below, step(state, w, True), (range(1, w + 1), range(w + 1, max_n + 1))
 
 
 def _inverse_checks():
@@ -239,13 +254,15 @@ def verify_inverse(max_n: int) -> SuiteResult:
     kept as one total of cases and failures.  A word's state is its
     tableau, its steps' summed cases and their failure records; after a
     step that is not a tableau the state stays, so cases count every
-    insertion of every word up to its first broken one.  Each word renders
-    its records with its own prefixes' letters, and failures are reported
-    by degree, composition and reading word."""
+    insertion of every word up to its first broken one.  A frontier node's
+    leaves are not walked: each letter of its two ranges adds the node's
+    cases and its cached step from the node's tableau.  A word renders its
+    records, only when it has some, with its own prefixes' letters, and
+    failures are reported by degree, composition and reading word."""
     result = SuiteResult("inverse", max_n)
     step = _inverse_checks()
 
-    def grow(state, v, *_):
+    def grow(state, v, _):
         p, cases, records = state
         if p is None:
             return state
@@ -256,10 +273,8 @@ def verify_inverse(max_n: int) -> SuiteResult:
         return after, cases + more, records
 
     failed = []
-    for prefix, v, alpha, (_, cases, records) in _reading_words(max_n, grow, ((), 0, ())):
-        result.cases += cases
-        if records:
-            word = _child_word(prefix, v)
+
+    def render(alpha, word, records):
         for j, failures in records:
             letters = (0,) + tuple(sorted(word[:j]))
             for kind, rows, x in failures:
@@ -267,6 +282,23 @@ def verify_inverse(max_n: int) -> SuiteResult:
                 if kind in ("insert", "undo"):
                     x = letters[x]
                 failed.append((alpha, word, _MESSAGES[kind].format(rows=rows, x=x)))
+
+    for prefix, v, alpha, (p, cases, records), leaves in _reading_words(max_n, grow, ((), 0, ())):
+        result.cases += cases
+        if records:
+            render(alpha, _child_word(prefix, v), records)
+        for letters, new_run in zip(leaves, (True, False)):
+            result.cases += cases * len(letters)
+            for w in letters:
+                leaf = records
+                if p is not None:
+                    _, more, failures = step(p, w)
+                    result.cases += more
+                    if failures:
+                        leaf += ((max_n, failures),)
+                if leaf:
+                    shape = (1,) + alpha if new_run else (alpha[0] + 1,) + alpha[1:]
+                    render(shape, _child_word(_child_word(prefix, v), w), leaf)
     result.failures += _in_report_order(failed, max_n)
     return result
 
@@ -301,11 +333,15 @@ _ID_MASK = (1 << _ID_BITS) - 1
 
 
 def _recording_walk(max_n: int):
-    """(words, tables) for triple-agreement: words yields (prefix, v, alpha,
-    (p, q)) for every word of _reading_words, with p the id of its P (of
-    P's shape at a leaf) and q the id of (alpha, Q), (P, Q) being
-    insert_word of the word; tables (see
-    _Tables) fills in as words runs.  Shapes are interned, one object each.
+    """(words, tables, leaf_groups) for triple-agreement: words is
+    _reading_words with (p, q) as each node's state, p the id of its P and
+    q the id of (alpha, Q), (P, Q) being insert_word of the word.
+    leaf_groups(p, q, letters, new_run) gives (packed, ids) for one of a
+    frontier node's letter ranges: packed holds each letter's move, and ids
+    maps each distinct move to the leaf state (p', q') it gives, p' the id
+    of the leaf P's shape; the letters of one move are a leaf group.
+    tables (see _Tables) fills in as the walk runs.  Shapes are interned,
+    one object each.
 
     A word's P is its parent's P through _insert_raised.  One memo for the
     whole walk maps each (P, v) to P' and the new cell's code, one code per
@@ -313,7 +349,11 @@ def _recording_walk(max_n: int):
     is never inserted into again, so a leaf step inserts v - 1/2 into P as
     it stands: the cores only compare letters, and v - 1/2 sits among P's
     letters as v does among them raised.  Only the shape of that P' is
-    kept, one id per distinct leaf shape.
+    kept, one id per distinct leaf shape.  A frontier P's leaf moves sit in
+    one list per P id, indexed by v and filled letter by letter as ranges
+    first need them, so a range's moves are a slice of that list, and one
+    leaf state is looked up per distinct move: 11,785 for the 21,147
+    leaves at 9.
 
     No Q is built: Q' is Q with n + 1 at the cell's _landing, so (alpha',
     Q') is fixed by (alpha, Q), whether v opens a run and the landing, and
@@ -334,7 +374,7 @@ def _recording_walk(max_n: int):
     p_rows, p_shape, q_alpha, q_shape, q_good = tables
     q_col = [0]
     codes, cells = {}, []
-    moves, children = {}, {}
+    moves, leaf_moves, children = {}, {}, {}
 
     def code_of(read):
         code = codes.get(read)
@@ -386,12 +426,12 @@ def _recording_walk(max_n: int):
         q_good.append(q_good[q] and ok and (col == 1) == new_run)
         return len(q_col) - 1
 
-    def step(state, v, new_run, leaf):
+    def step(state, v, new_run):
         p, q = state
         key = p * width + v
         found = moves.get(key)
         if found is None:
-            found = moves[key] = move(p, v, leaf)
+            found = moves[key] = move(p, v, False)
         p = found & _ID_MASK
         # found with q for p: the cell's code, q and new_run in one int.
         key = (found ^ p | q) << 1 | new_run
@@ -400,7 +440,30 @@ def _recording_walk(max_n: int):
             child = children[key] = land(q, found >> _ID_BITS, new_run)
         return p, child
 
-    return _reading_words(max_n, step, (0, 0)), tables
+    def leaf_groups(p, q, letters, new_run):
+        row = leaf_moves.get(p)
+        if row is None:
+            row = leaf_moves[p] = [None] * width
+        packed = row[letters.start:letters.stop]
+        ids = dict.fromkeys(packed)
+        # A slot stays None until some range first needs its letter.
+        if None in ids:
+            for w in letters:
+                if row[w] is None:
+                    row[w] = move(p, w, True)
+            packed = row[letters.start:letters.stop]
+            ids = dict.fromkeys(packed)
+        # step's child lookup, once per distinct move.
+        for found in ids:
+            leaf = found & _ID_MASK
+            key = (found ^ leaf | q) << 1 | new_run
+            child = children.get(key)
+            if child is None:
+                child = children[key] = land(q, found >> _ID_BITS, new_run)
+            ids[found] = leaf, child
+        return packed, ids
+
+    return _reading_words(max_n, step, (0, 0)), tables, leaf_groups
 
 
 def _tableau_of(word, alpha):
@@ -426,26 +489,44 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
 
     The words come from _recording_walk, which keeps one shape and one
     verdict per distinct (alpha, Q), so the table checks run after the
-    walk, over compositions(n) for n in 0..max_n.  Failures are sorted
-    back into report order (see _in_report_order) by their keys: (least
-    word, 0) for a bad recording tableau, (word, 1) for a shape mismatch,
-    so a least word's bad recording comes before its shape mismatch, and
-    ((n + 1,),) for a table check, after every word of degree n.  Each
-    table in a table check's message is in compositions(n) order."""
+    walk, over compositions(n) for n in 0..max_n.  A frontier node's leaves
+    are checked in leaf groups, the letters of one range with one move and
+    so one leaf state: one child lookup and one pair of checks per group
+    (11,785 lookups for the 21,147 leaves at 9, 564 for 877 at 7), and only
+    a group that fails builds its words.  Failures are sorted back into
+    report order (see _in_report_order) by their keys: (least word, 0) for
+    a bad recording tableau, (word, 1) for a shape mismatch, so a least
+    word's bad recording comes before its shape mismatch, and ((n + 1,),)
+    for a table check, after every word of degree n.  Each table in a table
+    check's message is in compositions(n) order."""
     result = SuiteResult("triple-agreement", max_n)
     failed = []
-    words, (_, p_shape, q_alpha, q_shape, q_good) = _recording_walk(max_n)
+    words, (_, p_shape, q_alpha, q_shape, q_good), leaf_groups = _recording_walk(max_n)
     # The least word that records each bad (alpha, Q).
     bad = {}
-    for prefix, v, alpha, (p, q) in words:
+
+    def record(p, q, group):
+        """The failures of the words group, which share P's shape and (alpha, Q)."""
         if not q_good[q]:
-            word = _child_word(prefix, v)
-            if bad.get(q, word) >= word:
-                bad[q] = word
-        # Interned shapes: equal exactly when the same object.
+            least = min(group)
+            if bad.get(q, least) >= least:
+                bad[q] = least
         if p_shape[p] is not q_shape[q]:
-            word = _child_word(prefix, v)
-            failed.append((alpha, (word, 1), f"shape mismatch for {_tableau_of(word, alpha)}"))
+            alpha = q_alpha[q]
+            failed.extend((alpha, (word, 1), f"shape mismatch for {_tableau_of(word, alpha)}")
+                          for word in group)
+
+    for prefix, v, _, (p, q), leaves in words:
+        # Interned shapes: equal exactly when the same object.
+        if not q_good[q] or p_shape[p] is not q_shape[q]:
+            record(p, q, [_child_word(prefix, v)])
+        for letters, new_run in zip(leaves, (True, False)):
+            packed, ids = leaf_groups(p, q, letters, new_run)
+            for found, (leaf, child) in ids.items():
+                if not q_good[child] or p_shape[leaf] is not q_shape[child]:
+                    word = _child_word(prefix, v)
+                    record(leaf, child, [_child_word(word, w)
+                                         for w, move in zip(letters, packed) if move == found])
     failed += [(q_alpha[q], (word, 0), f"bad recording tableau for {_tableau_of(word, q_alpha[q])}")
                for q, word in bad.items()]
     # Each composition's distinct recording tableaux counted by shape; the

@@ -78,15 +78,55 @@ def word_of(codes):
     return word
 
 
+def expanded(walk, leaf_states):
+    """(prefix, v, alpha, state) for every word of a _reading_words walk,
+    each frontier node followed by its leaves: its extending letters, then
+    its opening ones, each in decreasing order, as a stack of the leaves
+    would pop them.  leaf_states(state, letters, new_run) gives the states
+    of the leaves with letters under a frontier node whose state is state."""
+    for prefix, v, alpha, state, leaves in walk:
+        yield prefix, v, alpha, state
+        if leaves:
+            word = verify._child_word(prefix, v)
+            opens, extends = leaves
+            for letters, new_run, shape in ((extends, False, (alpha[0] + 1,) + alpha[1:]),
+                                            (opens, True, (1,) + alpha)):
+                states = list(zip(letters, leaf_states(state, letters, new_run)))
+                for w, leaf in reversed(states):
+                    yield word, w, shape, leaf
+
+
+def stepped(step):
+    """expanded's leaf_states for a walk's own step."""
+    return lambda state, letters, new_run: [step(state, w, new_run) for w in letters]
+
+
+def recorded_words(max_n):
+    """(words, tables): expanded over the recording walk, each leaf state
+    read from its range's leaf group."""
+    walk, tables, leaf_groups = verify._recording_walk(max_n)
+
+    def leaf_states(state, letters, new_run):
+        packed, ids = leaf_groups(*state, letters, new_run)
+        return [ids[found] for found in packed]
+
+    return expanded(walk, leaf_states), tables
+
+
 def test_reading_words_walk_each_standard_immaculate_reading_word_once():
     walked = []
+    steps = 0
 
-    def step(state, v, new_run, leaf):
-        # Exactly the words of degree max_n are leaves.
-        assert leaf == (len(state) + 1 == 7)
+    def step(state, v, new_run):
+        nonlocal steps
+        steps += 1
         return state + ((v, new_run),)
 
-    for prefix, v, alpha, state in verify._reading_words(7, step, ()):
+    walk = list(verify._reading_words(7, step, ()))
+    # The walk steps each word of degree below 7 once, not each of the 1,155
+    # words: expanded steps the 877 leaves of degree 7 itself.
+    assert len(walk) == steps == 278
+    for prefix, v, alpha, state in expanded(walk, stepped(step)):
         word = verify._child_word(prefix, v)
         # Each word's state is threaded through its standardized prefixes,
         # and a letter that opens a run puts a new bottom row under alpha.
@@ -473,7 +513,7 @@ def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "_insert_into", counted)
-    assert sum(1 for _ in verify._recording_walk(7)[0]) == 1155
+    assert sum(1 for _ in recorded_words(7)[0]) == 1155
     # One per (standard P, v) a reading word's prefixes reach, against 1,148
     # when each bottom-row prefix was inserted once per tail entry.
     steps = {(order_type(insert_word(w[:k - 1])[0]), sorted(w[:k]).index(w[k - 1]) + 1)
@@ -485,7 +525,7 @@ def walked_records(max_n):
     """Per word of the recording walk, (word, alpha, P, P's shape, Q's
     shape, Q's verdict), sorted, and each word's (alpha, Q) id.  A leaf, a
     word of degree max_n, keeps only P's shape: its P is None."""
-    words, tables = verify._recording_walk(max_n)
+    words, tables = recorded_words(max_n)
     records, ids, leaves = [], [], set()
     for prefix, v, alpha, (p, q) in words:
         word = verify._child_word(prefix, v)
@@ -542,11 +582,11 @@ def test_a_leaf_step_inserts_half_a_letter_into_p_unraised():
     # with max_n <= 8.
     steps = set()
 
-    def step(p, v, new_run, leaf):
+    def step(p, v, new_run):
         steps.add((p, v))
         return verify._insert_raised(p, v)[1]
 
-    for _ in verify._reading_words(8, step, ()):
+    for _ in expanded(verify._reading_words(8, step, ()), stepped(step)):
         pass
     # 557 steps reach degree at most 7, and 1,310 reach degree 8.
     assert len(steps) == 1867
@@ -630,11 +670,6 @@ def replay(word):
     return tuple(p), tuple(q)
 
 
-def replayed(word, q):
-    """triple_agreement_word_by_word's recording tableau under a patched core."""
-    return replay(word)[1]
-
-
 @pytest.mark.parametrize("fault", [move_cells_to_the_corner, swap_lowest_row_ends])
 def test_insertions_match_a_plain_word_loop_under_a_core_fault(monkeypatch, fault):
     # Every letter of every word goes through the core, letter 1 too: a
@@ -680,13 +715,13 @@ def test_triple_agreement_reports_each_bad_recording_tableau_once(monkeypatch):
     # The words 2134, 3124 and 4123 of alpha = (3, 1) record the same row.
     assert "bad recording tableau for ((1, 3, 4), (2,))" in result.failures
     assert "bad recording tableau for ((1, 2, 4), (3,))" not in result.failures
-    assert result.failures == triple_agreement_word_by_word(4, replayed)
+    assert result.failures == triple_agreement_word_by_word(4)
 
 
-def triple_agreement_word_by_word(max_n, recorded):
+def triple_agreement_word_by_word(max_n):
     """The triple-agreement failures built word by word from
-    standard_tableaux and insert_word, with recorded(word, q) as each word's
-    recording tableau: each composition's words in reading word order, then
+    standard_tableaux, with replay(word) as each word's (P, Q), so a patched
+    core reaches both: each composition's words in reading word order, then
     its table checks."""
     failures = []
     for n in range(max_n + 1):
@@ -695,8 +730,7 @@ def triple_agreement_word_by_word(max_n, recorded):
             tableaux = sorted(standard_tableaux(alpha, "immaculate"), key=immaculate_reading_word)
             for u in tableaux if n else ():
                 word = immaculate_reading_word(u)
-                p, q = insert_word(word)
-                q = recorded(word, q)
+                p, q = replay(word)
                 if q not in shapes:
                     shapes[q] = shape_of(q)
                     if not (is_dirt(q) and row_strip_shape(q) == reverse(alpha)):
@@ -717,6 +751,30 @@ def triple_agreement_word_by_word(max_n, recorded):
     return failures
 
 
+# Failure counts at max_n 5, 6 and 7 under each fault; corrupt_paths_into
+# changes only paths, which the suite does not read.
+WORD_BY_WORD_FAULTS = [
+    (break_top_rows, (87, 328, 1344)),
+    (corrupt_paths_into, (0, 0, 0)),
+    (misreport_cells_into, (9, 45, 177)),
+    (move_cells_to_the_corner, (12, 43, 152)),
+    (swap_lowest_row_ends, (0, 5, 21)),
+    (record_in_one_row, (122, 386, 1388)),
+]
+
+
+@pytest.mark.parametrize("max_n", [5, 6, 7])
+@pytest.mark.parametrize("fault,counts", WORD_BY_WORD_FAULTS)
+def test_triple_agreement_matches_the_word_by_word_oracle_under_a_core_fault(
+        monkeypatch, fault, counts, max_n):
+    # A leaf group that fails reports each of its words, with their P and Q
+    # from the patched core.
+    fault(monkeypatch)
+    failures = run_suite("triple-agreement", max_n).failures
+    assert len(failures) == counts[max_n - 5]
+    assert failures == triple_agreement_word_by_word(max_n)
+
+
 def test_triple_agreement_keeps_the_word_order_under_a_two_check_fault(monkeypatch):
     # Q opens a bottom row where P does not: no DIRT of the right strips,
     # and of another shape than P.
@@ -725,10 +783,10 @@ def test_triple_agreement_keeps_the_word_order_under_a_two_check_fault(monkeypat
     assert result.failures[:2] == ["bad recording tableau for ((1, 3, 4, 5), (2,))",
                                    "shape mismatch for ((1, 3, 4, 5), (2,))"]
     assert len(result.failures) == 152
-    assert result.failures == triple_agreement_word_by_word(7, replayed)
+    assert result.failures == triple_agreement_word_by_word(7)
     # The walk meets one such Q first at a word other than its least, yet
     # its report comes first among the least word's failures.
-    words, tables = verify._recording_walk(7)
+    words, tables = recorded_words(7)
     first, least = {}, {}
     for prefix, v, alpha, (_, q) in words:
         word = verify._child_word(prefix, v)
@@ -766,7 +824,7 @@ def test_triple_agreement_reports_a_table_after_its_words_in_composition_order(m
                                           "shape mismatch for ((1, 3), (2,))",
                                           "shape mismatch for ((1, 2), (3,))"]
     assert result.failures[at + 1] == "bad recording tableau for ((1,), (2, 3))"
-    assert result.failures == triple_agreement_word_by_word(7, replayed)
+    assert result.failures == triple_agreement_word_by_word(7)
 
 
 def test_triple_agreement_builds_no_dual_tree(monkeypatch):
@@ -830,7 +888,7 @@ def test_word_suites_report_a_cell_above_the_top_row(monkeypatch, capsys):
 
     result = run_suite("triple-agreement", 6)
     assert len(result.failures) == 45
-    assert result.failures == triple_agreement_word_by_word(6, replayed)
+    assert result.failures == triple_agreement_word_by_word(6)
     descents = run_suite("descents", 6)
     assert descents.passed and descents.cases == 231
     code, lines = verify_cli(capsys, "triple-agreement", 6)
