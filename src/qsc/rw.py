@@ -12,13 +12,12 @@ of the row lengths, so children come out in the order of the cells they
 fill.  Each builder defines its recursion once per call: build makes a node
 and a second function places the node's next values, taking the level's
 state as arguments.  A value may not end a row in a column where a lower
-row ends.  In the forward tree one map per level, from a column to the
-lowest row that ended there when the level began, answers that: the rows
-a level has changed end left of its next placement, so the rows that end
-in that column are the same ones as when the level began.  The dual
-tree's placement rule reads only row lengths and lives in qsym._row_runs,
-which gives once per level each started row's run, the columns its next
-cells may take; qsym._dual_row reads the same runs to count the leaves
+row ended when the level began.  Each tree's placement rule reads only row
+lengths and is given once per level as row runs, the columns each row's
+end may take during the level: _forward_runs gives the forward tree's,
+and _forward_counts reads them to count the forward leaves with no tree
+(verify's triple-agreement compares those counts); qsym._row_runs gives
+the dual tree's, and qsym._dual_row reads them to count the dual leaves
 for yns_to_imm.  Both trees serialize to JSON, built with an explicit
 stack, and to DOT.
 """
@@ -35,10 +34,30 @@ Cellvalue = int | None
 PartialRows = tuple[tuple[Cellvalue, ...], ...]
 
 
-def _lowest_ends(lens: list[int] | tuple[int, ...]) -> dict[int, int]:
-    """Maps each row length to the lowest row of that length, so a column c
-    maps to the lowest row ending in it."""
-    return dict(zip(reversed(lens), range(len(lens) - 1, -1, -1)))
+def _forward_runs(lens: list[int] | tuple[int, ...],
+                  left: int) -> list[tuple[int, int]]:
+    """The forward tree's placement rule for one level, read as row runs:
+    (r, end) for each row r, in row order, whose end may take one of the
+    level's later values, with lens the row lengths once the level's first
+    value is in the new bottom row and left the values still to place.  A
+    later value ends row r in the column right of its end when that column
+    lies right of the previous value's and no lower row ended in it when
+    the level began.  Only the first test changes within a level, and each
+    value moves the row's end one column right, so row r is open to the
+    next value after column last exactly when last <= lens[r] < end, end
+    the last column before the first one the rule refuses, and at most
+    lens[r] + left, as far as the level's values reach.  The readers take
+    the open rows in (next column, row) order, a stable sort of the row
+    lengths."""
+    runs, ended = [], set()
+    for r, start in enumerate(lens):
+        end, stop = start, start + left
+        while end < stop and end + 1 not in ended:
+            end += 1
+        if end > start:
+            runs.append((r, end))
+        ended.add(start)
+    return runs
 
 
 class Node(namedtuple("Node", "filling children key", defaults=(None,))):
@@ -80,27 +99,56 @@ def rw_forward(alpha: Composition) -> tuple[Node, BasisExpansion]:
             return Node(filling, (), shape)
         children: list[Node] = []
         start = sum(lens) + 1
+        left = alpha[ell - len(rows) - 1] - 1
         rows.insert(0, (start,))
         lens.insert(0, 1)
-        lowest = _lowest_ends(lens)
-        extend(start + 1, 1, start + alpha[ell - len(rows)], lowest, children)
+        extend(start + 1, 1, start + 1 + left, _forward_runs(lens, left), children)
         del rows[0], lens[0]
         return Node(filling, tuple(children))
 
-    def extend(value: int, last_col: int, stop: int, lowest: dict[int, int],
+    def extend(value: int, last_col: int, stop: int, runs: list[tuple[int, int]],
                children: list[Node]) -> None:
         if value == stop:
             children.append(build())
             return
-        for r in sorted(range(len(lens)), key=lens.__getitem__):
+        open_rows = [r for r, end in runs if last_col <= lens[r] < end]
+        open_rows.sort(key=lens.__getitem__)
+        for r in open_rows:
             col = lens[r] + 1
-            if col > last_col and lowest.get(col, ell) > r:
-                old = rows[r]
-                rows[r], lens[r] = old + (value,), col
-                extend(value + 1, col, stop, lowest, children)
-                rows[r], lens[r] = old, col - 1
+            old = rows[r]
+            rows[r], lens[r] = old + (value,), col
+            extend(value + 1, col, stop, runs, children)
+            rows[r], lens[r] = old, col - 1
 
     return build(), BasisExpansion._built(YOUNG_QS, sum(alpha), counts)
+
+
+def _forward_counts(alpha: Composition) -> dict[Composition, int]:
+    # rw_forward's leaf shapes counted over row-length tuples (_forward_runs
+    # reads no more), with no node and no filling; alpha must be checked
+    # first.  An explicit stack holds one entry per tree position, (lens,
+    # last column, values left in the level, the level's runs): a level ends
+    # when it has no values left, a leaf when the last level ends.  No two
+    # positions are merged, so every leaf is walked, and any depth counts.
+    ell = len(alpha)
+    counts: dict[Composition, int] = {}
+    stack = [(alpha[-1:], 0, 0, None)]
+    while stack:
+        lens, last, left, runs = stack.pop()
+        if left:
+            left -= 1
+            for r, end in runs:
+                length = lens[r]
+                if last <= length < end:
+                    col = length + 1
+                    stack.append((lens[:r] + (col,) + lens[r + 1:], col, left, runs))
+        elif len(lens) == ell:
+            counts[lens] = counts.get(lens, 0) + 1
+        else:
+            lens = (1,) + lens
+            left = alpha[ell - len(lens)] - 1
+            stack.append((lens, 1, left, _forward_runs(lens, left) if left else None))
+    return counts
 
 
 def rw_dual(alpha: Composition) -> tuple[Node, BasisExpansion]:

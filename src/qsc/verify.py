@@ -28,7 +28,7 @@ from .qsym import (
     young_qs_mexpr,
     yqs_to_dimm,
 )
-from .rw import rw_forward
+from .rw import _forward_counts
 from .tableaux import INF, _young_descent_set, is_ssyct, is_standard, shape_of
 
 
@@ -478,14 +478,16 @@ def _tableau_of(word, alpha):
 
 def verify_triple_agreement(max_n: int) -> SuiteResult:
     """Three computations of the same coefficient table coincide: insertion
-    shape multisets, direct recording-tableau counts, and forward tree
-    leaves; dually, yns_to_imm (the dual rule, counted by row lengths, so
-    no dual tree is built, from alpha[1:]'s levels, kept once per tail,
-    and one forced last level) matches the DIRT column at alpha, read from
-    the transposed _dirt_row rows of its degree.  Each distinct recording
-    tableau of each composition must be a DIRT of row strip shape
-    reverse(alpha), reported for the least word that records it, and each
-    word's P must have its Q's shape.
+    shape multisets, direct recording-tableau counts, and the forward
+    rule's leaves, counted leaf by leaf over row lengths by
+    rw._forward_counts, so no forward tree is built; dually, yns_to_imm
+    (the dual rule, counted by row lengths, so no dual tree is built, from
+    alpha[1:]'s levels, kept once per tail, and one forced last level)
+    matches the DIRT column at alpha, read from the transposed _dirt_row
+    rows of its degree.  Each distinct recording tableau of each
+    composition must be a DIRT of row strip shape reverse(alpha), reported
+    for the least word that records it, and each word's P must have its
+    Q's shape.
 
     The words come from _recording_walk, which keeps one shape and one
     verdict per distinct (alpha, Q), so the table checks run after the
@@ -546,7 +548,7 @@ def verify_triple_agreement(max_n: int) -> SuiteResult:
         for alpha in compositions(n):
             by_insertion = recording.pop(alpha)
             counted = dimm_to_yqs(alpha).coeffs
-            forward = rw_forward(alpha)[1].coeffs
+            forward = _forward_counts(alpha)
             result.cases += 1
             if not (by_insertion == counted == forward):
                 # compositions(n) is in lexicographically decreasing order.
@@ -698,9 +700,9 @@ DEFAULT_MAX_N = {
     "inverse": 9,
     "descents": 9,
     "triple-agreement": 9,
-    "symmetry": 8,
-    "positivity": 8,
-    "dominance": 8,
+    "symmetry": 9,
+    "positivity": 9,
+    "dominance": 9,
     "round-trip": 9,
 }
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qsc import qsym
+from qsc import qsym, rw
 from qsc.compositions import compositions
 from qsc.dirt import is_dirt
 from qsc.qsym import IMMACULATE, YOUNG_QS, _dual_row, dimm_to_yqs, yns_to_imm
@@ -237,3 +237,35 @@ def test_dual_tree_and_counts_read_one_placement_rule(monkeypatch):
     for alpha in compositions(8):
         digest.update(tree_to_dot(rw_dual(alpha)[0]).encode())
     assert digest.hexdigest() != DEGREE_EIGHT_DOT_SHA256["rw_dual"]
+
+
+def test_forward_counts_match_the_tree_leaves():
+    for n in range(10):
+        for alpha in compositions(n):
+            assert rw._forward_counts(alpha) == dict(rw_forward(alpha)[1].coeffs), alpha
+
+
+def test_forward_counts_take_any_depth():
+    # 2000 levels: the tree's recursion gives up, the count's stack does not.
+    alpha = (1,) * 2000
+    with pytest.raises(RecursionError):
+        rw_forward(alpha)
+    assert rw._forward_counts(alpha) == {alpha: 1}
+
+
+def test_forward_tree_and_counts_read_one_placement_rule(monkeypatch):
+    # A fault in the forward rule: a value may end a row in a column where a
+    # lower row ended.  The forward counts then disagree with the other two
+    # tables, and the tree's bytes change, so both paths read the one rule.
+    monkeypatch.setattr(rw, "_forward_runs", lambda lens, left: [
+        (r, lens[r] + left) for r in range(len(lens)) if left])
+    assert run_suite("triple-agreement", 4).passed
+    assert run_suite("triple-agreement", 5).failures == [
+        "coefficient tables differ at (2, 2, 1): "
+        "{(2, 2, 1): 1, (2, 1, 2): 1, (1, 3, 1): 1, (1, 2, 2): 1, (1, 1, 3): 1} vs "
+        "{(2, 2, 1): 1, (2, 1, 2): 1, (1, 3, 1): 1, (1, 2, 2): 1, (1, 1, 3): 1} vs "
+        "{(2, 2, 1): 1, (2, 1, 2): 1, (1, 3, 1): 1, (1, 2, 2): 2, (1, 1, 3): 1}"]
+    digest = hashlib.sha256()
+    for alpha in compositions(8):
+        digest.update(tree_to_dot(rw_forward(alpha)[0]).encode())
+    assert digest.hexdigest() != DEGREE_EIGHT_DOT_SHA256["rw_forward"]

@@ -837,6 +837,16 @@ def test_triple_agreement_builds_no_dual_tree(monkeypatch):
     assert result.passed and result.cases == 256
 
 
+def test_triple_agreement_builds_no_forward_tree(monkeypatch):
+    def refuse(alpha):
+        raise AssertionError("rw_forward called")
+
+    monkeypatch.setattr(rw, "rw_forward", refuse)
+    monkeypatch.setattr(verify, "rw_forward", refuse, raising=False)
+    result = run_suite("triple-agreement", 7)
+    assert result.passed and result.cases == 256
+
+
 def raised(rows, v):
     """rows with every letter >= v raised by one."""
     return tuple(tuple(x + (x >= v) for x in row) for row in rows)
