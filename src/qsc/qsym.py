@@ -6,20 +6,28 @@ tagged with the basis they are taken against.  Fundamental expansions come
 from standard fillings counted by descent set, monomial ones from those
 counts by subset sums over only the masks the result has, products from
 the quasi-shuffle rule, and changes of basis from one integer leading-term
-peel over a dense list indexed by lexicographic position: both Schur-like
-bases are unitriangular in monomial coordinates under lexicographic order,
-and unitriangularity is checked on every element used rather than assumed.
+peel in lexicographic order: both Schur-like bases are unitriangular in
+monomial coordinates under that order, and unitriangularity is checked on
+every element used rather than assumed.  Monomial coordinates are packed:
+an element of degree n is one int whose field j holds, as a balanced
+digit, the coefficient at lex index j of compositions(n).  A product is
+then one multiply-add per pair of terms and a peel step one subtraction of
+a whole packed row; a packed result is used only once bounds show that no
+field overflowed, and is computed again at a wider field otherwise.
 Between the two Schur-like bases the DIRT counts give each row directly,
-and the same checked peel inverts them, counting only the rows it pivots
-on.  In the dual, noncommutative world, a Young noncommutative Schur element
-expands in the immaculate basis by the paper's dual rule, counted over
-row-length states as the DIRTs are.  Inputs are validated where they enter;
+and a list peel over the lex index of compositions(n, len(alpha)) inverts
+them, counting only the rows it pivots on.  It is not packed: those rows
+are sparse in that wide block, so a packed row would be mostly empty
+fields.  In the dual, noncommutative world, a Young noncommutative Schur
+element expands in the immaculate basis by the paper's dual rule, counted
+over row-length states as the DIRTs are.  Inputs are validated where they enter;
 expansions the package builds from checked inputs are not validated again.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import cache
 from math import comb
 from types import MappingProxyType
@@ -307,14 +315,18 @@ def _shuffle_pair(u: Composition, v: Composition) -> tuple[tuple[Composition, in
 
 def quasi_shuffle(f: BasisExpansion, g: BasisExpansion) -> BasisExpansion:
     """Product of two monomial expansions: parts of the two index
-    compositions interleave in order, with adjacent parts optionally merged."""
+    compositions interleave in order, with adjacent parts optionally merged.
+
+    Computed packed (see _packed_product) and unpacked once, so the terms
+    come out in compositions(n) order."""
     _monomial_only(f, g)
-    out: dict[Composition, int] = {}
-    for u, cu in f.items():
-        for v, cv in g.items():
-            for w, m in _shuffle_pair(u, v):
-                out[w] = out.get(w, 0) + cu * cv * m
-    return BasisExpansion._built(MONOMIAL, f.degree + g.degree, out)
+    n = f.degree + g.degree
+    for width in _widths():
+        rest, bound = _packed_product(f, g, width)
+        if bound < 1 << (width - 1):
+            order = compositions(n)
+            return BasisExpansion._built(
+                MONOMIAL, n, dict(zip(order, _unpack(rest, len(order), width))))
 
 
 @cache
@@ -324,9 +336,102 @@ def _lex_index(n: int, ell: int | None) -> dict[Composition, int]:
     return {alpha: i for i, alpha in enumerate(compositions(n, ell))}
 
 
+# Packed monomial coordinates: an element of degree n is one int whose
+# field j, bits [width*j, width*(j+1)), holds the coefficient at lex index j
+# of compositions(n) as a balanced (signed) digit.  Its fields are readable
+# only while every coefficient lies in [-2**(width-1), 2**(width-1)), so
+# each packed result is used only after bounds show that it does; when one
+# fails, the whole computation runs again at twice the width (_widths).
+_W = 32
+
+# The signed array typecode of each width in bits: packing and unpacking at
+# these widths is one pass in C.
+_ARRAY_CODES = {array(code).itemsize * 8: code for code in "qlihb"}
+
+
+def _widths():
+    # _W, read when the computation starts, then doubled each time.
+    width = _W
+    while True:
+        yield width
+        width *= 2
+
+
+@cache
+def _signs(size: int, width: int) -> int:
+    # The top bit of each of size fields.  XOR with it maps two's complement
+    # fields to digits offset by 2**(width-1), and back.
+    return ((1 << width * size) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _pack(dense: list[int], width: int) -> int:
+    # sum(c << width * j for j, c in enumerate(dense)), exact whatever the
+    # entries; from an array in one pass when they fit the width's type.
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        try:
+            raw = int.from_bytes(array(code, dense).tobytes(), sys.byteorder)
+        except OverflowError:
+            pass
+        else:
+            signs = _signs(len(dense), width)
+            return (raw ^ signs) - signs
+    packed = 0
+    for c in reversed(dense):
+        packed = (packed << width) + c
+    return packed
+
+
+def _unpack(packed: int, size: int, width: int) -> list[int]:
+    # The size balanced digits of packed, which the caller's bounds show
+    # lie in their fields.
+    signs = _signs(size, width)
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        digits = array(code)
+        digits.frombytes(((packed + signs) ^ signs).to_bytes(size * width // 8, sys.byteorder))
+        return digits.tolist()
+    offset, mask, half = packed + signs, (1 << width) - 1, 1 << (width - 1)
+    return [(offset >> width * j & mask) - half for j in range(size)]
+
+
+def _pack_terms(terms, n: int, width: int) -> int:
+    # (composition of n, coefficient) pairs, packed at width.
+    index = _lex_index(n, None)
+    dense = [0] * len(index)
+    for gamma, c in terms:
+        dense[index[gamma]] = c
+    return _pack(dense, width)
+
+
+@cache
+def _packed_pair(u: Composition, v: Composition, width: int) -> tuple[int, int]:
+    # _shuffle_pair(u, v) packed at width, and its total multiplicity.
+    terms = _shuffle_pair(u, v)
+    return _pack_terms(terms, sum(u) + sum(v), width), sum(m for _, m in terms)
+
+
+def _packed_product(f: BasisExpansion, g: BasisExpansion, width: int) -> tuple[int, int]:
+    # The quasi-shuffle of f and g packed at width, one multiply-add per
+    # pair of terms, and the bound sum(|c_u c_v| * the pair's multiplicity)
+    # on the absolute value of every coefficient of the product.  The
+    # product's fields are exact when the bound is below 2**(width-1).
+    rest = bound = 0
+    for u, cu in f.items():
+        part = mass = 0
+        for v, cv in g.items():
+            pair, m = _packed_pair(u, v, width)
+            part += cv * pair
+            mass += abs(cv) * m
+        rest += cu * part
+        bound += abs(cu) * mass
+    return rest, bound
+
+
 def _peel(rest, row, basis: str, n: int, ell: int | None = None) -> dict[Composition, int]:
-    # Coefficients of rest against the basis whose element at alpha is
-    # row(alpha): its terms as (lex index, coefficient) pairs over
+    # The list peel, which yqs_to_dimm runs over the DIRT rows (see the module
+    # docstring).  Coefficients of rest against the basis whose element at
+    # alpha is row(alpha): its terms as (lex index, coefficient) pairs over
     # compositions(n, ell).  rest is laid out densely by lex index, and the
     # pivot walks it forward: the entry c at index i, when nonzero, is the
     # coefficient at alpha = compositions(n, ell)[i], and c times the element
@@ -361,11 +466,78 @@ def _peel(rest, row, basis: str, n: int, ell: int | None = None) -> dict[Composi
 
 
 @cache
-def _mexpr_row(basis: str, alpha: Composition) -> tuple[tuple[int, int], ...]:
-    # _mexpr(basis, alpha) as _peel reads it; alpha must be checked first.
+def _mexpr_row(basis: str, alpha: Composition, width: int) -> tuple[int | None, int]:
+    # _mexpr(basis, alpha) as _packed_peel reads it: packed at width from
+    # alpha's own lex index in compositions(n), so field 0 is the diagonal,
+    # and the largest absolute value of its coefficients.  The packed row is
+    # None when a term comes before alpha, as none of a unitriangular
+    # element does.  alpha must be checked first.
     terms = _mexpr(basis, alpha).coeffs
     index = _lex_index(sum(alpha), None)
-    return tuple(zip(map(index.__getitem__, terms), terms.values()))
+    first = index[alpha]
+    dense = [0] * (len(index) - first)
+    for gamma, c in terms.items():
+        j = index[gamma] - first
+        if j < 0:
+            return None, 0
+        dense[j] = c
+    return _pack(dense, width), max(map(abs, terms.values()), default=0)
+
+
+# The fields a peel step first looks through for the next pivot: most pivots
+# lie within a few fields of the last, and only on a miss is the whole
+# remainder read.
+_LOOK = 8
+
+
+def _packed_peel(rest: int, top: int, basis: str, n: int,
+                 width: int) -> dict[Composition, int] | None:
+    # Coefficients against a Schur-like basis of rest, an element of degree
+    # n packed at width whose coefficients are at most top in absolute
+    # value; None when a bound fails at this width.  Each step finds the
+    # next pivot as the lowest set bit, reads that field's digit c, checks
+    # the row there (_mexpr_row: diagonal 1, no term before the pivot),
+    # subtracts c times the row in one operation and shifts the cleared
+    # field out.  When rest ends at 0 with every pivot inside
+    # compositions(n), rest equals sum(c_i * row_i) as an integer; with
+    # top and (sum |c_i|) * (the largest row entry) both below
+    # 2**(width-1), both sides' fields are their balanced digits, so the
+    # equality holds coefficient by coefficient and the c_i are exact.  A
+    # bad row raises NotUnitriangularError only once the same bounds, taken
+    # over the pivots before it, show it is the pivot the list peel meets.
+    half = 1 << (width - 1)
+    if top >= half:
+        return None
+    mask = (1 << width) - 1
+    order = compositions(n)
+    size = len(order)
+    out: dict[Composition, int] = {}
+    near = (1 << width * _LOOK) - 1
+    pos = used = high = 0
+    while rest:
+        low = rest & near or rest
+        skip = ((low & -low).bit_length() - 1) // width
+        pos += skip
+        if pos >= size:
+            return None
+        rest >>= width * skip
+        c = rest & mask
+        if c >= half:
+            c -= mask + 1
+        alpha = order[pos]
+        row, largest = _mexpr_row(basis, alpha, width)
+        if row is None or row & mask != 1:
+            if top + used * high >= half:
+                return None
+            raise NotUnitriangularError(
+                f"{basis} element at {to_string(alpha)} is not unitriangular")
+        out[alpha] = c
+        used += abs(c)
+        if largest > high:
+            high = largest
+        # Field 0 is now 0; the next step's shift takes it out.
+        rest -= c * row
+    return out if used * high < half else None
 
 
 def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
@@ -374,11 +546,12 @@ def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
 
     The monomial case is f itself, and the fundamental case has a
     closed-form inverse.  The two Schur-like bases are unitriangular in
-    monomial coordinates under lexicographic order, so f is peeled against
-    their monomial expansions over the dense lex index of compositions(n)
-    (see _peel).  Each expansion is read as cached (index, coefficient)
-    pairs, and the peel checks it is unitriangular every time it is used.
-    yqs_to_dimm peels the DIRT rows instead, with no monomials.
+    monomial coordinates under lexicographic order, so f is packed and
+    peeled against their packed monomial expansions (see _packed_peel),
+    one subtraction of a whole row per pivot.  Each row is cached, and the
+    peel checks it is unitriangular every time it is used.  The terms come
+    out in compositions(n) order.  yqs_to_dimm peels the DIRT rows instead,
+    with no monomials.
     """
     _monomial_only(f)
     if basis == MONOMIAL:
@@ -387,8 +560,22 @@ def expand_in(f: BasisExpansion, basis: str) -> BasisExpansion:
         return m_to_f(f)
     if basis not in _FILLINGS:
         raise ValueError(f"cannot expand in basis {basis!r}")
-    return BasisExpansion._built(basis, f.degree, _peel(
-        f.coeffs, lambda alpha: _mexpr_row(basis, alpha), basis, f.degree))
+    top = max(map(abs, f.coeffs.values()), default=0)
+    for width in _widths():
+        out = _packed_peel(_pack_terms(f.items(), f.degree, width), top, basis, f.degree, width)
+        if out is not None:
+            return BasisExpansion._built(basis, f.degree, out)
+
+
+def _product_in(f: BasisExpansion, g: BasisExpansion, basis: str) -> BasisExpansion:
+    # expand_in(quasi_shuffle(f, g), basis) for monomial f and g and a
+    # Schur-like basis, with the packed product handed straight to the peel.
+    n = f.degree + g.degree
+    for width in _widths():
+        rest, bound = _packed_product(f, g, width)
+        out = _packed_peel(rest, bound, basis, n, width)
+        if out is not None:
+            return BasisExpansion._built(basis, n, out)
 
 
 def is_symmetric(f: BasisExpansion) -> bool:

@@ -55,6 +55,7 @@ from qsc.tableaux import (
     standard_tableaux,
     weighted_tableaux,
 )
+from qsc.verify import run_suite
 
 
 def test_mexpr_basics():
@@ -362,6 +363,73 @@ def test_indexed_peel_matches_the_dict_peel():
         for alpha in compositions(n):
             want = dict_peel({alpha: 1}, qsym._dirt_row, DUAL_IMMACULATE)
             assert list(yqs_to_dimm(alpha).items()) == list(want.items())
+
+
+def dict_shuffle(f, g):
+    # The reference product: one dict update per term of each pair's shuffle.
+    out = {}
+    for u, cu in f.items():
+        for v, cv in g.items():
+            for w, m in qsym._shuffle_pair(u, v):
+                out[w] = out.get(w, 0) + cu * cv * m
+    return BasisExpansion(MONOMIAL, f.degree + g.degree, out)
+
+
+def packed_inputs():
+    # Signed elements, and elements whose coefficients need wider fields
+    # than _W, beside the Schur-like ones.  2**_W at one composition and -1
+    # at the next pack to 0 at width _W.
+    for n in range(1, 5):
+        order = compositions(n)
+        for alpha, beta in zip(order, order[1:] + (None,)):
+            young, dual = young_qs_mexpr(alpha), dual_immaculate_mexpr(alpha)
+            yield from (young - dual, 10**40 * young, -(10**40) * dual + young)
+            if beta:
+                yield BasisExpansion(MONOMIAL, n, {alpha: 1 << qsym._W, beta: -1})
+
+
+def test_packed_quasi_shuffle_matches_the_dict_loop():
+    elements = [mexpr(alpha) for n in range(1, 8) for alpha in compositions(n)
+                for mexpr in (young_qs_mexpr, dual_immaculate_mexpr)]
+    for f in elements:
+        for g in elements:
+            if f.degree + g.degree <= 8:
+                product = quasi_shuffle(f, g)
+                assert product == dict_shuffle(f, g)
+                order = compositions(product.degree)
+                assert list(product.coeffs) == [w for w in order if w in product.coeffs]
+    others = list(packed_inputs())
+    for f in others:
+        for g in others[:12] + elements[:12]:
+            assert quasi_shuffle(f, g) == dict_shuffle(f, g)
+
+
+def test_packed_expand_in_matches_the_dict_peel():
+    inputs = list(packed_inputs())
+    inputs += [quasi_shuffle(f, g) for f in inputs[:12] for g in inputs[-12:]]
+    for f in inputs:
+        for basis in (YOUNG_QS, DUAL_IMMACULATE):
+            want = dict_peel(f.coeffs, lambda alpha: qsym._mexpr(basis, alpha).coeffs, basis)
+            assert list(expand_in(f, basis).items()) == list(want.items())
+
+
+def test_narrow_fields_widen_to_the_same_results(monkeypatch):
+    # At width 4 a field holds -8 .. 7: nearly every product and peel must
+    # widen.  The dense inputs have coefficients in that range, but some of
+    # their expansions do not.
+    dense = [BasisExpansion(MONOMIAL, n, {gamma: step * j % 15 - 7
+                                          for j, gamma in enumerate(compositions(n))})
+             for n in range(1, 7) for step in range(1, 8)]
+    want = (list(products(6)), run_suite("positivity", 6))
+    tables = [list(expand_in(f, basis).items())
+              for f in want[0] + dense for basis in (YOUNG_QS, DUAL_IMMACULATE)]
+    monkeypatch.setattr(qsym, "_W", 4)
+    got = list(products(6))
+    assert got == want[0]
+    assert [list(expand_in(f, basis).items())
+            for f in got + dense for basis in (YOUNG_QS, DUAL_IMMACULATE)] == tables
+    result = run_suite("positivity", 6)
+    assert (result.cases, result.failures) == (want[1].cases, want[1].failures)
 
 
 def test_built_expansions_pass_the_public_constructor():

@@ -959,15 +959,15 @@ def test_dominance_records_a_dirt_table_that_is_not_unitriangular(dirt_diagonal_
 
 def perturb_mexpr_diagonal(monkeypatch, basis):
     # 2 on the diagonal of basis's monomial expansion at (2, 1), as the peel
-    # reads it: (lex index, coefficient) terms.
+    # reads it: a packed row whose field 0 is the diagonal, so adding 1 turns
+    # that field's 1 into 2.
     real = qsym._mexpr_row
-    diagonal = qsym._lex_index(3, None)[(2, 1)]
 
-    def perturbed(b, alpha):
-        row = real(b, alpha)
+    def perturbed(b, alpha, width):
+        row, largest = real(b, alpha, width)
         if (b, alpha) == (basis, (2, 1)):
-            row = tuple((j, 2 if j == diagonal else x) for j, x in row)
-        return row
+            row, largest = row + 1, max(largest, 2)
+        return row, largest
 
     monkeypatch.setattr(qsym, "_mexpr_row", perturbed)
 
