@@ -8,12 +8,15 @@ counts by subset sums over only the masks the result has, products from
 the quasi-shuffle rule, and changes of basis from one integer leading-term
 peel in lexicographic order: both Schur-like bases are unitriangular in
 monomial coordinates under that order, and unitriangularity is checked on
-every element used rather than assumed.  Monomial coordinates are packed:
-an element of degree n is one int whose field j holds, as a balanced
-digit, the coefficient at lex index j of compositions(n).  A product is
-then one multiply-add per pair of terms and a peel step one subtraction of
-a whole packed row; a packed result is used only once bounds show that no
-field overflowed, and is computed again at a wider field otherwise.
+every element used rather than assumed.  quasi_shuffle follows the terms
+of each pair's shuffle, so sparse products of any degree stay small.  For
+the basis changes, monomial coordinates are packed: an element of degree n
+is one int whose field j holds, as a balanced digit, the coefficient at
+lex index j of compositions(n).  Each pair's shuffle is packed from its
+three tails' by shifts, a product is one multiply-add per pair of terms
+and a peel step one subtraction of a whole packed row; a packed result is
+used only once bounds show that no field overflowed, and is computed again
+at a wider field otherwise.
 Between the two Schur-like bases the DIRT counts give each row directly,
 and a list peel over the lex index of compositions(n, len(alpha)) inverts
 them, counting only the rows it pivots on.  It is not packed: those rows
@@ -317,16 +320,18 @@ def quasi_shuffle(f: BasisExpansion, g: BasisExpansion) -> BasisExpansion:
     """Product of two monomial expansions: parts of the two index
     compositions interleave in order, with adjacent parts optionally merged.
 
-    Computed packed (see _packed_product) and unpacked once, so the terms
-    come out in compositions(n) order."""
+    One dict update per term of each pair's shuffle (_shuffle_pair), so the
+    work follows the terms, not the compositions of the degree, and sparse
+    inputs of any degree multiply cheaply.  The terms come out in
+    compositions(n) order."""
     _monomial_only(f, g)
-    n = f.degree + g.degree
-    for width in _widths():
-        rest, bound = _packed_product(f, g, width)
-        if bound < 1 << (width - 1):
-            order = compositions(n)
-            return BasisExpansion._built(
-                MONOMIAL, n, dict(zip(order, _unpack(rest, len(order), width))))
+    out: dict[Composition, int] = {}
+    for u, cu in f.items():
+        for v, cv in g.items():
+            for w, m in _shuffle_pair(u, v):
+                out[w] = out.get(w, 0) + cu * cv * m
+    return BasisExpansion._built(
+        MONOMIAL, f.degree + g.degree, {w: out[w] for w in sorted(out, reverse=True)})
 
 
 @cache
@@ -344,8 +349,8 @@ def _lex_index(n: int, ell: int | None) -> dict[Composition, int]:
 # fails, the whole computation runs again at twice the width (_widths).
 _W = 32
 
-# The signed array typecode of each width in bits: packing and unpacking at
-# these widths is one pass in C.
+# The signed array typecode of each width in bits: packing at these widths
+# is one pass in C.
 _ARRAY_CODES = {array(code).itemsize * 8: code for code in "qlihb"}
 
 
@@ -360,7 +365,7 @@ def _widths():
 @cache
 def _signs(size: int, width: int) -> int:
     # The top bit of each of size fields.  XOR with it maps two's complement
-    # fields to digits offset by 2**(width-1), and back.
+    # fields to digits offset by 2**(width-1).
     return ((1 << width * size) - 1) // ((1 << width) - 1) << (width - 1)
 
 
@@ -382,19 +387,6 @@ def _pack(dense: list[int], width: int) -> int:
     return packed
 
 
-def _unpack(packed: int, size: int, width: int) -> list[int]:
-    # The size balanced digits of packed, which the caller's bounds show
-    # lie in their fields.
-    signs = _signs(size, width)
-    code = _ARRAY_CODES.get(width)
-    if code is not None:
-        digits = array(code)
-        digits.frombytes(((packed + signs) ^ signs).to_bytes(size * width // 8, sys.byteorder))
-        return digits.tolist()
-    offset, mask, half = packed + signs, (1 << width) - 1, 1 << (width - 1)
-    return [(offset >> width * j & mask) - half for j in range(size)]
-
-
 def _pack_terms(terms, n: int, width: int) -> int:
     # (composition of n, coefficient) pairs, packed at width.
     index = _lex_index(n, None)
@@ -404,11 +396,40 @@ def _pack_terms(terms, n: int, width: int) -> int:
     return _pack(dense, width)
 
 
+def _first_offset(n: int, k: int) -> int:
+    # The lex index in compositions(n) of the first composition with first
+    # part k, 1 <= k <= n.  compositions(n) lists (k,) + compositions(n - k)
+    # for k from n down to 1, so (n,) is at 0 and the block of k < n starts
+    # after 1 + 1 + 2 + ... + 2**(n-k-2) compositions.
+    return 1 << (n - 1 - k) if k < n else 0
+
+
 @cache
 def _packed_pair(u: Composition, v: Composition, width: int) -> tuple[int, int]:
-    # _shuffle_pair(u, v) packed at width, and its total multiplicity.
-    terms = _shuffle_pair(u, v)
-    return _pack_terms(terms, sum(u) + sum(v), width), sum(m for _, m in terms)
+    # The terms of _shuffle_pair(u, v) packed at width over
+    # compositions(|u| + |v|), and their total multiplicity, from the three
+    # tails' packed pairs: the quasi-shuffle rule puts u[0], v[0] or
+    # u[0] + v[0] in front of a tail's terms, and (k,) + tail sits at
+    # _first_offset(n, k) plus the tail's own lex index, so each branch is
+    # its tail's packed pair shifted by that many fields.  The multiplicities
+    # are nonnegative and the shifted pairs are added as ints, so the result
+    # is the exact sum of m << width * j over the terms, whatever the width.
+    if not u and not v:
+        return 1, 1
+    n = sum(u) + sum(v)
+    packed = mass = 0
+    if u:
+        tail, m = _packed_pair(u[1:], v, width)
+        packed, mass = tail << width * _first_offset(n, u[0]), m
+    if v:
+        tail, m = _packed_pair(u, v[1:], width)
+        packed += tail << width * _first_offset(n, v[0])
+        mass += m
+        if u:
+            tail, m = _packed_pair(u[1:], v[1:], width)
+            packed += tail << width * _first_offset(n, u[0] + v[0])
+            mass += m
+    return packed, mass
 
 
 def _packed_product(f: BasisExpansion, g: BasisExpansion, width: int) -> tuple[int, int]:

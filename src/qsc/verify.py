@@ -582,18 +582,19 @@ def verify_positivity(max_n: int) -> SuiteResult:
     """Products of a Schur element with a dual immaculate element expand
     nonnegatively in the Young quasisymmetric Schur basis; the classical
     small product witnesses that the dual immaculate basis lacks this.
-    Each product is multiplied and peeled in packed monomial coordinates
-    with no dict between the two (qsym._product_in), which gives what
-    expand_in(quasi_shuffle(...)) gives."""
+    Each Schur element is built once, and each product is multiplied and
+    peeled in packed monomial coordinates with no dict between the two
+    (qsym._product_in), which gives what expand_in(quasi_shuffle(...))
+    gives; its pairs are packed from their tails, with no term lists."""
     result = SuiteResult("positivity", max_n)
+    schurs = {lam: schur_m_expansion(lam) for k in range(1, max_n) for lam in partitions(k)}
     for total in range(2, max_n + 1):
         for k in range(1, total):
             for lam in partitions(k):
-                s = schur_m_expansion(lam)
                 for alpha in compositions(total - k):
                     result.cases += 1
                     try:
-                        table = _product_in(s, dual_immaculate_mexpr(alpha), YOUNG_QS)
+                        table = _product_in(schurs[lam], dual_immaculate_mexpr(alpha), YOUNG_QS)
                     except NotUnitriangularError as exc:
                         result.fail(f"{exc}, expanding s_{lam} * {alpha}")
                         continue

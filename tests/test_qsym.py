@@ -193,6 +193,13 @@ def test_quasi_shuffle_goldens():
     assert quasi_shuffle(BasisExpansion(MONOMIAL, 2), one) == BasisExpansion(MONOMIAL, 3)
 
 
+def test_sparse_quasi_shuffle_at_degree_30():
+    # Degree 30 has 2**29 compositions: a product laid out over all of them
+    # would not fit in memory, one that follows the terms has three.
+    product = monomial((10, 10)) * monomial((10,))
+    assert list(product.items()) == [((20, 10), 1), ((10, 20), 1), ((10, 10, 10), 3)]
+
+
 def test_quasi_shuffle_is_commutative_and_associative():
     gens = [monomial(a) for a in [(1,), (2,), (1, 1), (2, 1)]]
     for f in gens:
@@ -343,19 +350,23 @@ def dict_peel(rest, element, basis):
     return out
 
 
-def products(max_n):
-    # s_lambda times dimm_alpha, as the positivity suite builds them.
+def factors(max_n):
+    # (s_lambda, dimm_alpha), as the positivity suite multiplies them.
     for total in range(2, max_n + 1):
         for k in range(1, total):
             for lam in partitions(k):
                 for alpha in compositions(total - k):
-                    yield quasi_shuffle(schur_m_expansion(lam), dual_immaculate_mexpr(alpha))
+                    yield schur_m_expansion(lam), dual_immaculate_mexpr(alpha)
+
+
+def products(max_n):
+    return [quasi_shuffle(f, g) for f, g in factors(max_n)]
 
 
 def test_indexed_peel_matches_the_dict_peel():
     elements = [mexpr(alpha) for n in range(1, 7) for alpha in compositions(n)
                 for mexpr in (young_qs_mexpr, dual_immaculate_mexpr)]
-    for f in elements + list(products(6)):
+    for f in elements + products(6):
         for basis in (YOUNG_QS, DUAL_IMMACULATE):
             want = dict_peel(f.coeffs, lambda alpha: qsym._mexpr(basis, alpha).coeffs, basis)
             assert list(expand_in(f, basis).items()) == list(want.items())
@@ -388,6 +399,62 @@ def packed_inputs():
                 yield BasisExpansion(MONOMIAL, n, {alpha: 1 << qsym._W, beta: -1})
 
 
+def unpack(packed, size, width):
+    # The size balanced digits of packed, field 0 first.
+    half = 1 << (width - 1)
+    offset = packed + half * sum(1 << width * j for j in range(size))
+    return [(offset >> width * j & (2 * half - 1)) - half for j in range(size)]
+
+
+def packed_shuffle(f, g):
+    # The packed product (_packed_product), unpacked once its bound holds.
+    n = f.degree + g.degree
+    for width in qsym._widths():
+        rest, bound = qsym._packed_product(f, g, width)
+        if bound < 1 << (width - 1):
+            order = compositions(n)
+            return BasisExpansion(MONOMIAL, n, dict(zip(order, unpack(rest, len(order), width))))
+
+
+def shuffle_pairs(max_n):
+    # Every pair (u, v) of compositions, either one empty, with |u| + |v| <= max_n.
+    for n in range(max_n + 1):
+        for a in range(n + 1):
+            for u in compositions(a):
+                for v in compositions(n - a):
+                    yield u, v
+
+
+@pytest.mark.parametrize("width", [qsym._W, 4])
+def test_packed_pairs_are_their_shuffle_terms_packed(width):
+    # Built from the three tails by shifts, each packed pair is the exact
+    # sum of its terms' multiplicities at their lex indices, also where a
+    # multiplicity overflows its field at width 4, and its multiplicity is
+    # theirs summed.
+    for u, v in shuffle_pairs(9):
+        n = sum(u) + sum(v)
+        index = qsym._lex_index(n, None)
+        terms = qsym._shuffle_pair(u, v)
+        packed, mass = qsym._packed_pair(u, v, width)
+        assert packed == sum(m << width * index[w] for w, m in terms), (u, v)
+        assert mass == sum(m for _, m in terms), (u, v)
+        if width == qsym._W:
+            dense = unpack(packed, len(index), width)
+            assert [(w, dense[index[w]]) for w, _ in terms] == list(terms)
+            assert sum(dense) == mass
+
+
+def test_first_offsets_match_the_lex_index():
+    for n in range(1, 13):
+        index = qsym._lex_index(n, None)
+        firsts = {}
+        for alpha, i in index.items():
+            firsts.setdefault(alpha[0], i)
+            tail = qsym._lex_index(n - alpha[0], None)[alpha[1:]]
+            assert i == qsym._first_offset(n, alpha[0]) + tail
+        assert firsts == {k: qsym._first_offset(n, k) for k in range(1, n + 1)}
+
+
 def test_packed_quasi_shuffle_matches_the_dict_loop():
     elements = [mexpr(alpha) for n in range(1, 8) for alpha in compositions(n)
                 for mexpr in (young_qs_mexpr, dual_immaculate_mexpr)]
@@ -395,13 +462,20 @@ def test_packed_quasi_shuffle_matches_the_dict_loop():
         for g in elements:
             if f.degree + g.degree <= 8:
                 product = quasi_shuffle(f, g)
-                assert product == dict_shuffle(f, g)
+                assert packed_shuffle(f, g) == product == dict_shuffle(f, g)
                 order = compositions(product.degree)
                 assert list(product.coeffs) == [w for w in order if w in product.coeffs]
     others = list(packed_inputs())
     for f in others:
         for g in others[:12] + elements[:12]:
-            assert quasi_shuffle(f, g) == dict_shuffle(f, g)
+            assert packed_shuffle(f, g) == quasi_shuffle(f, g) == dict_shuffle(f, g)
+
+
+def test_positivity_builds_no_shuffle_terms():
+    qsym._shuffle_pair.cache_clear()
+    qsym._packed_pair.cache_clear()
+    assert not run_suite("positivity", 6).failures
+    assert qsym._shuffle_pair.cache_info().currsize == 0
 
 
 def test_packed_expand_in_matches_the_dict_peel():
@@ -420,22 +494,30 @@ def test_narrow_fields_widen_to_the_same_results(monkeypatch):
     dense = [BasisExpansion(MONOMIAL, n, {gamma: step * j % 15 - 7
                                           for j, gamma in enumerate(compositions(n))})
              for n in range(1, 7) for step in range(1, 8)]
-    want = (list(products(6)), run_suite("positivity", 6))
-    tables = [list(expand_in(f, basis).items())
-              for f in want[0] + dense for basis in (YOUNG_QS, DUAL_IMMACULATE)]
+    pairs = list(factors(6))
+    bases = (YOUNG_QS, DUAL_IMMACULATE)
+
+    def packed():
+        # The packed products, and the products peeled with no dict between.
+        return ([packed_shuffle(f, g) for f, g in pairs],
+                [list(qsym._product_in(f, g, basis).items()) for f, g in pairs for basis in bases])
+
+    shuffled, peeled = packed()
+    assert shuffled == products(6)
+    tables = [list(expand_in(f, basis).items()) for f in shuffled + dense for basis in bases]
+    assert peeled == tables[:len(peeled)]
+    want = run_suite("positivity", 6)
     monkeypatch.setattr(qsym, "_W", 4)
-    got = list(products(6))
-    assert got == want[0]
-    assert [list(expand_in(f, basis).items())
-            for f in got + dense for basis in (YOUNG_QS, DUAL_IMMACULATE)] == tables
+    assert packed() == (shuffled, peeled)
+    assert [list(expand_in(f, basis).items()) for f in shuffled + dense for basis in bases] == tables
     result = run_suite("positivity", 6)
-    assert (result.cases, result.failures) == (want[1].cases, want[1].failures)
+    assert (result.cases, result.failures) == (want.cases, want.failures)
 
 
 def test_built_expansions_pass_the_public_constructor():
     # Expansions built from checked inputs skip validation; each must be
     # one the public constructor accepts unchanged, with no zero kept.
-    built = list(products(6))
+    built = products(6)
     for n in range(1, 7):
         built += [schur_m_expansion(lam) for lam in partitions(n)]
         for alpha in compositions(n):
