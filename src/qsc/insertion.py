@@ -24,7 +24,20 @@ sentinel cell just past its end is included.  insert walks columns from the
 widest row's width + 1 down to 2, each column top to bottom; rapture walks
 the same cells backwards, from just after the removed cell up to the widest
 remaining row's width + 1.  The leftmost column is never a bump or evict
-target, so neither walk enters it.
+target, so neither walk enters it.  A bump or an eviction replaces an
+entry and never changes a row's length, so each walk reads the row
+lengths once, into a list, and decides each cell by comparing the carried
+value with the cell's neighbors as they stand; event dicts are built only
+when a trace is asked for.
+
+The cores are exact on any filling, not only on tableaux: they compare
+the carried value with what the cells hold and assume no order along a
+row or a column.  Nothing else would do, because the verify suites run
+them on what a faulty core left behind and compare with a word-by-word
+oracle, the recording walk inserts half letters, and uninsert raptures
+any pair it is given and rejects it only by what the cores do.  A search
+that skipped cells by assuming rows increase would be exact on tableaux
+only.
 
 Public functions validate their inputs.  The `_`-prefixed cores take a
 filling being built (see tableaux) and check nothing; insert_word, uninsert
@@ -57,26 +70,37 @@ def _insert_into(work: list[Row], k: int, events=None) -> tuple[Cell, tuple[Cell
     """Insert k into a filling being built; returns (new_cell, bumping path)."""
     carry = k
     path: list[Cell] = []
-    for col in range(max(map(len, work), default=0) + 1, 1, -1):
-        for row in range(len(work), 0, -1):
-            entries = work[row - 1]
-            if col > len(entries) + 1:
+    lengths = list(map(len, work))
+    top_down = range(len(lengths) - 1, -1, -1)
+    for col in range(max(lengths, default=0) + 1, 1, -1):
+        end = col - 1
+        for r in top_down:
+            length = lengths[r]
+            if length < end:
                 continue
-            left = entries[col - 2]
-            occupant = entries[col - 1] if col <= len(entries) else INF
-            fits = left <= carry < occupant
+            entries = work[r]
+            if length == end:
+                # The sentinel just past the row's end.
+                left = entries[-1]
+                if events is not None:
+                    events.append({"event": "scan", "cell": [col, r + 1], "left": left,
+                                   "occupant": INF, "carry": carry,
+                                   "outcome": "place" if left <= carry else "skip"})
+                if left <= carry:
+                    path.append((col, r + 1))
+                    work[r] = entries + (carry,)
+                    return (col, r + 1), tuple(path)
+                continue
+            occupant = entries[end]
             if events is not None:
-                outcome = "skip" if not fits else "place" if occupant is INF else "bump"
-                events.append({"event": "scan", "cell": [col, row], "left": left,
-                               "occupant": occupant, "carry": carry, "outcome": outcome})
-            if not fits:
-                continue
-            path.append((col, row))
-            if occupant is INF:
-                work[row - 1] = entries + (carry,)
-                return (col, row), tuple(path)
-            work[row - 1] = entries[:col - 1] + (carry,) + entries[col:]
-            carry = occupant
+                left = entries[end - 1]
+                events.append({"event": "scan", "cell": [col, r + 1], "left": left,
+                               "occupant": occupant, "carry": carry,
+                               "outcome": "bump" if left <= carry < occupant else "skip"})
+            if carry < occupant and entries[end - 1] <= carry:
+                path.append((col, r + 1))
+                work[r] = entries[:end] + (carry,) + entries[col:]
+                carry = occupant
     # Nothing fit: open a new single-cell row, as high as possible subject to
     # every leftmost entry below it being smaller.
     pos = 0
@@ -174,30 +198,38 @@ def _rapture_from(work: list[Row], cell: Cell, events=None) -> tuple[int | float
         events.append({"event": "remove", "cell": [col, row], "entry": carry,
                        "row_removed": col == 1})
     # Walk the reading order backwards from the removal point.
-    for c in range(max(col, 2), max(map(len, work), default=0) + 2):
-        for r in range(row + 1 if c == col else 1, len(work) + 1):
-            entries = work[r - 1]
-            if c > len(entries) + 1:
+    lengths = list(map(len, work))
+    height = len(lengths)
+    for c in range(max(col, 2), max(lengths, default=0) + 2):
+        end = c - 1
+        for r in range(row if c == col else 0, height):
+            length = lengths[r]
+            if length < end:
                 continue
+            entries = work[r]
             left = entries[c - 2]
-            occupant = entries[c - 1] if c <= len(entries) else INF
-            right = entries[c] if c < len(entries) else INF
-            if not left <= carry <= right:
-                outcome = "skip"
-            elif occupant is INF:
-                outcome = "settle"
-            else:
-                outcome = "pass" if occupant >= carry else "evict"
+            if length == end:
+                # The sentinel just past the row's end: occupant and right
+                # neighbor are both INF.
+                if events is not None:
+                    events.append({"event": "scan", "cell": [c, r + 1], "left": left,
+                                   "occupant": INF, "right": INF, "carry": carry,
+                                   "outcome": "settle" if left <= carry else "skip"})
+                if left <= carry:
+                    work[r] = entries + (carry,)
+                    return INF, tuple(route)
+                continue
+            occupant = entries[end]
             if events is not None:
-                events.append({"event": "scan", "cell": [c, r], "left": left,
+                right = entries[c] if c < length else INF
+                outcome = ("skip" if not left <= carry <= right
+                           else "pass" if occupant >= carry else "evict")
+                events.append({"event": "scan", "cell": [c, r + 1], "left": left,
                                "occupant": occupant, "right": right, "carry": carry,
                                "outcome": outcome})
-            if outcome == "settle":
-                work[r - 1] = entries + (carry,)
-                return INF, tuple(route)
-            if outcome == "evict":
-                work[r - 1] = entries[:c - 1] + (carry,) + entries[c:]
-                route.append((c, r))
+            if left <= carry and occupant < carry and (c == length or carry <= entries[c]):
+                work[r] = entries[:end] + (carry,) + entries[c:]
+                route.append((c, r + 1))
                 carry = occupant
     if events is not None:
         events.append({"event": "output", "value": carry})
@@ -269,6 +301,7 @@ def uninsert(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
         if not q[row - 1]:
             del q[row - 1]
     word = tuple(reversed(reversed_word))
-    if insert_word(word) != (p_rows, q_rows):
+    # A word that repeats a letter is no insert_word input.
+    if len(set(word)) != len(word) or insert_word(word) != (p_rows, q_rows):
         raise ValueError("tableau pair is not the output of any word insertion")
     return word

@@ -47,17 +47,26 @@ class SuiteResult:
         self.failures.append(message)
 
 
+def _raised(p, v):
+    """p with each letter >= v raised by one."""
+    return tuple([tuple([x + (x >= v) for x in row]) for row in p])
+
+
 def _insert_raised(p, v):
     """(before, after, new_cell, path), the step of every walk: before is p,
     standard, with each letter >= v raised by one, after is v inserted into
     before by the unchecked core.  The cores only compare letters, to each
     other and to INF, so a step's cells and verdicts hold for its order
     type: a word on 1..k+1 ending in v is its standardized prefix so raised,
-    then v, and its P is after from the prefix's P.  inverse's steps,
-    _recording_walk and _standard_steps read it; inverse's re-inserts build
-    the same entry from a rapture result that is before already (see
-    _inverse_checks)."""
-    before = tuple([tuple([x + (x >= v) for x in row]) for row in p])
+    then v, and its P is after from the prefix's P.  _recording_walk and
+    _standard_steps read it; inverse builds the same entries under its own
+    memo key, the before (see _inverse_checks)."""
+    return _inserted(_raised(p, v), v)
+
+
+def _inserted(before, v):
+    """(before, after, new_cell, path) of v inserted into before as it
+    stands by the unchecked core."""
     work = list(before)
     new_cell, path = _insert_into(work, v)
     return before, tuple(work), new_cell, path
@@ -145,15 +154,18 @@ def _inverse_checks():
     """The inverse suite's checks as cached functions of standard tableaux;
     returns step.  A failure is a record (kind, rows, x) on the letters of
     the tableau checked, x a letter or a cell (see _MESSAGES).  One memo,
-    inserted, maps each standard (p, v) to _insert_raised(p, v), for the
-    steps and the re-inserts alike."""
+    inserted, maps each (before, v) to _inserted(before, v), before being
+    the tableau v goes into as it stands, p raised for a step, for the
+    steps and the re-inserts alike.  Every before in it is a tableau: a
+    step's p is the root or a checked after, and a re-insert's before is
+    checked on its miss."""
     ssyct = cache(is_ssyct)
     inserted = {}
 
-    def insert(p, v):
-        found = inserted.get((p, v))
+    def insert(before, v):
+        found = inserted.get((before, v))
         if found is None:
-            found = inserted[p, v] = _insert_raised(p, v)
+            found = inserted[before, v] = _inserted(before, v)
         return found
 
     @cache
@@ -161,14 +173,14 @@ def _inverse_checks():
         """(cases, failures, undos) of rapture at each virtuous cell of rows,
         in row order: insert after rapture must return rows with the route
         mirrored.  undos holds (cell, output, route, after) per cell.
-        Unless the output is INF, after skips the output's letter, so it is
-        checked standardized, as std with each letter above the output
-        lowered by one, and the re-insert is the memo's entry for (std,
-        output).  On a miss the output is inserted into after as it stands:
-        after is std raised, so the entry is _insert_raised(std, output)
-        with after as its before, and nothing is lowered and raised back.
-        Only a faulty core outputs a letter that after still holds; after
-        is then not std raised, and the output goes into std raised."""
+        The re-insert is the memo's entry for (after, output), looked up
+        as after stands.  A hit's before is after, so after is a tableau
+        and the output a letter it skips: nothing is lowered or checked.
+        On a miss after is checked standardized, as std with each letter
+        above the output lowered by one (INF lowers nothing), and the
+        output is inserted into after.  Only a faulty core outputs a
+        letter that after still holds, and no key has its letter in its
+        before, so such an output misses and goes into std raised."""
         cases, failures, undos = 0, [], []
         for r, row in enumerate(rows, start=1):
             cell = (len(row), r)
@@ -178,25 +190,23 @@ def _inverse_checks():
             output, route = _rapture_from(work, cell)
             after = tuple(work)
             undos.append((cell, output, route, after))
-            std = after if output is INF else tuple(
-                [tuple([x - (x > output) for x in row]) for row in after])
-            if not ssyct(std):
-                failures.append(("rapture", rows, cell))
-            elif output is INF:
-                failures.append(("inf", rows, cell))
-            else:
-                cases += 1
-                found = inserted.get((std, output))
-                if found is None:
-                    if any(output in row for row in after):
-                        found = insert(std, output)
-                    else:
-                        new_cell, path = _insert_into(work, output)
-                        found = inserted[std, output] = after, tuple(work), new_cell, path
-                # Equal to rows, the insert result is a tableau; no separate check.
-                _, back, _, path = found
-                if back != rows or path != route[::-1]:
-                    failures.append(("reinsert", rows, cell))
+            found = inserted.get((after, output))
+            if found is None:
+                std = after if output is INF else tuple(
+                    [tuple([x - (x > output) for x in row]) for row in after])
+                if not ssyct(std):
+                    failures.append(("rapture", rows, cell))
+                    continue
+                if output is INF:
+                    failures.append(("inf", rows, cell))
+                    continue
+                found = insert(_raised(std, output) if any(output in row for row in after)
+                               else after, output)
+            cases += 1
+            # Equal to rows, the insert result is a tableau; no separate check.
+            _, back, _, path = found
+            if back != rows or path != route[::-1]:
+                failures.append(("reinsert", rows, cell))
         return cases, tuple(failures), tuple(undos)
 
     @cache
@@ -207,7 +217,7 @@ def _inverse_checks():
         rapture total; rapture at new_cell must undo it (return v, the path
         mirrored and before), and that rapture's own re-insert check is this
         insertion, so it passes within the total."""
-        before, after, new_cell, path = insert(p, v)
+        before, after, new_cell, path = insert(_raised(p, v), v)
         if not ssyct(after):
             return None, 1, (("insert", before, v),)
         cases, failures, undos = raptures(after)

@@ -262,6 +262,13 @@ def test_uninsert_rejects_mismatched_pair():
         uninsert(((1, 2),), ((2, 1),))
 
 
+def test_uninsert_rejects_a_pair_that_unwinds_to_a_repeated_letter():
+    # Unwinding gives the word (1, 1), which no word insertion takes, so the
+    # error names the pair the caller passed, not a word it never passed.
+    with pytest.raises(ValueError, match="not the output of any word insertion"):
+        uninsert(((1, 1),), ((1, 2),))
+
+
 @given(st.permutations(list(range(1, 8))))
 def test_insert_word_shapes_agree(word):
     p, q = insert_word(tuple(word))

@@ -325,11 +325,13 @@ def raised_from(before, k):
 
 @pytest.mark.parametrize("fault", [None, raise_outputs_from])
 def test_inverse_memo_holds_only_raised_insertions(monkeypatch, fault):
-    # A re-insert goes into the rapture's result as it stands and is kept
-    # under (std, output), where the steps look insertions up, so its entry
-    # must be _insert_raised(std, output).  Under raise_outputs_from one
-    # rapture outputs 2 and leaves ((2, 3, 4),), which still holds 2: that
-    # result is not std raised, so its output is inserted into std raised.
+    # The memo is keyed by (before, v), the tableau v goes into as it
+    # stands.  A re-insert goes into the rapture's result as it stands and
+    # is kept under (result, output), where the steps look up their raised
+    # befores, so its entry must be _insert_raised(std, output).  Under
+    # raise_outputs_from one rapture outputs 2 and leaves ((2, 3, 4),),
+    # which still holds 2: that result is not std raised, so its output is
+    # inserted into std raised.
     if fault is not None:
         fault(monkeypatch)
     real_insert, real_rapture = verify._insert_into, verify._rapture_from
@@ -497,10 +499,12 @@ def test_inverse_checks_each_standard_tableau_once(monkeypatch):
 
     monkeypatch.setattr(verify, "is_ssyct", counted)
     assert verify.verify_inverse(7).passed
-    # A rapture result is checked standardized, so each check is one standard
-    # Young composition tableau of degree 0..7 (995 calls unstandardized).
-    assert calls == 352 == sum(len(standard_tableaux(alpha, "ssyct"))
-                               for n in range(8) for alpha in compositions(n))
+    # A rapture result is checked standardized, and only when its re-insert
+    # misses the memo, so each check is one standard Young composition
+    # tableau of degree 1..7 (995 calls unstandardized).  The empty tableau
+    # is the root: a rapture that empties a tableau hits the root's step.
+    assert calls == 351 == sum(len(standard_tableaux(alpha, "ssyct"))
+                               for n in range(1, 8) for alpha in compositions(n))
 
 
 def test_insertions_insert_once_per_standard_tableau_and_letter(monkeypatch):
